@@ -3,11 +3,9 @@
 from fogsim.model import NetworkLink, NetworkPath
 from fogsim.network import (
     available_bandwidth,
-    available_path_bandwidth,
+    link_bandwidth,
     link_delay,
-    packetized_delay,
     path_bandwidth,
-    path_delay,
     processing_delay,
 )
 
@@ -19,7 +17,6 @@ wifi = NetworkLink(
     transmission_delay=12000 / 11e6,
     propagation_delay=30e-6,
     processing_delay=processing_delay(12000, 11e6),
-    const_overhead=0.001,
 )
 backhaul = NetworkLink(
     endpoint_bandwidths=(100e6, 100e6),
@@ -29,17 +26,13 @@ backhaul = NetworkLink(
     transmission_delay=12000 / 100e6,
     propagation_delay=0.0004,  # 80 km of fibre
     processing_delay=processing_delay(12000, 100e6),
-    const_overhead=0.0002,
 )
 path = NetworkPath(links=[wifi, backhaul])
 
-print(f"wifi fair share      : {available_bandwidth(wifi)/1e6:8.3f} Mbit/s")
-print(f"backhaul fair share  : {available_bandwidth(backhaul)/1e6:8.3f} Mbit/s")
-print(f"path raw bottleneck  : {path_bandwidth(path)/1e6:8.3f} Mbit/s")
-print(f"path usable          : {available_path_bandwidth(path)/1e6:8.3f} Mbit/s")
+for name, link in (("wifi", wifi), ("backhaul", backhaul)):
+    print(f"{name:<9} raw rate   : {link_bandwidth(link)/1e6:8.3f} Mbit/s")
+    print(f"{name:<9} fair share : {available_bandwidth(link)/1e6:8.3f} Mbit/s")
+    print(f"{name:<9} round trip : {link_delay(link)*1e3:8.3f} ms")
 print()
-print(f"wifi round trip      : {link_delay(wifi)*1e3:8.3f} ms")
-print(f"path one-way latency : {path_delay(path)*1e3:8.3f} ms")
-for size in (1500 * 8, 1_000_000 * 8, 5_000_000 * 8):
-    d = packetized_delay(size, path)
-    print(f"packetised {size/8:7.0f} B : {d*1e3:8.3f} ms")
+print(f"path raw bottleneck  : {path_bandwidth(path)/1e6:8.3f} Mbit/s")
+print(f"path usable          : {min(available_bandwidth(l) for l in path.links)/1e6:8.3f} Mbit/s")

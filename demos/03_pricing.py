@@ -10,7 +10,6 @@ from fogsim.pricing import (
     connectivity_cost,
     messaging_cost,
     processing_cost,
-    registry_cost,
     total_app_cost,
 )
 
@@ -24,11 +23,9 @@ ledger = UsageLedger(
     device_messages_kb=[5.0] * 600_000,
     cloud_processing_kb=[5.0] * 100_000,
     device_processing_kb=[5.0] * 300_000,
-    cloud_registry_kb=[1.0] * 50_000,
 )
 
 print(f"connectivity : ${connectivity_cost(ledger, prices):8.4f}")
 print(f"messaging    : ${messaging_cost(ledger, prices):8.4f}")
 print(f"processing   : ${processing_cost(ledger, prices):8.4f}")
-print(f"registry     : ${registry_cost(ledger, prices):8.4f}  (priced but outside the total)")
 print(f"total        : ${total_app_cost(ledger, prices):8.4f}")

@@ -73,10 +73,6 @@ def build_scenario(raw: dict) -> Scenario:
         raise ConfigError("cloud_fraction: must be within [0, 1]")
     if scenario.deadline_variation_pct < 0 or scenario.deadline_variation_pct > 100:
         raise ConfigError("deadline_variation_pct: must be within [0, 100]")
-    if scenario.slack_mode not in ("literal", "strict"):
-        raise ConfigError(f"slack_mode: unknown mode {scenario.slack_mode!r}")
-    if scenario.throughput_mode not in ("decreasing", "literal"):
-        raise ConfigError(f"throughput_mode: unknown mode {scenario.throughput_mode!r}")
     return scenario
 
 
@@ -86,7 +82,7 @@ def build_prices(raw: dict) -> PriceBook:
         if key not in known:
             raise ConfigError(f"prices.{key}: unknown field")
     prices = PriceBook(**raw)
-    for name in ("connectivity_unit", "messaging_unit", "registry_unit", "processing_unit"):
+    for name in ("connectivity_unit", "messaging_unit", "processing_unit"):
         if getattr(prices, name) < 0:
             raise ConfigError(f"prices.{name}: must be >= 0")
     if prices.data_unit <= 0:

@@ -23,24 +23,9 @@ from dataclasses import dataclass, field
 
 from .metrics import RequestRecord, RunTrace
 from .model import Application, FogNode, NetworkLink, Task, Tier
-from .network import link_bandwidth, link_delay
+from .network import link_bandwidth, link_delay, processing_delay
 from .policies import baseline_allocate, handle_deadline_change, mc_allocate, reserve
-from .scoring import cpu_fluctuation_rate
-
-
-@dataclass(frozen=True, order=True)
-class Event:
-    """One scheduled occurrence; events fire in (time, seq) order.
-
-    The queue itself stores plain tuples of the same fields for speed;
-    this type is the structured view of an entry.
-    """
-
-    time: float
-    seq: int
-    kind: str
-    key: str = ""
-    payload: tuple = ()
+from .scoring import cpu_fluctuation_rate, migration_time
 
 
 @dataclass
@@ -90,8 +75,6 @@ class Scenario:
     max_migrations_per_task: int = 2
     spike_threshold: float = 0.10  # available fraction that counts as a native-load spike
     min_remaining_deadline: float = 0.25  # floor after a tightening event
-    slack_mode: str = "literal"  # migration bound: "literal" | "strict"
-    throughput_mode: str = "decreasing"
 
     # network / cloud constants
     frame_bits: float = 12000.0
@@ -107,7 +90,6 @@ class Scenario:
     explicit_fleet: list[dict] | None = None
     explicit_workload: list[dict] | None = None
     scripted_utilisation: tuple[tuple[float, str, float], ...] = ()
-    track_invariants: bool = True
     max_sim_time: float = 1e6  # runaway guard; a healthy run never gets close
 
 
@@ -228,6 +210,15 @@ class _NodeRt:
     window_last: float = 0.0
 
 
+def _share_rate(nrt: _NodeRt, weight: float) -> float:
+    """Progress rate (MI/s) of one share when free capacity is split ``weight`` ways.
+
+    The physical share is scaled by the node's yield factor and distance
+    throughput.
+    """
+    return nrt.node.cpu_capacity * nrt.available / weight * nrt.yield_factor * nrt.t_bd
+
+
 class Simulation:
     """Single-threaded deterministic event loop over one scenario."""
 
@@ -302,17 +293,15 @@ class Simulation:
 
     def _register(self, node: FogNode, cluster: int, bandwidth: float) -> None:
         sc = self.sc
-        t_bd = 1.0 - node.distance / node.max_supported_distance
-        if sc.throughput_mode == "literal":
-            t_bd = node.distance / node.max_supported_distance
-        t_bd = max(t_bd, 0.05)
+        t_bd = max(1.0 - node.distance / node.max_supported_distance, 0.05)
+        per_frame = processing_delay(sc.frame_bits, bandwidth)
         link = NetworkLink(
             endpoint_bandwidths=(bandwidth, bandwidth),
             capacity=bandwidth,
             medium_throughput=t_bd,
             propagation_delay=node.distance / 1000.0 * 5e-6,
-            processing_delay=sc.frame_bits / bandwidth,
-            transmission_delay=sc.frame_bits / bandwidth,
+            processing_delay=per_frame,
+            transmission_delay=per_frame,
             frame_length=sc.frame_bits,
             transmission_rate=bandwidth,
         )
@@ -362,13 +351,10 @@ class Simulation:
         weight_sum = n_own + peer_weight * n_peer
         if n_peer == 0 or n_own == 0:
             weight_sum = float(n)  # single-class nodes share evenly
-        share_own = fog_free / weight_sum
-        if self.sc.track_invariants:
-            total = share_own * (n_own + peer_weight * n_peer) if (n_own and n_peer) \
-                else share_own * n
-            load = nrt.node.cpu_capacity * (1.0 - nrt.available) + total
-            self.max_load_ratio = max(self.max_load_ratio, load / nrt.node.cpu_capacity)
-        base_rate = share_own * nrt.yield_factor * nrt.t_bd
+        allocated = fog_free / weight_sum * weight_sum
+        load = nrt.node.cpu_capacity * (1.0 - nrt.available) + allocated
+        self.max_load_ratio = max(self.max_load_ratio, load / nrt.node.cpu_capacity)
+        base_rate = _share_rate(nrt, weight_sum)
         for trt in nrt.running.values():
             self._progress(trt)
             if n_own and n_peer and trt.cluster != nrt.cluster:
@@ -432,9 +418,6 @@ class Simulation:
         eff = link_bandwidth(nrt.link) * nrt.t_bd / max(sharing, 1)
         return data_bits / eff + link_delay(nrt.link) / 2.0
 
-    def _migration_seconds(self, nrt: _NodeRt, data_bits: float) -> float:
-        return data_bits / (link_bandwidth(nrt.link) * nrt.t_bd)
-
     # -- admission ----------------------------------------------------------
 
     def _admits(self, nrt: _NodeRt, trt: _TaskRt, peer: bool, transfer: float,
@@ -442,16 +425,14 @@ class Simulation:
         budget = trt.deadline_abs - self.now
         if budget <= 0:
             return False
-        n_after = len(nrt.running) + nrt.pending + 1
-        fog_free = nrt.node.cpu_capacity * nrt.available
-        rate = fog_free / n_after * nrt.yield_factor * nrt.t_bd
+        rate = _share_rate(nrt, len(nrt.running) + nrt.pending + 1)
         if rate <= 0:
             return False
         remaining = trt.task.length - trt.progress
         if time_check and transfer + remaining / rate > budget * self.sc.admission_optimism:
             return False
         if peer and self.sc.reservation and time_check:
-            usable = fog_free - nrt.node.reservation.reserved_value
+            usable = nrt.node.cpu_capacity * nrt.available - nrt.node.reservation.reserved_value
             need_physical = remaining / max(budget - transfer, 1e-9)
             need_physical /= (nrt.yield_factor * nrt.t_bd)
             if usable < need_physical:
@@ -463,9 +444,7 @@ class Simulation:
     def _rank(self, trt: _TaskRt, candidates: list[FogNode]) -> list[FogNode]:
         if self.sc.policy == "baseline":
             return baseline_allocate(trt.task, candidates, links=self._links())
-        ranked = mc_allocate(trt.task, candidates, "fresh",
-                             throughput_mode=self.sc.throughput_mode)
-        return ranked or []
+        return mc_allocate(trt.task, candidates) or []
 
     def _place_fresh(self, trt: _TaskRt) -> None:
         candidates = self._candidates(requester_cluster=trt.cluster)
@@ -501,7 +480,7 @@ class Simulation:
             trt.flagged = True
             trt.no_target = True
             return
-        migration_times = {n.id: self._migration_seconds(self.nodes[n.id], trt.task.data_size)
+        migration_times = {n.id: migration_time(trt.task, self.nodes[n.id].link)
                            for n in candidates}
         target_id = None
         if self.sc.policy == "baseline":
@@ -517,8 +496,7 @@ class Simulation:
             util = {n.id: self.nodes[n.id].node.native_utilisation for n in candidates}
             decision = handle_deadline_change(
                 trt.task, candidates, budget, current=current.node,
-                slack=self.sc.slack_mode, migration_times=migration_times,
-                current_util=util, throughput_mode=self.sc.throughput_mode,
+                migration_times=migration_times, current_util=util,
             )
             self._cap_reservations()
             if decision.target_id is None:
@@ -538,9 +516,7 @@ class Simulation:
         # moving must actually beat staying, transfer included
         target = self.nodes[target_id]
         remaining = trt.task.length - trt.progress
-        prospective = (target.node.cpu_capacity * target.available
-                       / (len(target.running) + target.pending + 1)
-                       * target.yield_factor * target.t_bd)
+        prospective = _share_rate(target, len(target.running) + target.pending + 1)
         move_total = migration_times[target_id] + remaining / max(prospective, 1e-9)
         stay = self._projected_completion(trt) - self.now
         if move_total >= stay:

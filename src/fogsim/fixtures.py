@@ -72,11 +72,6 @@ def fd_table_task(length: float = 1000.0, deadline: float = 5.0) -> Task:
                 data_size=40960.0, deadline=deadline)
 
 
-def migration_seconds(src: str, dst: str) -> float:
-    """Tabulated migration time between two of the five devices."""
-    return _FD_ROWS[src]["migration"][dst]
-
-
 def migration_times_from(src: str) -> dict[str, float]:
     return dict(_FD_ROWS[src]["migration"])
 

@@ -1,4 +1,4 @@
-"""Run post-processing: packet/delay totals, completion times, cost, SLA.
+"""Run post-processing: delay totals, completion times, cost, SLA.
 
 All functions are pure over an immutable trace. A trace is a list of
 :class:`RequestRecord` plus the aggregated :class:`TrafficCounters` and
@@ -46,22 +46,6 @@ class RunTrace:
     seed: int = 0
 
 
-def packet_totals(tc: TrafficCounters) -> tuple[int, int]:
-    """Total packet transmissions and total internal communications.
-
-    The cloud response leg is counted twice in the transmission total: once
-    on the way back to the fog and once inside the final response to the
-    user.
-    """
-    if tc.cloud_packets > tc.user_packets:
-        raise InconsistentCountersError("cloud packets exceed user packets")
-    tp = (tc.user_packets + tc.cloud_packets + tc.cloud_response_packets
-          + tc.fog_response_packets + tc.cloud_response_packets)
-    tip = (tc.fog_internal + tc.cloud_internal
-           + tc.fog_internal_responses + tc.cloud_internal_responses)
-    return tp, tip
-
-
 def delay_totals(tc: TrafficCounters) -> tuple[float, float, bool]:
     """Total and per-packet delay; the flag marks an empty denominator."""
     if tc.cloud_packets > tc.user_packets:
@@ -81,10 +65,6 @@ def internal_delay_totals(tc: TrafficCounters) -> tuple[float, float, bool]:
     if denom == 0:
         return total, 0.0, True
     return total, total / denom, False
-
-
-def total_processing_time(tc: TrafficCounters) -> float:
-    return tc.t_proc_device + tc.t_proc_server + tc.t_proc_cloud
 
 
 @dataclass(frozen=True)

@@ -128,7 +128,6 @@ class NetworkLink:
     processing_delay: float = 0.0
     frame_length: float = 12000.0  # bits
     transmission_rate: float = 1e6  # bits/s
-    const_overhead: float = 0.0  # fixed per-hop processing+transmission term
 
 
 @dataclass
@@ -136,14 +135,6 @@ class NetworkPath:
     """An ordered sequence of links; the bottleneck link bounds the path."""
 
     links: list[NetworkLink]
-
-    @property
-    def hop_count(self) -> int:
-        return len(self.links)
-
-    @property
-    def intermediate_link_count(self) -> int:
-        return len(self.links)
 
 
 @dataclass(frozen=True)
@@ -171,7 +162,6 @@ class PriceBook:
 
     connectivity_unit: float = 0.08
     messaging_unit: float = 1.00
-    registry_unit: float = 1.25
     processing_unit: float = 0.15
     data_unit: float = 5.0  # KB per chargeable unit
     server_divisor: float = 2.0
@@ -183,7 +173,7 @@ class UsageLedger:
     """Raw usage counters per tier, in the units the pricing formulas expect.
 
     Connectivity is minutes, messaging/processing entries are per-request
-    sizes in KB, registry entries are operation sizes in KB.
+    sizes in KB.
     """
 
     cloud_connect_minutes: list[float] = field(default_factory=list)
@@ -192,9 +182,6 @@ class UsageLedger:
     cloud_messages_kb: list[float] = field(default_factory=list)
     server_messages_kb: list[float] = field(default_factory=list)
     device_messages_kb: list[float] = field(default_factory=list)
-    cloud_registry_kb: list[float] = field(default_factory=list)
-    server_registry_kb: list[float] = field(default_factory=list)
-    device_registry_kb: list[float] = field(default_factory=list)
     cloud_processing_kb: list[float] = field(default_factory=list)
     server_processing_kb: list[float] = field(default_factory=list)
     device_processing_kb: list[float] = field(default_factory=list)

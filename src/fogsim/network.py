@@ -1,19 +1,12 @@
 """Bandwidth, fairness and latency arithmetic for links and paths.
 
 All functions are pure. Rates are bits/second, sizes are bits, delays are
-seconds. The packetised delay treats queuing as zero by default (service
-time assumed zero); pass ``include_queuing=True`` to re-enable it.
+seconds.
 """
 
 from __future__ import annotations
 
-import math
-
 from .model import NetworkLink, NetworkPath
-
-# Propagation speed defaults: microseconds per km of medium.
-WIRED_US_PER_KM = 5.0
-MICROWAVE_US_PER_KM = 3.0
 
 
 class InvalidLinkError(ValueError):
@@ -52,13 +45,6 @@ def available_bandwidth(link: NetworkLink) -> float:
     return link_bandwidth(link) / link.sharing_users * link.medium_throughput
 
 
-def available_path_bandwidth(path: NetworkPath) -> float:
-    """Usable path bandwidth: minimum of the per-link fair shares."""
-    if not path.links:
-        raise EmptyPathError("path has no links")
-    return min(available_bandwidth(link) for link in path.links)
-
-
 def link_delay(link: NetworkLink) -> float:
     """Round-trip latency of one link: twice the sum of its four components."""
     components = (
@@ -72,20 +58,6 @@ def link_delay(link: NetworkLink) -> float:
     return 2.0 * sum(components)
 
 
-def path_delay(path: NetworkPath) -> float:
-    """One-way latency of a path: component sums over all intermediate links."""
-    if not path.links:
-        raise EmptyPathError("path has no links")
-    total = 0.0
-    for link in path.links:
-        if min(link.queuing_delay, link.transmission_delay,
-               link.propagation_delay, link.processing_delay) < 0:
-            raise InvalidLinkError("delay components must be >= 0")
-        total += (link.queuing_delay + link.transmission_delay
-                  + link.propagation_delay + link.processing_delay)
-    return total
-
-
 def processing_delay(frame_length: float, transmission_rate: float) -> float:
     """Per-frame header processing time: frame length over transmission rate."""
     if transmission_rate <= 0:
@@ -94,38 +66,3 @@ def processing_delay(frame_length: float, transmission_rate: float) -> float:
         raise InvalidLinkError("frame_length must be >= 0")
     return frame_length / transmission_rate
 
-
-def serialization_rounds(packet_size: float, capacities: list[float]) -> int:
-    """Number of serialization rounds a packet needs across the given hops."""
-    if packet_size < 0:
-        raise InvalidLinkError("packet size must be >= 0")
-    inv = 0.0
-    for c in capacities:
-        if c <= 0:
-            raise InvalidLinkError("link capacity must be > 0")
-        inv += 1.0 / c
-    return math.ceil(packet_size * inv)
-
-
-def packetized_delay(packet_size: float, path: NetworkPath, include_queuing: bool = False) -> float:
-    """Path delay for a packet of ``packet_size`` bits.
-
-    The per-round latency is the path's processing delay plus the fixed
-    per-hop overheads (plus queuing when enabled), multiplied by the number
-    of serialization rounds the packet needs.
-    """
-    if not path.links:
-        raise EmptyPathError("path has no links")
-    rounds = serialization_rounds(packet_size, [l.capacity for l in path.links])
-    pr_dp = sum(l.processing_delay for l in path.links)
-    overhead = sum(l.const_overhead for l in path.links)
-    base = pr_dp + overhead
-    if include_queuing:
-        base += sum(l.queuing_delay for l in path.links)
-    return rounds * base
-
-
-def propagation_delay_for_distance(distance_km: float, medium: str = "wired") -> float:
-    """Propagation delay in seconds for a span of the given medium."""
-    per_km = WIRED_US_PER_KM if medium == "wired" else MICROWAVE_US_PER_KM
-    return distance_km * per_km * 1e-6

@@ -28,69 +28,47 @@ class MigrationDecision:
 def _score_all(
     task: Task,
     candidates: list[FogNode],
-    links: dict[str, NetworkLink] | None,
-    migration_times: dict[str, float] | None,
-    throughput_mode: str,
+    links: dict[str, NetworkLink] | None = None,
+    migration_times: dict[str, float] | None = None,
 ) -> list[ScoreCard]:
     cards = []
     for node in candidates:
         link = links.get(node.id) if links else None
         override = migration_times.get(node.id) if migration_times else None
-        cards.append(score_device(task, node, link, throughput_mode=throughput_mode,
-                                  migration_override=override))
+        cards.append(score_device(task, node, link, migration_override=override))
     return cards
 
 
-def _migration_bound_ok(card: ScoreCard, deadline: float, slack: str) -> bool:
-    if slack == "strict":
-        return card.completion_time + card.migration_time < deadline
+def _migration_bound_ok(card: ScoreCard, deadline: float) -> bool:
+    """A node stays a migration target while ``C_t < deadline + M_t``."""
     return card.completion_time < deadline + card.migration_time
 
 
-def _migration_order(cards: list[ScoreCard], deadline: float, slack: str) -> list[ScoreCard]:
+def _migration_order(cards: list[ScoreCard], deadline: float) -> list[ScoreCard]:
     """Deadline-feasible nodes first (highest availability score), then the rest."""
     feasible = [c for c in cards if c.completion_time < deadline]
     rest = [c for c in cards if c.completion_time >= deadline]
     feasible.sort(key=lambda c: (-c.availability_score, c.node_id))
     rest.sort(key=lambda c: (c.completion_time, c.node_id))
     ordered = feasible + rest
-    # nodes outside even the slack-adjusted bound sink to the back
-    in_bound = [c for c in ordered if _migration_bound_ok(c, deadline, slack)]
-    out_bound = [c for c in ordered if not _migration_bound_ok(c, deadline, slack)]
+    # nodes outside even the migration bound sink to the back
+    in_bound = [c for c in ordered if _migration_bound_ok(c, deadline)]
+    out_bound = [c for c in ordered if not _migration_bound_ok(c, deadline)]
     return in_bound + out_bound
 
 
-def mc_allocate(
-    task: Task,
-    candidates: list[FogNode],
-    request_kind: str = "fresh",
-    links: dict[str, NetworkLink] | None = None,
-    deadline: float | None = None,
-    slack: str = "literal",
-    migration_times: dict[str, float] | None = None,
-    current_util: dict[str, float] | None = None,
-    throughput_mode: str = "decreasing",
-) -> list[FogNode] | None:
-    """Rank candidate nodes for a task; ``None`` when there are no candidates.
+def mc_allocate(task: Task, candidates: list[FogNode]) -> list[FogNode] | None:
+    """Rank candidate nodes for a fresh request; ``None`` when there are none.
 
-    Fresh requests come back sorted ascending by completion time. Migration
-    requests first refresh the reservation state from the utilisation map,
-    then use the migration ordering (deadline-feasible, highest availability
-    score first). Ties always break on node id, so identical inputs yield
-    identical rankings.
+    Nodes come back sorted ascending by completion time, ties broken on node
+    id, so identical inputs yield identical rankings. Migrations are ranked
+    by :func:`handle_deadline_change`.
     """
     if not candidates:
         return None
     by_id = {n.id: n for n in candidates}
-    cards = _score_all(task, candidates, links, migration_times, throughput_mode)
-    if request_kind == "migration":
-        util = current_util or {n.id: n.native_utilisation for n in candidates}
-        reserve(candidates, util)
-        if deadline is None:
-            raise ValueError("migration requests need the user deadline")
-        ordered = _migration_order(cards, deadline, slack)
-    else:
-        ordered = sorted(cards, key=lambda c: (c.completion_time, c.node_id))
+    cards = _score_all(task, candidates)
+    ordered = sorted(cards, key=lambda c: (c.completion_time, c.node_id))
     return [by_id[c.node_id] for c in ordered]
 
 
@@ -117,27 +95,14 @@ def reserve(devices: list[FogNode], current_util: dict[str, float]) -> bool:
     return True
 
 
-def window_reservation(request_sizes: list[float]) -> float:
-    """Capacity to hold back for a window that saw the given request sizes.
-
-    Sized as request count times mean size, i.e. the total work the window
-    carried.
-    """
-    if not request_sizes:
-        return 0.0
-    return len(request_sizes) * (sum(request_sizes) / len(request_sizes))
-
-
 def handle_deadline_change(
     task: Task,
     candidates: list[FogNode],
     new_deadline: float,
     current: FogNode | None = None,
     links: dict[str, NetworkLink] | None = None,
-    slack: str = "literal",
     migration_times: dict[str, float] | None = None,
     current_util: dict[str, float] | None = None,
-    throughput_mode: str = "decreasing",
 ) -> MigrationDecision:
     """Pick a migration target after the user tightened the deadline.
 
@@ -149,7 +114,7 @@ def handle_deadline_change(
     is flagged as a prospective violation.
     """
     if current is not None:
-        current_card = score_device(task, current, throughput_mode=throughput_mode)
+        current_card = score_device(task, current)
         if current_card.completion_time < new_deadline:
             return MigrationDecision(None, (), (), False)
     others = [n for n in candidates if current is None or n.id != current.id]
@@ -157,10 +122,10 @@ def handle_deadline_change(
         return MigrationDecision(None, (), (), True)
     util = current_util or {n.id: n.native_utilisation for n in others}
     reserve(others, util)
-    cards_list = _score_all(task, others, links, migration_times, throughput_mode)
-    ordered = _migration_order(cards_list, new_deadline, slack)
+    cards_list = _score_all(task, others, links, migration_times)
+    ordered = _migration_order(cards_list, new_deadline)
     ranked = tuple(c.node_id for c in ordered)
-    in_bound = [c for c in ordered if _migration_bound_ok(c, new_deadline, slack)]
+    in_bound = [c for c in ordered if _migration_bound_ok(c, new_deadline)]
     feasible = tuple(c.node_id for c in in_bound if c.completion_time < new_deadline)
     if not in_bound:
         return MigrationDecision(None, ranked, (), True)

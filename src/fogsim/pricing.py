@@ -1,4 +1,4 @@
-"""Tiered usage pricing: connectivity, messaging, registry, processing.
+"""Tiered usage pricing: connectivity, messaging, processing.
 
 Cloud usage is billed at the full unit price; fog servers at 1/FS and fog
 devices at 1/FD of it (divisors from the price book). Prices are dollars
@@ -38,16 +38,6 @@ def messaging_cost(ledger: UsageLedger, prices: PriceBook) -> float:
     return prices.messaging_unit * units * 1e-6
 
 
-def registry_cost(ledger: UsageLedger, prices: PriceBook) -> float:
-    """Registry/shadow charges, billed on raw KB (no chunking)."""
-    units = (
-        sum(ledger.cloud_registry_kb)
-        + sum(ledger.server_registry_kb) / prices.server_divisor
-        + sum(ledger.device_registry_kb) / prices.device_divisor
-    )
-    return prices.registry_unit * units * 1e-6
-
-
 def processing_cost(ledger: UsageLedger, prices: PriceBook) -> float:
     """Rules-engine charges; same chunking as messaging."""
     units = (
@@ -59,11 +49,7 @@ def processing_cost(ledger: UsageLedger, prices: PriceBook) -> float:
 
 
 def total_app_cost(ledger: UsageLedger, prices: PriceBook) -> float:
-    """Total per-application cost: connectivity + messaging + processing.
-
-    Registry/shadow is priced separately by :func:`registry_cost` but the
-    simulated scenarios never exercise it, so it stays out of the total.
-    """
+    """Total per-application cost: connectivity + messaging + processing."""
     return (
         connectivity_cost(ledger, prices)
         + messaging_cost(ledger, prices)

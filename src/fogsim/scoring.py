@@ -54,34 +54,26 @@ def response_time(migration: float, execution: float, network_delay: float) -> f
     return migration + execution + network_delay
 
 
-def availability(node: FogNode, mains_cap: float = MAINS_AVAILABILITY_MINUTES) -> float:
+def availability(node: FogNode) -> float:
     """Minutes until the node's battery is exhausted at current drain.
 
     Fog servers and cloud nodes are treated as mains-powered and return
-    ``mains_cap``. A battery node with no recorded discharge rates has no
-    defined availability.
+    ``MAINS_AVAILABILITY_MINUTES``. A battery node with no recorded
+    discharge rates has no defined availability.
     """
     if node.tier is not Tier.FOG_DEVICE:
-        return mains_cap
+        return MAINS_AVAILABILITY_MINUTES
     total_drain = sum(node.discharge_rates)
     if total_drain <= 0:
         raise UndefinedAvailabilityError(f"node {node.id} has no discharge rates")
     return node.battery_charge / total_drain
 
 
-def throughput_by_distance(node: FogNode, mode: str = "decreasing") -> float:
-    """Link throughput fraction implied by the node's distance.
-
-    The default decreases with distance (``1 - d/d_max``). ``mode="literal"``
-    returns the raw ratio ``d/d_max`` instead, which increases with distance;
-    it is kept for reproducing the tabulated worked example as printed.
-    """
+def throughput_by_distance(node: FogNode) -> float:
+    """Link throughput fraction implied by the node's distance: ``1 - d/d_max``."""
     if node.distance > node.max_supported_distance:
         raise InvalidNodeError(f"node {node.id} distance exceeds its supported range")
-    ratio = node.distance / node.max_supported_distance
-    if mode == "literal":
-        return ratio
-    return 1.0 - ratio
+    return 1.0 - node.distance / node.max_supported_distance
 
 
 def cpu_fluctuation_rate(history: list[float]) -> float:
@@ -114,8 +106,6 @@ def score_device(
     task: Task,
     node: FogNode,
     link: NetworkLink | None = None,
-    throughput_mode: str = "decreasing",
-    mains_cap: float = MAINS_AVAILABILITY_MINUTES,
     migration_override: float | None = None,
 ) -> ScoreCard:
     """Populate a full score card for one candidate node.
@@ -125,7 +115,7 @@ def score_device(
     substitutes an externally measured migration time.
     """
     e_t = execution_time(task, node)
-    t_bd = throughput_by_distance(node, throughput_mode)
+    t_bd = throughput_by_distance(node)
     if migration_override is not None:
         m_t = migration_override
         n_dl = link_delay(link) if link is not None else 0.0
@@ -135,7 +125,7 @@ def score_device(
     else:
         m_t = 0.0
         n_dl = 0.0
-    a_v = availability(node, mains_cap=mains_cap)
+    a_v = availability(node)
     c_t = completion_time(e_t, node.free_resource_fraction, node.caf_score, t_bd)
     return ScoreCard(
         node_id=node.id,

@@ -212,10 +212,3 @@ class TestInvariantSweep:
             assert completed == pytest.approx(submitted), scenario
             assert sim.max_load_ratio <= 1.0 + 1e-9, scenario
 
-
-class TestEventType:
-    def test_events_order_by_time_then_sequence(self):
-        from fogsim.engine import Event
-        events = [Event(2.0, 1, "b"), Event(1.0, 9, "a"), Event(1.0, 2, "c")]
-        ordered = sorted(events)
-        assert [(e.time, e.seq) for e in ordered] == [(1.0, 2), (1.0, 9), (2.0, 1)]

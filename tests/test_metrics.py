@@ -13,7 +13,6 @@ from fogsim.metrics import (
     cost_metrics,
     delay_totals,
     internal_delay_totals,
-    packet_totals,
     sla_penalty,
     sla_violation_rate,
     total_penalty,
@@ -27,29 +26,6 @@ def record(task="t0", app="a0", delay=1.0, internal=0.5, proc=0.25, cloud=0.0,
         task_id=task, app_id=app, submit_time=0.0, completion_time=2.0,
         deadline=5.0, delay=delay, internal_delay=internal, processing_time=proc,
         cloud_legs_time=cloud, packets=packets, violated=violated, excess=excess)
-
-
-class TestPacketTotals:
-    def test_mirrored_responses(self):
-        tc = TrafficCounters(user_packets=10, cloud_packets=2,
-                             cloud_response_packets=2, fog_response_packets=8,
-                             fog_internal=3, cloud_internal=1,
-                             fog_internal_responses=3, cloud_internal_responses=1)
-        tp, tip = packet_totals(tc)
-        assert tp == 24  # 10 + 2 + 2 + 8 + 2: cloud response leg counts twice
-        assert tip == 8
-
-    def test_no_cloud(self):
-        tc = TrafficCounters(user_packets=5, fog_response_packets=5)
-        tp, _ = packet_totals(tc)
-        assert tp == 10
-
-    def test_empty(self):
-        assert packet_totals(TrafficCounters()) == (0, 0)
-
-    def test_inconsistent_rejected(self):
-        with pytest.raises(InconsistentCountersError):
-            packet_totals(TrafficCounters(user_packets=1, cloud_packets=2))
 
 
 class TestDelayTotals:

@@ -81,7 +81,6 @@ NOTATION = {
     "PR_d": ("NetworkLink", "processing_delay"),
     "L": ("NetworkLink", "frame_length"),
     "T_r": ("NetworkLink", "transmission_rate"),
-    "A_n": ("NetworkLink", "const_overhead"),
     "E_t": ("ScoreCard", "execution_time"),
     "M_t": ("ScoreCard", "migration_time"),
     "R_t": ("ScoreCard", "response_time"),
@@ -95,7 +94,6 @@ NOTATION = {
     "Req_res": ("ReservationState", "required_reservation"),
     "CP": ("PriceBook", "connectivity_unit"),
     "MP": ("PriceBook", "messaging_unit"),
-    "SP": ("PriceBook", "registry_unit"),
     "PP": ("PriceBook", "processing_unit"),
     "U": ("PriceBook", "data_unit"),
     "FS_x": ("PriceBook", "server_divisor"),

@@ -7,14 +7,10 @@ from fogsim.network import (
     EmptyPathError,
     InvalidLinkError,
     available_bandwidth,
-    available_path_bandwidth,
     link_bandwidth,
     link_delay,
-    packetized_delay,
     path_bandwidth,
-    path_delay,
     processing_delay,
-    serialization_rounds,
 )
 
 
@@ -98,26 +94,6 @@ class TestLinkDelay:
             link_delay(link(queuing_delay=-1.0))
 
 
-class TestPathDelay:
-    def test_two_links(self):
-        ms = 0.001
-        l = link(queuing_delay=ms, transmission_delay=ms,
-                 propagation_delay=ms, processing_delay=ms)
-        assert path_delay(path_of(l, l)) == pytest.approx(0.008)
-
-    def test_singleton(self):
-        l = link(queuing_delay=0.1, transmission_delay=0.2,
-                 propagation_delay=0.3, processing_delay=0.4)
-        assert path_delay(path_of(l)) == pytest.approx(1.0)
-
-    def test_zero(self):
-        assert path_delay(path_of(link(), link())) == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(EmptyPathError):
-            path_delay(path_of())
-
-
 class TestProcessingDelay:
     def test_frame_over_rate(self):
         assert processing_delay(12000, 11e6) == pytest.approx(12000 / 11e6)
@@ -131,33 +107,6 @@ class TestProcessingDelay:
     def test_zero_rate_rejected(self):
         with pytest.raises(InvalidLinkError):
             processing_delay(100, 0)
-
-
-class TestPacketizedDelay:
-    def test_single_round(self):
-        # 12000 * (1/1e6 + 1/2e6) = 0.018 -> ceil 1; (0.001+0.001) + (0.002+0.002)
-        p = path_of(link(capacity=1e6, processing_delay=0.001, const_overhead=0.002),
-                    link(capacity=2e6, processing_delay=0.001, const_overhead=0.002))
-        assert packetized_delay(12000, p) == pytest.approx(0.006)
-
-    def test_zero_packet(self):
-        p = path_of(link(capacity=1e6, processing_delay=0.5, const_overhead=0.5))
-        assert packetized_delay(0, p) == 0.0
-
-    def test_six_rounds(self):
-        # 3e6 * 2/1e6 = 6 rounds of 0.001
-        p = path_of(link(capacity=1e6, processing_delay=0.0005),
-                    link(capacity=1e6, processing_delay=0.0005))
-        assert packetized_delay(3e6, p) == pytest.approx(0.006)
-
-    def test_queuing_opt_in(self):
-        p = path_of(link(capacity=1e6, processing_delay=0.001, queuing_delay=0.004))
-        assert packetized_delay(1e5, p) == pytest.approx(0.001)
-        assert packetized_delay(1e5, p, include_queuing=True) == pytest.approx(0.005)
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(InvalidLinkError):
-            serialization_rounds(10, [0.0])
 
 
 bw = st.floats(min_value=1e3, max_value=1e9, allow_nan=False)
@@ -178,41 +127,3 @@ def test_bottleneck_monotone(values, extra):
     p = path_of(*[link(endpoint_bandwidths=(v, v)) for v in values])
     longer = path_of(*p.links, link(endpoint_bandwidths=(extra, extra)))
     assert path_bandwidth(longer) <= path_bandwidth(p)
-
-
-@settings(max_examples=300, deadline=None)
-@given(w1=st.floats(min_value=0, max_value=1e7),
-       w2=st.floats(min_value=0, max_value=1e7),
-       pr=st.floats(min_value=0, max_value=0.1),
-       pr2=st.floats(min_value=0, max_value=0.1),
-       cap=st.floats(min_value=1e3, max_value=1e8))
-def test_packetized_monotone_in_size_and_processing(w1, w2, pr, pr2, cap):
-    lo_w, hi_w = sorted((w1, w2))
-    lo_pr, hi_pr = sorted((pr, pr2))
-    p_lo = path_of(link(capacity=cap, processing_delay=lo_pr, const_overhead=0.001))
-    p_hi = path_of(link(capacity=cap, processing_delay=hi_pr, const_overhead=0.001))
-    assert packetized_delay(lo_w, p_lo) <= packetized_delay(hi_w, p_lo)
-    assert packetized_delay(lo_w, p_lo) <= packetized_delay(lo_w, p_hi)
-
-
-delay_val = st.floats(min_value=0, max_value=10)
-
-
-@settings(max_examples=300, deadline=None)
-@given(first=st.lists(st.tuples(delay_val, delay_val, delay_val, delay_val), min_size=1, max_size=5),
-       second=st.lists(st.tuples(delay_val, delay_val, delay_val, delay_val), min_size=1, max_size=5))
-def test_path_delay_concatenation(first, second):
-    def mk(parts):
-        return [link(queuing_delay=q, transmission_delay=t,
-                     propagation_delay=p, processing_delay=pr)
-                for q, t, p, pr in parts]
-    a, b = mk(first), mk(second)
-    whole = path_delay(path_of(*a, *b))
-    assert whole == pytest.approx(path_delay(path_of(*a)) + path_delay(path_of(*b)))
-
-
-def test_available_path_bandwidth_uses_per_link_shares():
-    p = path_of(link(endpoint_bandwidths=(10e6, 10e6), sharing_users=2, medium_throughput=1.0),
-                link(endpoint_bandwidths=(20e6, 20e6), sharing_users=10, medium_throughput=0.5))
-    # shares: 5e6 and 1e6
-    assert available_path_bandwidth(p) == pytest.approx(1e6)

@@ -9,7 +9,6 @@ from fogsim.policies import (
     handle_deadline_change,
     mc_allocate,
     reserve,
-    window_reservation,
 )
 from fogsim.scoring import execution_time, score_device
 
@@ -91,13 +90,6 @@ class TestReserve:
     def test_empty_device_list_fails(self):
         assert reserve([], {}) is False
 
-    def test_window_sizing_matches_request_volume(self):
-        # five requests of twenty units reserve capacity for a hundred
-        assert window_reservation([20.0] * 5) == pytest.approx(100.0)
-
-    def test_window_sizing_empty(self):
-        assert window_reservation([]) == 0.0
-
 
 class TestHandleDeadlineChange:
     def congested_fd4(self, nodes):
@@ -146,42 +138,6 @@ class TestHandleDeadlineChange:
             if decision.target_id is not None:
                 card = score_device(task, next(n for n in fleet if n.id == decision.target_id))
                 assert card.completion_time < deadline + times[decision.target_id]
-
-    def test_strict_mode_subtracts_migration_time(self):
-        nodes = nodes_by_id()
-        current = self.congested_fd4(nodes)
-        candidates = [nodes[i] for i in ("FD1", "FD5")]
-        # FD1: 4.44 + 3 > 5 fails strict; FD5: 3.37 + 1 < 5 passes
-        decision = handle_deadline_change(
-            fd_table_task(), candidates, 5.0, current=current, slack="strict",
-            migration_times=migration_times_from("FD4"))
-        assert decision.target_id == "FD5"
-
-
-class TestMcAllocateMigration:
-    def test_migration_order_prefers_feasible_high_availability(self):
-        nodes = nodes_by_id()
-        candidates = [nodes[i] for i in ("FD1", "FD2", "FD5")]
-        ranked = mc_allocate(fd_table_task(), candidates, "migration",
-                             deadline=5.0, migration_times=migration_times_from("FD4"))
-        assert [n.id for n in ranked][0] == "FD1"
-
-    def test_migration_requires_deadline(self):
-        with pytest.raises(ValueError):
-            mc_allocate(fd_table_task(), fd_table_nodes(), "migration")
-
-    def test_migration_applies_reservation(self):
-        nodes = nodes_by_id()
-        fd1 = nodes["FD1"]
-        fd1.reservation = ReservationState(reserved_value=10.0, last_app_request=10.0,
-                                           total_apps_processed=2)
-        util = {n.id: n.native_utilisation for n in nodes.values()}
-        mc_allocate(fd_table_task(), list(nodes.values()), "migration",
-                    deadline=5.0, current_util=util,
-                    migration_times=migration_times_from("FD4"))
-        assert fd1.reservation.required_reservation == pytest.approx(10.0)
-        assert util["FD1"] > fd1.native_utilisation
-
 
 class TestBaseline:
     def test_reference_head_is_min_execution_time(self):

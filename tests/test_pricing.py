@@ -7,11 +7,10 @@ from fogsim.pricing import (
     connectivity_cost,
     messaging_cost,
     processing_cost,
-    registry_cost,
     total_app_cost,
 )
 
-PRICES = PriceBook()  # defaults: 0.08 / 1.00 / 1.25 / 0.15, U=5, FS=2, FD=3
+PRICES = PriceBook()  # defaults: 0.08 / 1.00 / 0.15, U=5, FS=2, FD=3
 
 
 def test_connectivity_cloud_only():
@@ -49,20 +48,6 @@ def test_messaging_bad_unit_rejected():
                        PriceBook(data_unit=0.0))
 
 
-def test_registry_cloud():
-    ledger = UsageLedger(cloud_registry_kb=[1e6])
-    assert registry_cost(ledger, PRICES) == pytest.approx(1.25)
-
-
-def test_registry_device_third():
-    ledger = UsageLedger(device_registry_kb=[3e6])
-    assert registry_cost(ledger, PRICES) == pytest.approx(1.25)
-
-
-def test_registry_empty():
-    assert registry_cost(UsageLedger(), PRICES) == 0.0
-
-
 def test_processing_cloud():
     ledger = UsageLedger(cloud_processing_kb=[5.0] * 1_000_000)
     assert processing_cost(ledger, PRICES) == pytest.approx(0.15)
@@ -90,12 +75,6 @@ def test_total_zero_ledger():
     assert total_app_cost(UsageLedger(), PRICES) == 0.0
 
 
-def test_total_excludes_registry():
-    ledger = UsageLedger(cloud_registry_kb=[1e9])
-    assert total_app_cost(ledger, PRICES) == 0.0
-    assert registry_cost(ledger, PRICES) > 0
-
-
 sizes = st.lists(st.floats(min_value=0.1, max_value=50.0), max_size=20)
 minutes = st.lists(st.floats(min_value=0.0, max_value=1e4), max_size=20)
 
@@ -109,16 +88,13 @@ def ledger_st(draw):
         cloud_messages_kb=draw(sizes),
         server_messages_kb=draw(sizes),
         device_messages_kb=draw(sizes),
-        cloud_registry_kb=draw(sizes),
-        server_registry_kb=draw(sizes),
-        device_registry_kb=draw(sizes),
         cloud_processing_kb=draw(sizes),
         server_processing_kb=draw(sizes),
         device_processing_kb=draw(sizes),
     )
 
 
-ALL_COSTS = (connectivity_cost, messaging_cost, registry_cost, processing_cost, total_app_cost)
+ALL_COSTS = (connectivity_cost, messaging_cost, processing_cost, total_app_cost)
 
 
 @settings(max_examples=200, deadline=None)
@@ -134,7 +110,7 @@ def test_costs_additive_over_disjoint_ledgers(a, b):
 def test_costs_monotone_in_usage(a, extra):
     grown = a.combine(UsageLedger(
         cloud_connect_minutes=[extra], cloud_messages_kb=[extra + 0.1],
-        cloud_processing_kb=[extra + 0.1], cloud_registry_kb=[extra]))
+        cloud_processing_kb=[extra + 0.1]))
     for fn in ALL_COSTS:
         assert fn(grown, PRICES) >= fn(a, PRICES) - 1e-15
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from fogsim.fixtures import EXPECTED, PRINTED_CAPACITIES, fd_table_nodes, fd_table_task
 from fogsim.model import FogNode, NetworkLink, Task, Tier
 from fogsim.scoring import (
+    MAINS_AVAILABILITY_MINUTES,
     InsufficientHistoryError,
     InvalidNodeError,
     UndefinedAvailabilityError,
@@ -92,7 +93,7 @@ class TestAvailability:
 
     def test_mains_powered_capped(self):
         server = node_of(tier=Tier.FOG_SERVER, discharge_rates=[])
-        assert availability(server, mains_cap=1e4) == 1e4
+        assert availability(server) == MAINS_AVAILABILITY_MINUTES
 
     def test_battery_node_without_rates_rejected(self):
         with pytest.raises(UndefinedAvailabilityError):
@@ -105,9 +106,6 @@ class TestThroughputByDistance:
 
     def test_zero_distance(self):
         assert throughput_by_distance(node_of(distance=0.0)) == 1.0
-
-    def test_literal_increasing(self):
-        assert throughput_by_distance(node_of(distance=36.0), mode="literal") == pytest.approx(0.9)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(InvalidNodeError):
