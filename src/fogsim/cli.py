@@ -24,7 +24,8 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, load_config
+from .config import ConfigError, expand_policy, expand_reservation, load_config
+from .engine import SimTimeExceeded
 from .experiments import AXES, run_scenario, sweep
 
 
@@ -61,13 +62,8 @@ def main(argv: list[str] | None = None) -> int:
             csv_path, json_path = run_scenario(cfg, out_dir)
             print(f"wrote {csv_path} and {json_path}")
             return 0
-        policies = None
-        if args.policy:
-            policies = ["mc", "baseline"] if args.policy == "both" else [args.policy]
-        reservations = None
-        if args.reservation:
-            reservations = {"on": [True], "off": [False],
-                            "both": [True, False]}[args.reservation]
+        policies = expand_policy(args.policy) if args.policy else None
+        reservations = expand_reservation(args.reservation) if args.reservation else None
         csv_path = sweep(cfg, args.axis, args.seeds, out_dir,
                          workers=args.workers, policies=policies,
                          reservations=reservations)
@@ -75,6 +71,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except SimTimeExceeded as exc:
+        print(f"run error: {exc}", file=sys.stderr)
         return 2
 
 

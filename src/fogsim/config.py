@@ -12,9 +12,9 @@ import dataclasses
 import json
 from pathlib import Path
 
-from .engine import Scenario
+from .engine import FLEET_SPEC_KEYS, Scenario, node_from_spec
 from .fixtures import fd_table_scenario_config
-from .model import PriceBook, SlaTerms
+from .model import PriceBook, SlaTerms, validate
 
 
 class ConfigError(ValueError):
@@ -73,7 +73,36 @@ def build_scenario(raw: dict) -> Scenario:
         raise ConfigError("cloud_fraction: must be within [0, 1]")
     if scenario.deadline_variation_pct < 0 or scenario.deadline_variation_pct > 100:
         raise ConfigError("deadline_variation_pct: must be within [0, 100]")
+    if scenario.fluctuation_interval <= 0:
+        raise ConfigError("fluctuation_interval: must be > 0")
+    if scenario.reservation_period <= 0:
+        raise ConfigError("reservation_period: must be > 0")
+    if scenario.explicit_fleet is not None:
+        _check_fleet(scenario)
     return scenario
+
+
+def _check_fleet(scenario: Scenario) -> None:
+    """Reject fleet entries the engine could not build or whose node breaks an invariant."""
+    if not isinstance(scenario.explicit_fleet, list):
+        raise ConfigError("fleet: expected a list of objects")
+    for i, spec in enumerate(scenario.explicit_fleet):
+        where = f"fleet[{i}]"
+        if not isinstance(spec, dict):
+            raise ConfigError(f"{where}: expected an object")
+        for key in spec:
+            if key not in FLEET_SPEC_KEYS:
+                raise ConfigError(f"{where}.{key}: unknown field")
+        try:
+            problems = validate(node_from_spec(spec, scenario))
+            if spec.get("bandwidth", 1.0) <= 0:
+                problems.append("bandwidth must be > 0")
+        except KeyError as exc:
+            raise ConfigError(f"{where}.{exc.args[0]}: required field missing") from None
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+        if problems:
+            raise ConfigError(f"{where}: {'; '.join(problems)}")
 
 
 def build_prices(raw: dict) -> PriceBook:
@@ -93,13 +122,38 @@ def build_prices(raw: dict) -> PriceBook:
 
 
 def build_sla(raw: dict) -> SlaTerms:
-    terms = SlaTerms(
-        base_penalty=raw.get("base_penalty", 0.1),
-        penalty_rate=raw.get("penalty_rate", 0.05),
-    )
+    for key in raw:
+        if key not in ("base_penalty", "penalty_rate"):
+            raise ConfigError(f"sla.{key}: unknown field")
+    terms = SlaTerms(**raw)
     if terms.base_penalty < 0 or terms.penalty_rate < 0:
         raise ConfigError("sla: penalties must be >= 0")
     return terms
+
+
+def expand_policy(value) -> list[str]:
+    """Policies one ``policy`` setting stands for: "mc", "baseline" or "both"."""
+    policies = ["mc", "baseline"] if value == "both" else [value]
+    for p in policies:
+        if p not in ("mc", "baseline"):
+            raise ConfigError(f"policy: unknown policy {p!r}")
+    return policies
+
+
+_RESERVATION_SETS = {"on": (True,), "off": (False,), "both": (True, False)}
+
+
+def expand_reservation(value) -> list[bool]:
+    """Reservation settings one ``reservation`` value stands for.
+
+    Accepts a JSON boolean or one of "on", "off" and "both".
+    """
+    if isinstance(value, bool):
+        return [value]
+    if isinstance(value, str) and value in _RESERVATION_SETS:
+        return list(_RESERVATION_SETS[value])
+    raise ConfigError(
+        f'reservation: expected true, false, "on", "off" or "both", got {value!r}')
 
 
 @dataclasses.dataclass
@@ -131,16 +185,8 @@ def load_config(path: str) -> RunConfig:
     if "workload" in data:
         raw_scenario["explicit_workload"] = data["workload"]
         raw_scenario.setdefault("app_count", len(data["workload"]))
-    policy = raw_scenario.pop("policy", "mc")
-    reservation = raw_scenario.pop("reservation", True)
-    policy_set = ["mc", "baseline"] if policy == "both" else [policy]
-    for p in policy_set:
-        if p not in ("mc", "baseline"):
-            raise ConfigError(f"policy: unknown policy {p!r}")
-    if reservation == "both":
-        reservation_set = [True, False]
-    else:
-        reservation_set = [bool(reservation)]
+    policy_set = expand_policy(raw_scenario.pop("policy", "mc"))
+    reservation_set = expand_reservation(raw_scenario.pop("reservation", True))
     scenario = build_scenario(raw_scenario)
     prices = build_prices(dict(data.get("prices", {})))
     sla = build_sla(dict(data.get("sla", {})))

@@ -93,6 +93,10 @@ class Scenario:
     max_sim_time: float = 1e6  # runaway guard; a healthy run never gets close
 
 
+class SimTimeExceeded(RuntimeError):
+    """The run passed ``Scenario.max_sim_time`` with tasks still unfinished."""
+
+
 def _stream(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
@@ -129,6 +133,32 @@ def generate_workload(scenario: Scenario) -> list[Application]:
         apps.append(Application(id=app_id, tasks=tasks, user_id=f"user{i:04d}",
                                 deadline_variation=scenario.deadline_variation_pct))
     return apps
+
+
+# Keys an explicit fleet entry may carry: the node fields node_from_spec
+# reads, plus the node's cluster and link bandwidth.
+FLEET_SPEC_KEYS = frozenset((
+    "id", "tier", "cpu_capacity", "free_resource_fraction", "native_utilisation",
+    "battery_charge", "discharge_rates", "distance", "max_supported_distance",
+    "caf_score", "cluster", "bandwidth",
+))
+
+
+def node_from_spec(spec: dict, scenario: Scenario) -> FogNode:
+    """The node an explicit fleet entry describes; ``id`` and ``cpu_capacity`` are required."""
+    return FogNode(
+        id=spec["id"],
+        tier=Tier(spec.get("tier", "fog_device")),
+        cpu_capacity=spec["cpu_capacity"],
+        free_resource_fraction=spec.get("free_resource_fraction", 1.0),
+        native_utilisation=spec.get("native_utilisation", 0.0),
+        battery_charge=spec.get("battery_charge", 80.0),
+        discharge_rates=list(spec.get("discharge_rates", [0.2])),
+        distance=spec.get("distance", 10.0),
+        max_supported_distance=spec.get("max_supported_distance",
+                                        scenario.max_supported_distance),
+        caf_score=spec.get("caf_score", 1.0),
+    )
 
 
 def next_fluctuation(available: float, band: tuple[float, float], rng: random.Random,
@@ -243,20 +273,7 @@ class Simulation:
         sc = self.sc
         if sc.explicit_fleet is not None:
             for spec in sc.explicit_fleet:
-                node = FogNode(
-                    id=spec["id"],
-                    tier=Tier(spec.get("tier", "fog_device")),
-                    cpu_capacity=spec["cpu_capacity"],
-                    free_resource_fraction=spec.get("free_resource_fraction", 1.0),
-                    native_utilisation=spec.get("native_utilisation", 0.0),
-                    battery_charge=spec.get("battery_charge", 80.0),
-                    discharge_rates=list(spec.get("discharge_rates", [0.2])),
-                    distance=spec.get("distance", 10.0),
-                    max_supported_distance=spec.get("max_supported_distance",
-                                                    sc.max_supported_distance),
-                    caf_score=spec.get("caf_score", 1.0),
-                )
-                self._register(node, spec.get("cluster", 0),
+                self._register(node_from_spec(spec, sc), spec.get("cluster", 0),
                                spec.get("bandwidth", sc.device_bandwidth))
             return
         rng = _stream(sc.seed, "fleet")
@@ -754,7 +771,7 @@ class Simulation:
             when, _seq, kind, key, payload = heapq.heappop(self._heap)
             self.now = when
             if when > sc.max_sim_time:
-                raise RuntimeError(
+                raise SimTimeExceeded(
                     f"simulation exceeded max_sim_time={sc.max_sim_time}; "
                     f"{self.remaining} tasks unfinished (fleet overloaded?)")
             if kind == "done":

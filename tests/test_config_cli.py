@@ -28,6 +28,17 @@ def small_config(tmp_path, **scenario_overrides):
     return str(path)
 
 
+def fleet_config(tmp_path, **device_overrides):
+    device = {"id": "d0", "cpu_capacity": 4000.0, "distance": 10.0}
+    device.update(device_overrides)
+    device = {k: v for k, v in device.items() if v is not None}
+    path = tmp_path / "fleet.json"
+    path.write_text(json.dumps({"scenario": {"app_count": 1, "clusters": 1},
+                                "fleet": [{"id": "s0", "cpu_capacity": 8000.0,
+                                           "tier": "fog_server"}, device]}))
+    return str(path)
+
+
 class TestConfigLoading:
     def test_fixture_alias(self):
         cfg = load_config("fixtures/fd-table")
@@ -61,6 +72,53 @@ class TestConfigLoading:
         cfg = load_config(path)
         assert cfg.policy_set == ["mc", "baseline"]
         assert cfg.reservation_set == [True, False]
+
+    @pytest.mark.parametrize("value,expected", [
+        (True, [True]), (False, [False]), ("on", [True]), ("off", [False]),
+        ("both", [True, False]),
+    ])
+    def test_reservation_values(self, tmp_path, value, expected):
+        assert load_config(small_config(tmp_path, reservation=value)).reservation_set == expected
+
+    @pytest.mark.parametrize("value", ["sometimes", "true", 1, None, ["on"]])
+    def test_bad_reservation_named(self, tmp_path, value):
+        with pytest.raises(ConfigError, match="^reservation:"):
+            load_config(small_config(tmp_path, reservation=value))
+
+    @pytest.mark.parametrize("field", ["fluctuation_interval", "reservation_period"])
+    @pytest.mark.parametrize("value", [0, -1.0])
+    def test_non_positive_intervals_rejected(self, tmp_path, field, value):
+        with pytest.raises(ConfigError, match=f"^{field}: must be > 0"):
+            load_config(small_config(tmp_path, **{field: value}))
+
+    def test_unknown_sla_field_named(self, tmp_path):
+        path = tmp_path / "sla.json"
+        path.write_text(json.dumps({"sla": {"base_penalty": 0.2, "penalty_rat": 0.1}}))
+        with pytest.raises(ConfigError, match=r"^sla\.penalty_rat: unknown field"):
+            load_config(str(path))
+
+    def test_sla_fields_read(self, tmp_path):
+        path = tmp_path / "sla.json"
+        path.write_text(json.dumps({"sla": {"base_penalty": 0.2}}))
+        sla = load_config(str(path)).sla
+        assert (sla.base_penalty, sla.penalty_rate) == (0.2, 0.05)
+
+    def test_valid_fleet_accepted(self, tmp_path):
+        cfg = load_config(fleet_config(tmp_path))
+        assert [spec["id"] for spec in cfg.scenario.explicit_fleet] == ["s0", "d0"]
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"distance": 60.0}, r"^fleet\[1\]: distance exceeds max supported distance"),
+        ({"cpu_capacity": None}, r"^fleet\[1\]\.cpu_capacity: required field missing"),
+        ({"cpu_capacity": -5.0}, r"^fleet\[1\]: cpu_capacity must be > 0"),
+        ({"battery_charge": 140.0}, r"^fleet\[1\]: battery_charge outside"),
+        ({"tier": "mainframe"}, r"^fleet\[1\]: 'mainframe' is not a valid Tier"),
+        ({"bandwidth": 0.0}, r"^fleet\[1\]: bandwidth must be > 0"),
+        ({"cpu": 100.0}, r"^fleet\[1\]\.cpu: unknown field"),
+    ])
+    def test_bad_fleet_entry_named(self, tmp_path, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(fleet_config(tmp_path, **overrides))
 
 
 class TestAxes:
@@ -100,6 +158,24 @@ class TestRunCommand:
         path = small_config(tmp_path, battery_range=[20.0, 120.0])
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert "battery_range" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"distance": 60.0}, "distance"), ({"cpu_capacity": None}, "cpu_capacity")])
+    def test_bad_fleet_exit_code(self, tmp_path, capsys, overrides, field):
+        assert main(["run", fleet_config(tmp_path, **overrides),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "fleet[1]" in err and field in err and "Traceback" not in err
+
+    def test_bad_reservation_exit_code(self, tmp_path, capsys):
+        path = small_config(tmp_path, reservation="sometimes")
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert "reservation:" in capsys.readouterr().err
+
+    def test_max_sim_time_exit_code(self, tmp_path, capsys):
+        path = small_config(tmp_path, max_sim_time=3.0)
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert "max_sim_time=3.0" in capsys.readouterr().err
 
     def test_byte_identical_reruns(self, tmp_path):
         path = small_config(tmp_path)
