@@ -86,6 +86,7 @@ def _check_fleet(scenario: Scenario) -> None:
     """Reject fleet entries the engine could not build or whose node breaks an invariant."""
     if not isinstance(scenario.explicit_fleet, list):
         raise ConfigError("fleet: expected a list of objects")
+    seen = set()
     for i, spec in enumerate(scenario.explicit_fleet):
         where = f"fleet[{i}]"
         if not isinstance(spec, dict):
@@ -97,12 +98,15 @@ def _check_fleet(scenario: Scenario) -> None:
             problems = validate(node_from_spec(spec, scenario))
             if spec.get("bandwidth", 1.0) <= 0:
                 problems.append("bandwidth must be > 0")
+            if spec["id"] in seen:
+                problems.append(f"duplicate id {spec['id']!r}")
         except KeyError as exc:
             raise ConfigError(f"{where}.{exc.args[0]}: required field missing") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
         if problems:
             raise ConfigError(f"{where}: {'; '.join(problems)}")
+        seen.add(spec["id"])
 
 
 def build_prices(raw: dict) -> PriceBook:

@@ -368,7 +368,7 @@ class Simulation:
         weight_sum = n_own + peer_weight * n_peer
         if n_peer == 0 or n_own == 0:
             weight_sum = float(n)  # single-class nodes share evenly
-        allocated = fog_free / weight_sum * weight_sum
+        allocated = fog_free / weight_sum * weight_sum  # capacity handed out over all shares
         load = nrt.node.cpu_capacity * (1.0 - nrt.available) + allocated
         self.max_load_ratio = max(self.max_load_ratio, load / nrt.node.cpu_capacity)
         base_rate = _share_rate(nrt, weight_sum)

@@ -115,6 +115,7 @@ class TestConfigLoading:
         ({"tier": "mainframe"}, r"^fleet\[1\]: 'mainframe' is not a valid Tier"),
         ({"bandwidth": 0.0}, r"^fleet\[1\]: bandwidth must be > 0"),
         ({"cpu": 100.0}, r"^fleet\[1\]\.cpu: unknown field"),
+        ({"id": "s0"}, r"^fleet\[1\]: duplicate id 's0'"),
     ])
     def test_bad_fleet_entry_named(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
