@@ -212,3 +212,17 @@ class TestInvariantSweep:
             assert completed == pytest.approx(submitted), scenario
             assert sim.max_load_ratio <= 1.0 + 1e-9, scenario
 
+
+class TestEventType:
+    def test_events_order_by_time_then_sequence(self):
+        import heapq
+        sim = Simulation(small_scenario())
+        sim._heap.clear()
+        sim._push(2.0, "b")
+        sim._push(1.0, "a")
+        sim._push(1.0, "c")
+        ordered = [heapq.heappop(sim._heap) for _ in range(3)]
+        # equal times pop in the order they were pushed
+        assert [(when, kind) for when, _seq, kind, _key, _payload in ordered] == [
+            (1.0, "a"), (1.0, "c"), (2.0, "b")]
+        assert ordered[0][1] < ordered[1][1]

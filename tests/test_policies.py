@@ -139,6 +139,30 @@ class TestHandleDeadlineChange:
                 card = score_device(task, next(n for n in fleet if n.id == decision.target_id))
                 assert card.completion_time < deadline + times[decision.target_id]
 
+class TestMcAllocateMigration:
+    """The multi-criteria policy's migration ranking, via handle_deadline_change."""
+
+    def test_migration_order_prefers_feasible_high_availability(self):
+        nodes = nodes_by_id()
+        candidates = [nodes[i] for i in ("FD1", "FD2", "FD5")]
+        decision = handle_deadline_change(
+            fd_table_task(), candidates, 5.0,
+            migration_times=migration_times_from("FD4"))
+        assert decision.ranked[0] == "FD1"
+
+    def test_migration_applies_reservation(self):
+        nodes = nodes_by_id()
+        fd1 = nodes["FD1"]
+        fd1.reservation = ReservationState(reserved_value=10.0, last_app_request=10.0,
+                                           total_apps_processed=2)
+        util = {n.id: n.native_utilisation for n in nodes.values()}
+        handle_deadline_change(
+            fd_table_task(), list(nodes.values()), 5.0, current_util=util,
+            migration_times=migration_times_from("FD4"))
+        assert fd1.reservation.required_reservation == pytest.approx(10.0)
+        assert util["FD1"] > fd1.native_utilisation
+
+
 class TestBaseline:
     def test_reference_head_is_min_execution_time(self):
         task = fd_table_task()
