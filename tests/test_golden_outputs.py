@@ -1,7 +1,8 @@
-"""Byte-level golden outputs of ``fogsim run``.
+"""Byte-level golden outputs of ``fogsim run`` and ``fogsim sweep``.
 
 The SHA-256 of the ``run.csv`` and ``run.json`` bytes pins every number a
-run reports. A refactor that claims to leave behaviour unchanged must keep
+run reports; the digest of one sweep CSV pins the per-seed rows and the
+per-cell means of a migration-heavy grid. A refactor that claims to leave behaviour unchanged must keep
 these digests; a change that means to alter results updates them on
 purpose, in the same change, and says why.
 """
@@ -63,3 +64,30 @@ def test_run_outputs_match_recorded_digests(name, tmp_path):
     got = tuple(hashlib.sha256((out / f).read_bytes()).hexdigest()
                 for f in ("run.csv", "run.json"))
     assert got == GOLDEN[name]
+
+
+# A small two-cluster grid; the deadline axis drives the migration path.
+SWEEP_SCENARIO = {
+    "app_count": 6,
+    "clusters": 2,
+    "devices_per_cluster": 3,
+    "submit_interval": 4.0,
+    "fluctuation_interval": 2.0,
+    "deadline_range": [6.0, 16.0],
+    "reservation_period": 20.0,
+    "policy": "both",
+    "reservation": "both",
+}
+
+SWEEP_GOLDEN = "4712e804497fbfe258e6ec2372177fbd903d9e791d3ccfc008c1096cb17d39de"
+
+
+def test_sweep_output_matches_recorded_digest(tmp_path):
+    path = tmp_path / "sweep.json"
+    path.write_text(json.dumps({"scenario": SWEEP_SCENARIO}))
+    out = tmp_path / "out"
+    assert main(["sweep", str(path), "--axis", "deadline_variation", "--seeds", "2",
+                 "--out", str(out)]) == 0
+    data = (out / "sweep-deadline_variation.csv").read_bytes()
+    assert len(data.splitlines()) == 97  # header + 64 seed rows + 32 cell means
+    assert hashlib.sha256(data).hexdigest() == SWEEP_GOLDEN
