@@ -10,9 +10,17 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
-from .engine import FLEET_SPEC_KEYS, Scenario, node_from_spec
+from .engine import (
+    APP_SPEC_KEYS,
+    FLEET_SPEC_KEYS,
+    TASK_SPEC_KEYS,
+    Scenario,
+    node_from_spec,
+    task_from_spec,
+)
 from .fixtures import fd_table_scenario_config
 from .model import PriceBook, SlaTerms, validate
 
@@ -34,6 +42,28 @@ _RANGE_FIELDS = {
 }
 
 _TUPLE_FIELDS = set(_RANGE_FIELDS)
+
+# Scalar scenario fields that must be numbers > 0 (False) or >= 0 (True).
+_SIGNED_FIELDS = {
+    "fluctuation_interval": False, "reservation_period": False,
+    "device_bandwidth": False, "server_bandwidth": False,
+    "max_supported_distance": False, "subtask_length": False, "task_length": False,
+    "cloud_bandwidth": False, "cloud_processing_rate": False, "frame_bits": True,
+}
+
+# Likewise for each task of an explicit workload.
+_TASK_SIGNED_FIELDS = {"length": False, "data_size": True, "deadline": False,
+                       "submit_time": True}
+
+
+def _is_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_sign(name: str, value, zero_ok: bool) -> None:
+    if not _is_number(value) or value < 0 or (value == 0 and not zero_ok):
+        raise ConfigError(f"{name}: must be {'>=' if zero_ok else '>'} 0")
 
 
 def _check_range(name: str, value) -> tuple:
@@ -73,12 +103,19 @@ def build_scenario(raw: dict) -> Scenario:
         raise ConfigError("cloud_fraction: must be within [0, 1]")
     if scenario.deadline_variation_pct < 0 or scenario.deadline_variation_pct > 100:
         raise ConfigError("deadline_variation_pct: must be within [0, 100]")
-    if scenario.fluctuation_interval <= 0:
-        raise ConfigError("fluctuation_interval: must be > 0")
-    if scenario.reservation_period <= 0:
-        raise ConfigError("reservation_period: must be > 0")
+    for name, zero_ok in _SIGNED_FIELDS.items():
+        _check_sign(name, getattr(scenario, name), zero_ok)
+    # the fluctuation floor keeps every available fraction (and history sample) > 0
+    if not (_is_number(scenario.min_available) and 0.0 < scenario.min_available < 0.98):
+        raise ConfigError("min_available: must be within (0, 0.98)")
+    # stored reservations start at 0, so a cap >= 0 keeps every one within its cap
+    if not (_is_number(scenario.reservation_cap_fraction)
+            and 0.0 <= scenario.reservation_cap_fraction <= 1.0):
+        raise ConfigError("reservation_cap_fraction: must be within [0, 1]")
     if scenario.explicit_fleet is not None:
         _check_fleet(scenario)
+    if scenario.explicit_workload is not None:
+        _check_workload(scenario.explicit_workload)
     return scenario
 
 
@@ -107,6 +144,47 @@ def _check_fleet(scenario: Scenario) -> None:
         if problems:
             raise ConfigError(f"{where}: {'; '.join(problems)}")
         seen.add(spec["id"])
+
+
+def _check_workload(workload) -> None:
+    """Reject workload entries the engine could not build or would run wrongly."""
+    if not isinstance(workload, list):
+        raise ConfigError("workload: expected a list of objects")
+    app_ids = set()
+    task_ids = set()
+    for i, app in enumerate(workload):
+        where = f"workload[{i}]"
+        _check_entry(where, app, APP_SPEC_KEYS, ("id", "tasks"))
+        if app["id"] in app_ids:
+            raise ConfigError(f"{where}.id: duplicate id {app['id']!r}")
+        app_ids.add(app["id"])
+        if not isinstance(app.get("user_id", ""), str):
+            raise ConfigError(f"{where}.user_id: expected a string")
+        if not isinstance(app["tasks"], list):
+            raise ConfigError(f"{where}.tasks: expected a list of objects")
+        for j, spec in enumerate(app["tasks"]):
+            at = f"{where}.tasks[{j}]"
+            _check_entry(at, spec, TASK_SPEC_KEYS, ("id", "length", "data_size", "deadline"))
+            task = task_from_spec(spec, app["id"])
+            for name, zero_ok in _TASK_SIGNED_FIELDS.items():
+                _check_sign(f"{at}.{name}", getattr(task, name), zero_ok)
+            if task.id in task_ids:
+                raise ConfigError(f"{at}.id: duplicate id {task.id!r}")
+            task_ids.add(task.id)
+
+
+def _check_entry(where: str, spec, keys: frozenset, required: tuple) -> None:
+    """An object with only known keys, every required one, and a string ``id``."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where}: expected an object")
+    for key in spec:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}: unknown field")
+    for key in required:
+        if key not in spec:
+            raise ConfigError(f"{where}.{key}: required field missing")
+    if not isinstance(spec["id"], str):
+        raise ConfigError(f"{where}.id: expected a string")
 
 
 def build_prices(raw: dict) -> PriceBook:
@@ -188,7 +266,8 @@ def load_config(path: str) -> RunConfig:
         raw_scenario["explicit_fleet"] = data["fleet"]
     if "workload" in data:
         raw_scenario["explicit_workload"] = data["workload"]
-        raw_scenario.setdefault("app_count", len(data["workload"]))
+        if isinstance(data["workload"], list):
+            raw_scenario.setdefault("app_count", len(data["workload"]))
     policy_set = expand_policy(raw_scenario.pop("policy", "mc"))
     reservation_set = expand_reservation(raw_scenario.pop("reservation", True))
     scenario = build_scenario(raw_scenario)

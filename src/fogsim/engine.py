@@ -19,6 +19,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .metrics import RequestRecord, RunTrace
@@ -101,18 +102,26 @@ def _stream(seed: int, name: str) -> random.Random:
     return random.Random(f"{seed}:{name}")
 
 
+# Keys an explicit workload entry may carry: per application, and per task
+# (the fields task_from_spec reads).
+APP_SPEC_KEYS = frozenset(("id", "user_id", "tasks"))
+TASK_SPEC_KEYS = frozenset(("id", "length", "data_size", "deadline", "submit_time"))
+
+
+def task_from_spec(spec: dict, app_id: str) -> Task:
+    """The task an explicit workload entry describes; only ``submit_time`` is optional."""
+    return Task(id=spec["id"], app_id=app_id, length=spec["length"],
+                data_size=spec["data_size"], deadline=spec["deadline"],
+                submit_time=spec.get("submit_time", 0.0))
+
+
 def generate_workload(scenario: Scenario) -> list[Application]:
     """Seeded application list; same scenario, same workload, always."""
     if scenario.explicit_workload is not None:
-        apps = []
-        for spec in scenario.explicit_workload:
-            tasks = [Task(id=t["id"], app_id=spec["id"], length=t["length"],
-                          data_size=t["data_size"], deadline=t["deadline"],
-                          submit_time=t.get("submit_time", 0.0))
-                     for t in spec["tasks"]]
-            apps.append(Application(id=spec["id"], tasks=tasks,
-                                    user_id=spec.get("user_id", "")))
-        return apps
+        return [Application(id=spec["id"],
+                            tasks=[task_from_spec(t, spec["id"]) for t in spec["tasks"]],
+                            user_id=spec.get("user_id", ""))
+                for spec in scenario.explicit_workload]
     rng = _stream(scenario.seed, "workload")
     apps = []
     for i in range(scenario.app_count):
@@ -173,20 +182,6 @@ def next_fluctuation(available: float, band: tuple[float, float], rng: random.Ra
     step = rng.uniform(*band)
     sign = 1.0 if rng.random() < 0.5 else -1.0
     return min(max(available + sign * step, floor), 0.98)
-
-
-def fluctuation_events(node: FogNode, scenario: Scenario, rng: random.Random,
-                       horizon: float) -> list[tuple[float, float]]:
-    """Deterministic (time, available) trace for one node up to the horizon."""
-    events = []
-    available = 1.0 - node.native_utilisation
-    t = scenario.fluctuation_interval
-    while t <= horizon:
-        available = next_fluctuation(available, scenario.utilisation_band, rng,
-                                     scenario.min_available)
-        events.append((t, available))
-        t += scenario.fluctuation_interval
-    return events
 
 
 def deadline_change_events(app: Application, variation_pct: float,
@@ -404,7 +399,6 @@ class Simulation:
                        requester_cluster: int | None = None) -> None:
         node = nrt.node
         n_next = len(nrt.running) + nrt.pending + extra_tasks
-        node.native_utilisation = min(1.0 - nrt.available, 1.0)
         avail = nrt.available
         if (requester_cluster is not None and requester_cluster != nrt.cluster
                 and self.sc.reservation):
@@ -428,17 +422,14 @@ class Simulation:
     def _links(self) -> dict[str, NetworkLink]:
         return {nid: self.nodes[nid].link for nid in self.device_ids}
 
-    def _uplink_time(self, nrt: _NodeRt, data_bits: float, sharing: int | None = None) -> float:
+    def _uplink_time(self, nrt: _NodeRt, data_bits: float) -> float:
         # transfers contend with other in-flight transfers, not with executing tasks
-        if sharing is None:
-            sharing = nrt.pending + 1
-        eff = link_bandwidth(nrt.link) * nrt.t_bd / max(sharing, 1)
+        eff = link_bandwidth(nrt.link) * nrt.t_bd / (nrt.pending + 1)
         return data_bits / eff + link_delay(nrt.link) / 2.0
 
     # -- admission ----------------------------------------------------------
 
-    def _admits(self, nrt: _NodeRt, trt: _TaskRt, peer: bool, transfer: float,
-                time_check: bool = True) -> bool:
+    def _admits(self, nrt: _NodeRt, trt: _TaskRt, peer: bool, transfer: float) -> bool:
         budget = trt.deadline_abs - self.now
         if budget <= 0:
             return False
@@ -446,9 +437,9 @@ class Simulation:
         if rate <= 0:
             return False
         remaining = trt.task.length - trt.progress
-        if time_check and transfer + remaining / rate > budget * self.sc.admission_optimism:
+        if transfer + remaining / rate > budget * self.sc.admission_optimism:
             return False
-        if peer and self.sc.reservation and time_check:
+        if peer and self.sc.reservation:
             usable = nrt.node.cpu_capacity * nrt.available - nrt.node.reservation.reserved_value
             need_physical = remaining / max(budget - transfer, 1e-9)
             need_physical /= (nrt.yield_factor * nrt.t_bd)
@@ -499,37 +490,19 @@ class Simulation:
             return
         migration_times = {n.id: migration_time(trt.task, self.nodes[n.id].link)
                            for n in candidates}
-        target_id = None
         if self.sc.policy == "baseline":
-            self._prep_snapshot(current, extra_tasks=0)
-            for node in baseline_allocate(trt.task, candidates, links=self._links()):
-                nrt = self.nodes[node.id]
-                if self._admits(nrt, trt, peer=nrt.cluster != trt.cluster,
-                                transfer=migration_times[node.id], time_check=False):
-                    target_id = node.id
-                    break
+            target_id = baseline_allocate(trt.task, candidates, links=self._links())[0].id
         else:
             self._prep_snapshot(current, extra_tasks=0)
-            util = {n.id: self.nodes[n.id].node.native_utilisation for n in candidates}
-            decision = handle_deadline_change(
-                trt.task, candidates, budget, current=current.node,
-                migration_times=migration_times, current_util=util,
-            )
-            self._cap_reservations()
+            decision = handle_deadline_change(trt.task, candidates, budget, current=current.node,
+                                              migration_times=migration_times)
+            if decision.ranked:  # the paper reserves on every migration search
+                self._refresh_reservations(decision.ranked)
             if decision.target_id is None:
                 trt.flagged = trt.flagged or decision.violation_flagged
                 trt.no_target = True
                 return
-            for nid in (decision.target_id, *decision.feasible):
-                nrt = self.nodes[nid]
-                if self._admits(nrt, trt, peer=nrt.cluster != trt.cluster,
-                                transfer=migration_times[nid], time_check=False):
-                    target_id = nid
-                    break
-        if target_id is None:
-            trt.flagged = True
-            trt.no_target = True
-            return
+            target_id = decision.target_id
         # moving must actually beat staying, transfer included
         target = self.nodes[target_id]
         remaining = trt.task.length - trt.progress
@@ -553,8 +526,6 @@ class Simulation:
     # -- reservation ----------------------------------------------------------
 
     def _rotate_reservation(self) -> None:
-        devices = []
-        util: dict[str, float] = {}
         for nid in self.device_ids:
             nrt = self.nodes[nid]
             if nrt.window_count > 0:  # quiet windows keep the last known demand
@@ -562,17 +533,17 @@ class Simulation:
                 nrt.node.reservation.last_app_request = nrt.window_last
                 nrt.window_count = 0
                 nrt.window_last = 0.0
-            devices.append(nrt.node)
-            util[nid] = nrt.node.native_utilisation
-        reserve(devices, util)
-        self._cap_reservations()
+        self._refresh_reservations(self.device_ids)
 
-    def _cap_reservations(self) -> None:
+    def _refresh_reservations(self, node_ids: Iterable[str]) -> None:
+        """Hold back each node's required reservation, capped at a share of its capacity.
+
+        The only writer of ``reserved_value``.
+        """
         cap = self.sc.reservation_cap_fraction
-        for nid in self.device_ids:
-            node = self.nodes[nid].node
-            node.reservation.reserved_value = min(
-                node.reservation.reserved_value, cap * node.cpu_capacity)
+        nodes = [self.nodes[nid].node for nid in node_ids]
+        for node, required in zip(nodes, reserve(nodes)):
+            node.reservation.reserved_value = min(required, cap * node.cpu_capacity)
 
     # -- completion accounting --------------------------------------------------
 
@@ -603,25 +574,21 @@ class Simulation:
             cloud_fwd = task.data_size / sc.cloud_bandwidth + sc.cloud_latency
             tc.cloud_packets += 1
             tc.t_cloud += cloud_fwd
-            tc.cloud_response_packets += 1
             tc.t_cloud_response += cloud_fwd
             delay += cloud_fwd + 2.0 * cloud_fwd  # forward + twice-counted response
             cloud_legs += 3.0 * cloud_fwd
         else:
-            tc.fog_response_packets += 1
             tc.t_fog_response += trt.uplink
             delay += trt.uplink
 
         internal = n_sub * fog_leg * 2.0 + trt.migration_time_total
         tc.fog_internal += n_sub + trt.migrations
-        tc.fog_internal_responses += n_sub
         tc.t_fog_internal += n_sub * fog_leg + trt.migration_time_total
         tc.t_fog_internal_response += n_sub * fog_leg
         cloud_proc = 0.0
         if trt.cloud_bound:
             cloud_internal_leg = sc.message_kb * 8192.0 / sc.cloud_bandwidth + sc.cloud_latency
             tc.cloud_internal += 1
-            tc.cloud_internal_responses += 1
             tc.t_cloud_internal += cloud_internal_leg
             tc.t_cloud_internal_response += cloud_internal_leg
             internal += 2.0 * cloud_internal_leg
@@ -700,7 +667,6 @@ class Simulation:
         nrt.available = next_fluctuation(nrt.available, self.sc.utilisation_band, rng,
                                          self.sc.min_available)
         node = nrt.node
-        node.native_utilisation = 1.0 - nrt.available
         node.fluctuation_history.append(nrt.available * 100.0)
         if len(node.fluctuation_history) > self.sc.history_window:
             del node.fluctuation_history[0]
@@ -735,7 +701,6 @@ class Simulation:
     def _on_script(self, node_id: str, available: float) -> None:
         nrt = self.nodes[node_id]
         nrt.available = max(min(available, 0.98), 0.001)
-        nrt.node.native_utilisation = 1.0 - nrt.available
         self._replan(nrt)
         for tid in sorted(nrt.running):
             trt = nrt.running[tid]

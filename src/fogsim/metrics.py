@@ -95,25 +95,16 @@ def completion_metrics(records: list[RequestRecord]) -> CompletionMetrics:
     return CompletionMetrics(ctu_avg, cta, cta_avg, total_proc, False)
 
 
-def cost_metrics(
-    records: list[RequestRecord],
-    prices: PriceBook,
-    ledger: UsageLedger,
-    fog_unit_cost: float | None = None,
-    cloud_unit_cost: float | None = None,
-) -> tuple[list[float], float]:
+def cost_metrics(records: list[RequestRecord], app_cost: float) -> tuple[list[float], float]:
     """Per-request usage-weighted cost and its total.
 
-    Both unit costs default to the ledger's total application cost; pass
-    explicit values to price fog and cloud time differently.
+    Fog-side and cloud-side time are both priced at ``app_cost``, the run's
+    total application cost.
     """
-    app_cost = total_app_cost(ledger, prices)
-    c_fog = app_cost if fog_unit_cost is None else fog_unit_cost
-    c_cloud = app_cost if cloud_unit_cost is None else cloud_unit_cost
     per_request = []
     for r in records:
-        fog_side = (r.delay + r.internal_delay + r.processing_time) * c_fog
-        cloud_side = r.cloud_legs_time * c_cloud
+        fog_side = (r.delay + r.internal_delay + r.processing_time) * app_cost
+        cloud_side = r.cloud_legs_time * app_cost
         per_request.append(fog_side + cloud_side)
     return per_request, sum(per_request)
 
@@ -147,7 +138,8 @@ def build_report(trace: RunTrace, prices: PriceBook, terms: SlaTerms) -> Metrics
     dp_total, dp_avg, empty_dp = delay_totals(trace.counters)
     dip_total, dip_avg, _ = internal_delay_totals(trace.counters)
     completion = completion_metrics(records)
-    tc_req, tc = cost_metrics(records, prices, trace.ledger)
+    app_cost = total_app_cost(trace.ledger, prices)
+    tc_req, tc = cost_metrics(records, app_cost)
     delays = [r.delay for r in records]
     procs = [r.processing_time for r in records]
     if delays:
@@ -171,7 +163,7 @@ def build_report(trace: RunTrace, prices: PriceBook, terms: SlaTerms) -> Metrics
         cta_avg=completion.cta_avg,
         tc_per_request=tc_req,
         tc=tc,
-        usage_cost=total_app_cost(trace.ledger, prices),
+        usage_cost=app_cost,
         sla_violation_pct=sla_violation_rate(records),
         penalty_cost=total_penalty(records, terms),
         migrations=sum(r.migrations for r in records),

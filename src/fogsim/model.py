@@ -1,8 +1,8 @@
 """Domain types shared by the whole simulator.
 
 Everything here is a plain value type. Nodes and tasks are mutated only by
-the single-threaded simulation engine; the scoring, pricing and metrics
-modules treat them as read-only snapshots.
+the single-threaded simulation engine; the scoring, policy, pricing and
+metrics modules treat them as read-only snapshots.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ class ReservationState:
     reserved_value: float = 0.0
     last_app_request: float = 0.0
     total_apps_processed: int = 0
-    required_reservation: float = 0.0
 
 
 @dataclass
@@ -41,6 +40,8 @@ class FogNode:
     ``free_resource_fraction`` and ``caf_score`` are scoring inputs kept up
     to date by the engine; ``fluctuation_history`` holds per-interval
     available-CPU percentages from which the fluctuation score is derived.
+    ``native_utilisation`` is the load at the start of a run; the engine
+    tracks the live load itself.
     """
 
     id: str
@@ -199,18 +200,14 @@ class UsageLedger:
 class TrafficCounters:
     """Packet and timing tallies for one run, split by leg.
 
-    Forward and response legs are tracked independently; by default the
-    simulator mirrors responses onto forwards, but nothing here assumes it.
+    Forward legs are counted and timed; response legs are timed only,
+    since each forward packet gets exactly one response.
     """
 
     user_packets: int = 0  # requests sent by users
     cloud_packets: int = 0  # of those, forwarded to the cloud
-    cloud_response_packets: int = 0
-    fog_response_packets: int = 0  # responses served without the cloud
     fog_internal: int = 0  # fog-side internal communications
     cloud_internal: int = 0
-    fog_internal_responses: int = 0
-    cloud_internal_responses: int = 0
     t_user: float = 0.0  # time on the user->fog leg
     t_cloud: float = 0.0
     t_cloud_response: float = 0.0

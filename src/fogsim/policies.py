@@ -6,6 +6,9 @@ deadline, the one with the highest availability score; that preference is
 what makes it pick a slightly slower but longer-lived device over the
 fastest one. The baseline comparator ranks by raw execution time plus link
 round-trip only, ignoring every other device characteristic.
+
+Every function here is a pure query: it reads nodes and tasks and writes
+nothing. The engine applies the decisions, reservations included.
 """
 
 from __future__ import annotations
@@ -28,14 +31,12 @@ class MigrationDecision:
 def _score_all(
     task: Task,
     candidates: list[FogNode],
-    links: dict[str, NetworkLink] | None = None,
     migration_times: dict[str, float] | None = None,
 ) -> list[ScoreCard]:
     cards = []
     for node in candidates:
-        link = links.get(node.id) if links else None
         override = migration_times.get(node.id) if migration_times else None
-        cards.append(score_device(task, node, link, migration_override=override))
+        cards.append(score_device(task, node, migration_override=override))
     return cards
 
 
@@ -72,27 +73,22 @@ def mc_allocate(task: Task, candidates: list[FogNode]) -> list[FogNode] | None:
     return [by_id[c.node_id] for c in ordered]
 
 
-def reserve(devices: list[FogNode], current_util: dict[str, float]) -> bool:
-    """Refresh every device's reservation from its recent request history.
+def reserve(devices: list[FogNode]) -> list[float]:
+    """Each device's required reservation from its recent request history.
 
-    The required reservation is ``(reserved + last_request) / processed``;
-    devices that processed nothing keep a zero reservation. The utilisation
-    map is updated in place to current + reservation (as a capacity
-    fraction). Returns False when there are no devices to reserve on.
+    ``Req_res = (R_v + L_AR) / T_AP``: the reserved value plus the last
+    window's request, over the apps that window processed. A device that
+    processed nothing requires no reservation.
     """
-    if not devices:
-        return False
+    required = []
     for node in devices:
         state = node.reservation
         if state.total_apps_processed > 0:
-            required = (state.reserved_value + state.last_app_request) / state.total_apps_processed
+            required.append((state.reserved_value + state.last_app_request)
+                            / state.total_apps_processed)
         else:
-            required = 0.0
-        state.required_reservation = required
-        state.reserved_value = required
-        base = current_util.get(node.id, node.native_utilisation)
-        current_util[node.id] = base + required / node.cpu_capacity
-    return True
+            required.append(0.0)
+    return required
 
 
 def handle_deadline_change(
@@ -100,9 +96,7 @@ def handle_deadline_change(
     candidates: list[FogNode],
     new_deadline: float,
     current: FogNode | None = None,
-    links: dict[str, NetworkLink] | None = None,
     migration_times: dict[str, float] | None = None,
-    current_util: dict[str, float] | None = None,
 ) -> MigrationDecision:
     """Pick a migration target after the user tightened the deadline.
 
@@ -111,7 +105,8 @@ def handle_deadline_change(
     deadline-feasible one with the highest availability score; when no node
     is deadline-feasible, the nearest in-bound node by completion time is
     taken. With nothing in bound the task stays where it is and the decision
-    is flagged as a prospective violation.
+    is flagged as a prospective violation. Whenever candidates were ranked,
+    the engine refreshes their reservations (see :func:`reserve`).
     """
     if current is not None:
         current_card = score_device(task, current)
@@ -120,9 +115,7 @@ def handle_deadline_change(
     others = [n for n in candidates if current is None or n.id != current.id]
     if not others:
         return MigrationDecision(None, (), (), True)
-    util = current_util or {n.id: n.native_utilisation for n in others}
-    reserve(others, util)
-    cards_list = _score_all(task, others, links, migration_times)
+    cards_list = _score_all(task, others, migration_times)
     ordered = _migration_order(cards_list, new_deadline)
     ranked = tuple(c.node_id for c in ordered)
     in_bound = [c for c in ordered if _migration_bound_ok(c, new_deadline)]

@@ -11,7 +11,7 @@ speed suggests; see the worked five-device example in the fixtures module.
 from __future__ import annotations
 
 from .model import FogNode, NetworkLink, ScoreCard, Task, Tier
-from .network import link_bandwidth, link_delay
+from .network import link_bandwidth
 
 # Availability (minutes) assumed for nodes on mains power.
 MAINS_AVAILABILITY_MINUTES = 1e4
@@ -36,13 +36,9 @@ def execution_time(task: Task, node: FogNode) -> float:
     return task.remaining_work / node.cpu_capacity
 
 
-def migration_time(task: Task, link: NetworkLink, throughput: float | None = None) -> float:
-    """Seconds to move the task's data over the link.
-
-    ``throughput`` overrides the link's own medium throughput; callers that
-    score a destination node pass its distance-based throughput here.
-    """
-    t_h = link.medium_throughput if throughput is None else throughput
+def migration_time(task: Task, link: NetworkLink) -> float:
+    """Seconds to move the task's data over the link at its medium throughput."""
+    t_h = link.medium_throughput
     bw = link_bandwidth(link)
     if bw * t_h <= 0:
         raise ValueError(f"bandwidth*throughput must be > 0, got {bw}*{t_h}")
@@ -105,33 +101,24 @@ def availability_score(avail_minutes: float, completion: float) -> float:
 def score_device(
     task: Task,
     node: FogNode,
-    link: NetworkLink | None = None,
     migration_override: float | None = None,
 ) -> ScoreCard:
     """Populate a full score card for one candidate node.
 
-    Without a link, migration time and link latency are zero (local or
-    fresh placement with negligible transfer). ``migration_override``
-    substitutes an externally measured migration time.
+    Migration time is zero (local or fresh placement with negligible
+    transfer) unless ``migration_override`` supplies a measured one. Scoring
+    sees no link latency, so the response time ``R_t`` is ``M_t + E_t``.
     """
     e_t = execution_time(task, node)
     t_bd = throughput_by_distance(node)
-    if migration_override is not None:
-        m_t = migration_override
-        n_dl = link_delay(link) if link is not None else 0.0
-    elif link is not None:
-        m_t = migration_time(task, link, throughput=t_bd)
-        n_dl = link_delay(link)
-    else:
-        m_t = 0.0
-        n_dl = 0.0
+    m_t = 0.0 if migration_override is None else migration_override
     a_v = availability(node)
     c_t = completion_time(e_t, node.free_resource_fraction, node.caf_score, t_bd)
     return ScoreCard(
         node_id=node.id,
         execution_time=e_t,
         migration_time=m_t,
-        response_time=response_time(m_t, e_t, n_dl),
+        response_time=response_time(m_t, e_t, 0.0),
         availability=a_v,
         throughput_by_distance=t_bd,
         completion_time=c_t,

@@ -39,6 +39,47 @@ def fleet_config(tmp_path, **device_overrides):
     return str(path)
 
 
+def one_task_app(app_id="a0", task_id="t0", **task_overrides):
+    task = {"id": task_id, "length": 1000.0, "data_size": 40960.0, "deadline": 8.0}
+    task.update(task_overrides)
+    return {"id": app_id, "user_id": "u0",
+            "tasks": [{k: v for k, v in task.items() if v is not None}]}
+
+
+def workload_config(tmp_path, workload):
+    path = tmp_path / "workload.json"
+    path.write_text(json.dumps({"scenario": {"clusters": 1, "devices_per_cluster": 2},
+                                "workload": workload}))
+    return str(path)
+
+
+BAD_WORKLOADS = [
+    ({"id": "a0", "tasks": []}, r"^workload: expected a list of objects"),
+    (["a0"], r"^workload\[0\]: expected an object"),
+    ([{"id": "a0"}], r"^workload\[0\]\.tasks: required field missing"),
+    ([{"id": "a0", "tasks": {"id": "t0"}}], r"^workload\[0\]\.tasks: expected a list"),
+    ([{"id": "a0", "tasks": [], "deadline": 3}], r"^workload\[0\]\.deadline: unknown field"),
+    ([{"id": 7, "tasks": []}], r"^workload\[0\]\.id: expected a string"),
+    ([dict(one_task_app(), user_id=3)], r"^workload\[0\]\.user_id: expected a string"),
+    ([one_task_app(length=None)], r"^workload\[0\]\.tasks\[0\]\.length: required field missing"),
+    ([one_task_app(length=0)], r"^workload\[0\]\.tasks\[0\]\.length: must be > 0"),
+    ([one_task_app(length="long")], r"^workload\[0\]\.tasks\[0\]\.length: must be > 0"),
+    ([one_task_app(deadline=-2.0)], r"^workload\[0\]\.tasks\[0\]\.deadline: must be > 0"),
+    ([one_task_app(data_size=-1)], r"^workload\[0\]\.tasks\[0\]\.data_size: must be >= 0"),
+    ([one_task_app(submit_time=-1)], r"^workload\[0\]\.tasks\[0\]\.submit_time: must be >= 0"),
+    ([one_task_app(size=1)], r"^workload\[0\]\.tasks\[0\]\.size: unknown field"),
+    ([one_task_app(), one_task_app("a1")], r"^workload\[1\]\.tasks\[0\]\.id: duplicate id 't0'"),
+    ([one_task_app(), one_task_app(task_id="t1")], r"^workload\[1\]\.id: duplicate id 'a0'"),
+]
+
+BAD_SCALARS = [
+    ("device_bandwidth", 0), ("server_bandwidth", -1.0), ("max_supported_distance", 0),
+    ("subtask_length", 0), ("task_length", 0), ("cloud_bandwidth", 0),
+    ("cloud_processing_rate", 0), ("frame_bits", -1.0), ("min_available", 0),
+    ("min_available", 0.98), ("reservation_cap_fraction", -0.1),
+]
+
+
 class TestConfigLoading:
     def test_fixture_alias(self):
         cfg = load_config("fixtures/fd-table")
@@ -102,6 +143,21 @@ class TestConfigLoading:
         path.write_text(json.dumps({"sla": {"base_penalty": 0.2}}))
         sla = load_config(str(path)).sla
         assert (sla.base_penalty, sla.penalty_rate) == (0.2, 0.05)
+
+    def test_valid_workload_accepted(self, tmp_path):
+        cfg = load_config(workload_config(tmp_path, [one_task_app(),
+                                                     one_task_app("a1", "t1", submit_time=2)]))
+        assert cfg.scenario.app_count == 2
+        assert [a["id"] for a in cfg.scenario.explicit_workload] == ["a0", "a1"]
+
+    @pytest.mark.parametrize("workload,message", BAD_WORKLOADS)
+    def test_bad_workload_entry_named(self, tmp_path, workload, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(workload_config(tmp_path, workload))
+
+    @pytest.mark.parametrize("field", ["frame_bits", "reservation_cap_fraction"])
+    def test_zero_floor_accepted(self, tmp_path, field):
+        assert getattr(load_config(small_config(tmp_path, **{field: 0})).scenario, field) == 0
 
     def test_valid_fleet_accepted(self, tmp_path):
         cfg = load_config(fleet_config(tmp_path))
@@ -167,6 +223,20 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "fleet[1]" in err and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("field,value", BAD_SCALARS)
+    def test_bad_scalar_exit_code(self, tmp_path, capsys, field, value):
+        assert main(["run", small_config(tmp_path, **{field: value}),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: must be") and "Traceback" not in err
+
+    @pytest.mark.parametrize("workload,message", BAD_WORKLOADS[:2] + BAD_WORKLOADS[7:9])
+    def test_bad_workload_exit_code(self, tmp_path, capsys, workload, message):
+        assert main(["run", workload_config(tmp_path, workload),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: workload") and "Traceback" not in err
 
     def test_bad_reservation_exit_code(self, tmp_path, capsys):
         path = small_config(tmp_path, reservation="sometimes")

@@ -7,15 +7,16 @@ from fogsim.config import load_config
 from fogsim.engine import (
     Scenario,
     Simulation,
+    _TaskRt,
     deadline_change_events,
-    fluctuation_events,
     generate_workload,
     hash_cluster,
     next_fluctuation,
     run,
 )
+from fogsim.fixtures import fd_table_task
 from fogsim.metrics import build_report
-from fogsim.model import PriceBook, SlaTerms
+from fogsim.model import PriceBook, ReservationState, SlaTerms
 from fogsim.scoring import cpu_fluctuation_rate
 
 
@@ -75,6 +76,36 @@ class TestFixtureRun:
         assert trt.nodes_visited[1] == "FD1"
         assert trace.records[0].migrations >= 1
 
+    def _fd4_with_history(self, deadline):
+        """The fixture fleet with reservation history and task t0 running on FD4."""
+        sim = Simulation(load_config("fixtures/fd-table").scenario)
+        for i, nid in enumerate(sim.device_ids):
+            sim.nodes[nid].node.reservation = ReservationState(
+                reserved_value=100.0 * i, last_app_request=600.0, total_apps_processed=2)
+        trt = _TaskRt(task=fd_table_task(), cluster=0, deadline_abs=deadline,
+                      cloud_bound=False)
+        sim.tasks["t0"] = trt
+        sim._on_arrive(trt, "FD4")
+        return sim, trt
+
+    def test_migration_applies_reservation(self):
+        sim, trt = self._fd4_with_history(deadline=0.5)  # FD4 cannot make it
+        sim._attempt_migration(trt)
+        cap = sim.sc.reservation_cap_fraction
+        for i, nid in enumerate(sim.device_ids):
+            node = sim.nodes[nid].node
+            if nid == "FD4":  # not a candidate: keeps its reservation
+                assert node.reservation.reserved_value == 100.0 * i
+            else:  # min((R_v + L_AR) / T_AP, cap * CPU_s)
+                assert node.reservation.reserved_value == min(
+                    (100.0 * i + 600.0) / 2, cap * node.cpu_capacity)
+
+    def test_no_migration_search_keeps_reservations(self):
+        sim, trt = self._fd4_with_history(deadline=50.0)  # FD4 still fits
+        sim._attempt_migration(trt)
+        assert [sim.nodes[nid].node.reservation.reserved_value
+                for nid in sim.device_ids] == [100.0 * i for i in range(5)]
+
     def test_empty_workload_all_zero(self):
         cfg = load_config("fixtures/fd-table")
         scenario = dataclasses.replace(cfg.scenario, explicit_workload=[], app_count=0)
@@ -85,21 +116,28 @@ class TestFixtureRun:
         assert report.empty
 
 
+def fluctuation_trace(scenario, rng, steps):
+    """Available fractions of device c0d00 over ``steps`` fluctuation ticks."""
+    available = Simulation(scenario).nodes["c0d00"].available
+    values = []
+    for _ in range(steps):
+        available = next_fluctuation(available, scenario.utilisation_band, rng,
+                                     scenario.min_available)
+        values.append(available)
+    return values
+
+
 class TestFluctuationProcess:
     def test_zero_band_constant(self):
         scenario = small_scenario(utilisation_band=(0.0, 0.0))
-        node = Simulation(scenario).nodes["c0d00"].node
-        rng = random.Random("x")
-        events = fluctuation_events(node, scenario, rng, horizon=10.0)
-        values = [v for _, v in events]
+        values = fluctuation_trace(scenario, random.Random("x"), steps=5)
         assert len(set(values)) == 1
-        assert cpu_fluctuation_rate([values[0] * 100] * 5) == 0.0
+        assert cpu_fluctuation_rate([v * 100 for v in values]) == 0.0
 
     def test_reproducible_trace(self):
         scenario = small_scenario()
-        node = Simulation(scenario).nodes["c0d00"].node
-        a = fluctuation_events(node, scenario, random.Random("s"), horizon=20.0)
-        b = fluctuation_events(node, scenario, random.Random("s"), horizon=20.0)
+        a = fluctuation_trace(scenario, random.Random("s"), steps=10)
+        b = fluctuation_trace(scenario, random.Random("s"), steps=10)
         assert a == b
 
     def test_step_respects_floor_and_ceiling(self):

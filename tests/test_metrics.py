@@ -108,29 +108,28 @@ class TestCompletionMetrics:
 
 class TestCostMetrics:
     def test_zero_duration_request(self):
-        tc_req, tc = cost_metrics([record(delay=0, internal=0, proc=0)],
-                                  PriceBook(), UsageLedger())
+        tc_req, tc = cost_metrics([record(delay=0, internal=0, proc=0)], 1.0)
         assert tc_req == [0.0] and tc == 0.0
 
     def test_unit_cost_weighted_times(self):
         records = [record(delay=2.0, internal=1.0, proc=0.5, cloud=0.75)]
-        tc_req, tc = cost_metrics(records, PriceBook(), UsageLedger(),
-                                  fog_unit_cost=1.0, cloud_unit_cost=1.0)
+        tc_req, tc = cost_metrics(records, 1.0)
         assert tc_req[0] == pytest.approx(3.5 + 0.75)
         assert tc == pytest.approx(tc_req[0])
 
     def test_additivity_over_identical_requests(self):
         one = [record()]
         five = [record(task=f"t{i}") for i in range(5)]
-        _, tc_one = cost_metrics(one, PriceBook(), UsageLedger(), 2.0, 3.0)
-        _, tc_five = cost_metrics(five, PriceBook(), UsageLedger(), 2.0, 3.0)
+        _, tc_one = cost_metrics(one, 2.0)
+        _, tc_five = cost_metrics(five, 2.0)
         assert tc_five == pytest.approx(5 * tc_one)
 
     def test_defaults_to_ledger_cost(self):
         ledger = UsageLedger(cloud_connect_minutes=[1e6])  # 0.08 dollars
-        tc_req, _ = cost_metrics([record(delay=1.0, internal=0.0, proc=0.0)],
-                                 PriceBook(), ledger)
-        assert tc_req[0] == pytest.approx(0.08)
+        trace = RunTrace(records=[record(delay=1.0, internal=0.0, proc=0.0)], ledger=ledger)
+        report = build_report(trace, PriceBook(), SlaTerms())
+        assert report.usage_cost == pytest.approx(0.08)
+        assert report.tc_per_request[0] == pytest.approx(0.08)
 
 
 class TestSla:
@@ -180,8 +179,7 @@ def test_penalty_monotone_in_delay(dt, bump, alpha, beta):
 @given(delays=st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=50))
 def test_min_avg_max_ordering(delays):
     records = [record(task=f"t{i}", delay=d) for i, d in enumerate(delays)]
-    tc = TrafficCounters(user_packets=len(delays), t_user=sum(delays),
-                         fog_response_packets=len(delays))
+    tc = TrafficCounters(user_packets=len(delays), t_user=sum(delays))
     trace = RunTrace(records=records, counters=tc, ledger=UsageLedger())
     report = build_report(trace, PriceBook(), SlaTerms())
     assert report.min_delay <= report.avg_delay <= report.max_delay
@@ -203,11 +201,9 @@ def test_delay_formula_matches_per_record_sums():
             leg = rng.uniform(0.1, 1.0)
             tc.cloud_packets += 1
             tc.t_cloud += leg
-            tc.cloud_response_packets += 1
             tc.t_cloud_response += leg
             delay = uplink + 3 * leg
         else:
-            tc.fog_response_packets += 1
             tc.t_fog_response += uplink
             delay = 2 * uplink
         records.append(record(task=f"t{i}", app=f"a{i % 3}", delay=delay))

@@ -91,7 +91,6 @@ NOTATION = {
     "R_v": ("ReservationState", "reserved_value"),
     "L_AR": ("ReservationState", "last_app_request"),
     "T_AP": ("ReservationState", "total_apps_processed"),
-    "Req_res": ("ReservationState", "required_reservation"),
     "CP": ("PriceBook", "connectivity_unit"),
     "MP": ("PriceBook", "messaging_unit"),
     "PP": ("PriceBook", "processing_unit"),

@@ -1,7 +1,11 @@
+import ast
+import copy
+import inspect
 import random
 
 import pytest
 
+import fogsim.policies
 from fogsim.fixtures import fd_table_nodes, fd_table_task, migration_times_from
 from fogsim.model import FogNode, ReservationState, Task, Tier
 from fogsim.policies import (
@@ -75,20 +79,54 @@ class TestReserve:
         node = fd_table_nodes()[0]
         node.reservation = ReservationState(reserved_value=100.0, last_app_request=50.0,
                                             total_apps_processed=3)
-        util = {node.id: node.native_utilisation}
-        assert reserve([node], util) is True
-        assert node.reservation.required_reservation == pytest.approx(50.0)
-        assert util[node.id] == pytest.approx(node.native_utilisation + 50.0 / node.cpu_capacity)
+        assert reserve([node]) == [pytest.approx(50.0)]  # (100 + 50) / 3
+        assert node.reservation.reserved_value == 100.0  # the engine applies it
 
     def test_no_history_reserves_nothing(self):
         node = fd_table_nodes()[0]
-        util = {node.id: 0.4}
-        reserve([node], util)
-        assert node.reservation.reserved_value == 0.0
-        assert util[node.id] == pytest.approx(0.4)
+        node.reservation = ReservationState(reserved_value=100.0)
+        assert reserve([node]) == [0.0]
 
-    def test_empty_device_list_fails(self):
-        assert reserve([], {}) is False
+    def test_empty_device_list_requires_nothing(self):
+        assert reserve([]) == []
+
+
+def history_fleet():
+    """The reference fleet, every node with a reservation history."""
+    nodes = fd_table_nodes()
+    for i, node in enumerate(nodes):
+        node.reservation = ReservationState(reserved_value=10.0 * i, last_app_request=30.0,
+                                            total_apps_processed=i + 1)
+    return nodes
+
+
+class TestPurity:
+    """Policies read nodes and tasks and write nothing."""
+
+    @pytest.mark.parametrize("deadline", [1.0, 5.0, 50.0])
+    def test_queries_leave_nodes_and_task_unchanged(self, deadline):
+        nodes = history_fleet()
+        nodes[3].free_resource_fraction = 0.01  # FD4 chokes: a migration search runs
+        task = fd_table_task()
+        before = copy.deepcopy((nodes, task))
+        mc_allocate(task, nodes)
+        baseline_allocate(task, nodes)
+        reserve(nodes)
+        handle_deadline_change(task, nodes, deadline, current=nodes[3],
+                               migration_times=migration_times_from("FD4"))
+        handle_deadline_change(task, nodes, deadline,
+                               migration_times=migration_times_from("FD4"))
+        assert (nodes, task) == before
+
+    def test_no_attribute_assignment_in_module(self):
+        tree = ast.parse(inspect.getsource(fogsim.policies))
+        targets = []
+        for stmt in ast.walk(tree):
+            if isinstance(stmt, ast.Assign):
+                targets += stmt.targets
+            elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)):
+                targets.append(stmt.target)
+        assert not [t for t in targets if isinstance(t, (ast.Attribute, ast.Subscript))]
 
 
 class TestHandleDeadlineChange:
@@ -149,18 +187,6 @@ class TestMcAllocateMigration:
             fd_table_task(), candidates, 5.0,
             migration_times=migration_times_from("FD4"))
         assert decision.ranked[0] == "FD1"
-
-    def test_migration_applies_reservation(self):
-        nodes = nodes_by_id()
-        fd1 = nodes["FD1"]
-        fd1.reservation = ReservationState(reserved_value=10.0, last_app_request=10.0,
-                                           total_apps_processed=2)
-        util = {n.id: n.native_utilisation for n in nodes.values()}
-        handle_deadline_change(
-            fd_table_task(), list(nodes.values()), 5.0, current_util=util,
-            migration_times=migration_times_from("FD4"))
-        assert fd1.reservation.required_reservation == pytest.approx(10.0)
-        assert util["FD1"] > fd1.native_utilisation
 
 
 class TestBaseline:

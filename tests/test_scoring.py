@@ -55,12 +55,12 @@ class TestExecutionTime:
 
 class TestMigrationTime:
     def test_data_over_effective_bandwidth(self):
-        link = NetworkLink(endpoint_bandwidths=(100000, 100000))
-        assert migration_time(task_of(data=40960), link, throughput=0.8) == pytest.approx(0.512)
+        link = NetworkLink(endpoint_bandwidths=(100000, 100000), medium_throughput=0.8)
+        assert migration_time(task_of(data=40960), link) == pytest.approx(0.512)
 
     def test_unit_case(self):
-        link = NetworkLink(endpoint_bandwidths=(1e5, 1e5))
-        assert migration_time(task_of(data=1e5), link, throughput=1.0) == 1.0
+        link = NetworkLink(endpoint_bandwidths=(1e5, 1e5), medium_throughput=1.0)
+        assert migration_time(task_of(data=1e5), link) == 1.0
 
     def test_zero_data(self):
         link = NetworkLink(endpoint_bandwidths=(1e5, 1e5))
