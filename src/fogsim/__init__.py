@@ -14,7 +14,6 @@ from .model import (
     SlaTerms,
     Task,
     Tier,
-    TrafficCounters,
     UsageLedger,
     validate,
 )
@@ -38,7 +37,6 @@ __all__ = [
     "SlaTerms",
     "Task",
     "Tier",
-    "TrafficCounters",
     "UsageLedger",
     "baseline_allocate",
     "build_report",

@@ -565,40 +565,18 @@ class Simulation:
         fog_leg = sc.message_kb * 8192.0 / server_bw + sc.frame_bits / server_bw
         server_proc = sc.frame_bits / server_bw
 
-        tc = self.trace.counters
-        tc.user_packets += 1
-        tc.t_user += trt.uplink
         delay = trt.uplink
-        cloud_legs = 0.0
+        internal = n_sub * fog_leg * 2.0 + trt.migration_time_total
+        cloud_legs = cloud_proc = 0.0
         if trt.cloud_bound:
             cloud_fwd = task.data_size / sc.cloud_bandwidth + sc.cloud_latency
-            tc.cloud_packets += 1
-            tc.t_cloud += cloud_fwd
-            tc.t_cloud_response += cloud_fwd
-            delay += cloud_fwd + 2.0 * cloud_fwd  # forward + twice-counted response
-            cloud_legs += 3.0 * cloud_fwd
-        else:
-            tc.t_fog_response += trt.uplink
-            delay += trt.uplink
-
-        internal = n_sub * fog_leg * 2.0 + trt.migration_time_total
-        tc.fog_internal += n_sub + trt.migrations
-        tc.t_fog_internal += n_sub * fog_leg + trt.migration_time_total
-        tc.t_fog_internal_response += n_sub * fog_leg
-        cloud_proc = 0.0
-        if trt.cloud_bound:
             cloud_internal_leg = sc.message_kb * 8192.0 / sc.cloud_bandwidth + sc.cloud_latency
-            tc.cloud_internal += 1
-            tc.t_cloud_internal += cloud_internal_leg
-            tc.t_cloud_internal_response += cloud_internal_leg
-            internal += 2.0 * cloud_internal_leg
-            cloud_legs += 2.0 * cloud_internal_leg
             cloud_proc = task.data_size / sc.cloud_processing_rate
-            tc.t_proc_cloud += cloud_proc
-            cloud_legs += cloud_proc
-
-        tc.t_proc_device += trt.active_time
-        tc.t_proc_server += n_sub * server_proc
+            delay += cloud_fwd + 2.0 * cloud_fwd  # forward + twice-counted response
+            internal += 2.0 * cloud_internal_leg
+            cloud_legs = 3.0 * cloud_fwd + 2.0 * cloud_internal_leg + cloud_proc
+        else:
+            delay += trt.uplink  # the fog response mirrors the uplink
         processing = trt.active_time + n_sub * server_proc + cloud_proc
 
         ledger = self.trace.ledger
@@ -624,10 +602,10 @@ class Simulation:
             internal_delay=internal,
             processing_time=processing,
             cloud_legs_time=cloud_legs,
-            packets=1,
             violated=violated,
             excess=max(completion_abs - trt.deadline_abs, 0.0),
             migrations=trt.migrations,
+            internal_messages=n_sub + trt.migrations + int(trt.cloud_bound),
         ))
 
     # -- event handlers --------------------------------------------------------

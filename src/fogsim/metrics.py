@@ -1,20 +1,17 @@
 """Run post-processing: delay totals, completion times, cost, SLA.
 
 All functions are pure over an immutable trace. A trace is a list of
-:class:`RequestRecord` plus the aggregated :class:`TrafficCounters` and
-:class:`UsageLedger` the engine produced for one run.
+:class:`RequestRecord`, one per finished request, plus the
+:class:`UsageLedger` the engine produced for one run. Every report total
+is a sum over the records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import MetricsReport, PriceBook, SlaTerms, TrafficCounters, UsageLedger
+from .model import MetricsReport, PriceBook, SlaTerms, UsageLedger
 from .pricing import total_app_cost
-
-
-class InconsistentCountersError(ValueError):
-    pass
 
 
 @dataclass
@@ -30,41 +27,32 @@ class RequestRecord:
     internal_delay: float
     processing_time: float  # device + server + cloud processing
     cloud_legs_time: float  # portion of the legs spent on the cloud side
-    packets: int = 1
     violated: bool = False
     excess: float = 0.0  # seconds past the deadline when violated
     migrations: int = 0
+    internal_messages: int = 0  # subtask messages + migrations + cloud hand-off
 
 
 @dataclass
 class RunTrace:
     records: list[RequestRecord] = field(default_factory=list)
-    counters: TrafficCounters = field(default_factory=TrafficCounters)
     ledger: UsageLedger = field(default_factory=UsageLedger)
     policy: str = ""
     reservation: bool = False
     seed: int = 0
 
 
-def delay_totals(tc: TrafficCounters) -> tuple[float, float, bool]:
-    """Total and per-packet delay; the flag marks an empty denominator."""
-    if tc.cloud_packets > tc.user_packets:
-        raise InconsistentCountersError("cloud packets exceed user packets")
-    total = (tc.t_user + tc.t_cloud + tc.t_cloud_response
-             + tc.t_fog_response + tc.t_cloud_response)
-    if tc.user_packets == 0:
-        return total, 0.0, True
-    return total, total / tc.user_packets, False
+def delay_totals(records: list[RequestRecord]) -> tuple[float, float]:
+    """Total and per-request delay (0 average for no requests)."""
+    total = sum(r.delay for r in records)
+    return total, (total / len(records) if records else 0.0)
 
 
-def internal_delay_totals(tc: TrafficCounters) -> tuple[float, float, bool]:
-    """Total and per-communication internal delay; flag marks empty denominator."""
-    total = (tc.t_fog_internal + tc.t_fog_internal_response
-             + tc.t_cloud_internal + tc.t_cloud_internal_response)
-    denom = tc.fog_internal + tc.cloud_internal
-    if denom == 0:
-        return total, 0.0, True
-    return total, total / denom, False
+def internal_delay_totals(records: list[RequestRecord]) -> tuple[float, float]:
+    """Total and per-message internal delay (0 average for no messages)."""
+    total = sum(r.internal_delay for r in records)
+    messages = sum(r.internal_messages for r in records)
+    return total, (total / messages if messages else 0.0)
 
 
 @dataclass(frozen=True)
@@ -86,7 +74,7 @@ def completion_metrics(records: list[RequestRecord]) -> CompletionMetrics:
     total_proc = 0.0
     for r in records:
         full = r.delay + r.internal_delay + r.processing_time
-        per_request_ctu.append(full / r.packets if r.packets else 0.0)
+        per_request_ctu.append(full)
         cta[r.app_id] = cta.get(r.app_id, 0.0) + full
         counts[r.app_id] = counts.get(r.app_id, 0) + 1
         total_proc += r.processing_time
@@ -135,13 +123,12 @@ def total_penalty(records: list[RequestRecord], terms: SlaTerms) -> float:
 def build_report(trace: RunTrace, prices: PriceBook, terms: SlaTerms) -> MetricsReport:
     """Assemble the full metrics report for one run."""
     records = trace.records
-    dp_total, dp_avg, empty_dp = delay_totals(trace.counters)
-    dip_total, dip_avg, _ = internal_delay_totals(trace.counters)
+    dp_total, dp_avg = delay_totals(records)
+    dip_total, dip_avg = internal_delay_totals(records)
     completion = completion_metrics(records)
     app_cost = total_app_cost(trace.ledger, prices)
     tc_req, tc = cost_metrics(records, app_cost)
     delays = [r.delay for r in records]
-    procs = [r.processing_time for r in records]
     if delays:
         # summation noise must not push the average outside [min, max]
         dp_avg = min(max(dp_avg, min(delays)), max(delays))
@@ -154,7 +141,7 @@ def build_report(trace: RunTrace, prices: PriceBook, terms: SlaTerms) -> Metrics
         total_delay=dp_total,
         max_delay=max(delays) if delays else 0.0,
         min_delay=min(delays) if delays else 0.0,
-        avg_processing=(sum(procs) / len(procs)) if procs else 0.0,
+        avg_processing=(completion.total_processing / len(records)) if records else 0.0,
         total_processing=completion.total_processing,
         avg_internal_delay=dip_avg,
         total_internal_delay=dip_total,
@@ -167,5 +154,5 @@ def build_report(trace: RunTrace, prices: PriceBook, terms: SlaTerms) -> Metrics
         sla_violation_pct=sla_violation_rate(records),
         penalty_cost=total_penalty(records, terms),
         migrations=sum(r.migrations for r in records),
-        empty=empty_dp or completion.empty,
+        empty=completion.empty,
     )

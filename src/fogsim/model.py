@@ -197,31 +197,6 @@ class UsageLedger:
 
 
 @dataclass
-class TrafficCounters:
-    """Packet and timing tallies for one run, split by leg.
-
-    Forward legs are counted and timed; response legs are timed only,
-    since each forward packet gets exactly one response.
-    """
-
-    user_packets: int = 0  # requests sent by users
-    cloud_packets: int = 0  # of those, forwarded to the cloud
-    fog_internal: int = 0  # fog-side internal communications
-    cloud_internal: int = 0
-    t_user: float = 0.0  # time on the user->fog leg
-    t_cloud: float = 0.0
-    t_cloud_response: float = 0.0
-    t_fog_response: float = 0.0
-    t_fog_internal: float = 0.0
-    t_fog_internal_response: float = 0.0
-    t_cloud_internal: float = 0.0
-    t_cloud_internal_response: float = 0.0
-    t_proc_device: float = 0.0
-    t_proc_server: float = 0.0
-    t_proc_cloud: float = 0.0
-
-
-@dataclass
 class SlaTerms:
     """Linear penalty: ``base_penalty + penalty_rate * delay_time`` per violation."""
 
@@ -255,4 +230,4 @@ class MetricsReport:
     sla_violation_pct: float = 0.0
     penalty_cost: float = 0.0
     migrations: int = 0
-    empty: bool = False  # true when averages had no denominator
+    empty: bool = False  # true when the run finished no requests

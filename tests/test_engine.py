@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import random
 
 import pytest
@@ -210,6 +211,28 @@ class TestDeterminismAndConservation:
         ba = run(dataclasses.replace(base, policy="baseline"))
         for field in mc.ledger.__dataclass_fields__:
             assert sorted(getattr(mc.ledger, field)) == sorted(getattr(ba.ledger, field)), field
+
+
+class TestRecordAccounting:
+    def test_internal_messages_count_subtasks_migrations_and_cloud(self):
+        # the acceptance scenario (tests/test_acceptance.py) at 70 apps
+        scenario = Scenario(
+            app_count=70, clusters=2, devices_per_cluster=6, submit_interval=5.0,
+            fluctuation_interval=2.0, deadline_range=(6.0, 16.0), reservation_period=60.0,
+            cluster_block=4, admission_optimism=1.5, reservation_cap_fraction=0.3,
+            distance_range=(5.0, 30.0), device_mips=(3000.0, 6000.0),
+            initial_utilisation=(0.2, 0.55))
+        sim = Simulation(scenario)
+        trace = sim.run()
+        tasks = sim.tasks.values()
+        subtasks = sum(math.ceil(t.task.length / scenario.subtask_length) for t in tasks)
+        migrations = sum(t.migrations for t in tasks)
+        cloud_bound = sum(t.cloud_bound for t in tasks)
+        assert migrations > 0 and cloud_bound > 0
+        messages = sum(r.internal_messages for r in trace.records)
+        assert messages == subtasks + migrations + cloud_bound
+        report = build_report(trace, PriceBook(), SlaTerms())
+        assert report.avg_internal_delay == report.total_internal_delay / messages
 
 
 class TestClusterAssignment:

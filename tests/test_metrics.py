@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogsim.metrics import (
-    InconsistentCountersError,
     RequestRecord,
     RunTrace,
     build_report,
@@ -17,60 +16,58 @@ from fogsim.metrics import (
     sla_violation_rate,
     total_penalty,
 )
-from fogsim.model import PriceBook, SlaTerms, TrafficCounters, UsageLedger
+from fogsim.model import PriceBook, SlaTerms, UsageLedger
 
 
 def record(task="t0", app="a0", delay=1.0, internal=0.5, proc=0.25, cloud=0.0,
-           packets=1, violated=False, excess=0.0):
+           violated=False, excess=0.0, messages=1):
     return RequestRecord(
         task_id=task, app_id=app, submit_time=0.0, completion_time=2.0,
         deadline=5.0, delay=delay, internal_delay=internal, processing_time=proc,
-        cloud_legs_time=cloud, packets=packets, violated=violated, excess=excess)
+        cloud_legs_time=cloud, violated=violated, excess=excess,
+        internal_messages=messages)
 
 
 class TestDelayTotals:
     def test_mirrored_times(self):
-        tc = TrafficCounters(user_packets=10, cloud_packets=2,
-                             t_user=10.0, t_cloud=2.0,
-                             t_cloud_response=2.0, t_fog_response=8.0)
-        total, avg, empty = delay_totals(tc)
+        # a fog-served request: uplink + its mirrored response; a cloud-bound
+        # one: uplink + cloud forward leg + the twice-counted cloud response
+        fog = [record(task=f"f{i}", delay=1.0 + 1.0) for i in range(8)]
+        cloud = [record(task=f"c{i}", delay=1.0 + 1.0 + 2 * 1.0) for i in range(2)]
+        total, avg = delay_totals(fog + cloud)
         assert total == pytest.approx(24.0)
         assert avg == pytest.approx(2.4)
-        assert not empty
 
     def test_zero_times(self):
-        total, avg, _ = delay_totals(TrafficCounters(user_packets=3))
+        total, avg = delay_totals([record(task=f"t{i}", delay=0.0) for i in range(3)])
         assert total == 0.0 and avg == 0.0
 
-    def test_single_leg(self):
-        tc = TrafficCounters(user_packets=4, t_user=3.0)
-        total, avg, _ = delay_totals(tc)
-        assert total == pytest.approx(3.0)
+    def test_single_request(self):
+        total, avg = delay_totals([record(delay=3.0)])
+        assert total == avg == pytest.approx(3.0)
 
-    def test_empty_flagged(self):
-        total, avg, empty = delay_totals(TrafficCounters())
-        assert (total, avg, empty) == (0.0, 0.0, True)
+    def test_empty(self):
+        assert delay_totals([]) == (0.0, 0.0)
 
 
 class TestInternalDelays:
     def test_reference(self):
-        tc = TrafficCounters(fog_internal=2, cloud_internal=1,
-                             t_fog_internal=1.0, t_fog_internal_response=1.0,
-                             t_cloud_internal=2.0, t_cloud_internal_response=2.0)
-        total, avg, empty = internal_delay_totals(tc)
+        records = [record(task="fog", internal=1.0 + 1.0, messages=2),
+                   record(task="cloud", internal=2.0 + 2.0, messages=1)]
+        total, avg = internal_delay_totals(records)
         assert total == pytest.approx(6.0)
         assert avg == pytest.approx(2.0)
-        assert not empty
 
     def test_zero(self):
-        total, avg, empty = internal_delay_totals(TrafficCounters())
-        assert (total, avg, empty) == (0.0, 0.0, True)
+        assert internal_delay_totals([]) == (0.0, 0.0)
 
     def test_fog_only(self):
-        tc = TrafficCounters(fog_internal=2, t_fog_internal=3.0)
-        total, avg, _ = internal_delay_totals(tc)
+        total, avg = internal_delay_totals([record(internal=3.0, messages=2)])
         assert total == pytest.approx(3.0)
         assert avg == pytest.approx(1.5)
+
+    def test_no_messages_zero_average(self):
+        assert internal_delay_totals([record(internal=3.0, messages=0)]) == (3.0, 0.0)
 
 
 class TestCompletionMetrics:
@@ -132,6 +129,18 @@ class TestCostMetrics:
         assert report.tc_per_request[0] == pytest.approx(0.08)
 
 
+def test_report_totals_are_record_sums():
+    records = [record(task="t0", delay=1.0, internal=0.5, proc=0.25, messages=2),
+               record(task="t1", delay=3.0, internal=1.5, proc=0.75, messages=6)]
+    report = build_report(RunTrace(records=records), PriceBook(), SlaTerms())
+    assert not report.empty and report.requests == 2
+    assert (report.total_delay, report.avg_delay) == (4.0, 2.0)
+    assert (report.min_delay, report.max_delay) == (1.0, 3.0)
+    assert (report.total_internal_delay, report.avg_internal_delay) == (2.0, 0.25)
+    assert (report.total_processing, report.avg_processing) == (1.0, 0.5)
+
+
+
 class TestSla:
     def test_linear_penalty(self):
         assert sla_penalty(SlaTerms(0.1, 0.05, 2.0)) == pytest.approx(0.2)
@@ -179,33 +188,6 @@ def test_penalty_monotone_in_delay(dt, bump, alpha, beta):
 @given(delays=st.lists(st.floats(min_value=0, max_value=100), min_size=1, max_size=50))
 def test_min_avg_max_ordering(delays):
     records = [record(task=f"t{i}", delay=d) for i, d in enumerate(delays)]
-    tc = TrafficCounters(user_packets=len(delays), t_user=sum(delays))
-    trace = RunTrace(records=records, counters=tc, ledger=UsageLedger())
+    trace = RunTrace(records=records, ledger=UsageLedger())
     report = build_report(trace, PriceBook(), SlaTerms())
     assert report.min_delay <= report.avg_delay <= report.max_delay
-
-
-def test_delay_formula_matches_per_record_sums():
-    # mirror the simulator's accrual: a fog-served request contributes its
-    # uplink twice (forward + response); a cloud-bound one contributes the
-    # uplink plus three cloud legs (forward + doubly counted response)
-    rng = random.Random(5)
-    records = []
-    tc = TrafficCounters()
-    for i in range(30):
-        cloud = rng.random() < 0.3
-        uplink = rng.uniform(0.1, 2.0)
-        tc.user_packets += 1
-        tc.t_user += uplink
-        if cloud:
-            leg = rng.uniform(0.1, 1.0)
-            tc.cloud_packets += 1
-            tc.t_cloud += leg
-            tc.t_cloud_response += leg
-            delay = uplink + 3 * leg
-        else:
-            tc.t_fog_response += uplink
-            delay = 2 * uplink
-        records.append(record(task=f"t{i}", app=f"a{i % 3}", delay=delay))
-    total, _, _ = delay_totals(tc)
-    assert total == pytest.approx(sum(r.delay for r in records), rel=1e-9)

@@ -97,14 +97,6 @@ NOTATION = {
     "U": ("PriceBook", "data_unit"),
     "FS_x": ("PriceBook", "server_divisor"),
     "FD_x": ("PriceBook", "device_divisor"),
-    "P_u": ("TrafficCounters", "user_packets"),
-    "PC_u": ("TrafficCounters", "cloud_packets"),
-    "P_ip": ("TrafficCounters", "fog_internal"),
-    "tP_u": ("TrafficCounters", "t_user"),
-    "tPC_u": ("TrafficCounters", "t_cloud"),
-    "tP_fd": ("TrafficCounters", "t_proc_device"),
-    "tP_fs": ("TrafficCounters", "t_proc_server"),
-    "tP_c": ("TrafficCounters", "t_proc_cloud"),
     "alpha": ("SlaTerms", "base_penalty"),
     "beta": ("SlaTerms", "penalty_rate"),
     "DT": ("SlaTerms", "delay_time"),
