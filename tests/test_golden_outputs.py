@@ -39,11 +39,11 @@ GOLDEN = {
     ),
     "accept-70": (
         "d4f9fbd374b1df6c74d878a5e482b0d4d8b2957473c413ee548e2b6df1ccdc8c",
-        "46aec69dbb06e8ae52c1ad8d44dd6e2de4cecdc7de6c1c968bdca31dff14f5ca",
+        "da915a30f0a2db8fafbe4cd8e05305aa132f931ebc7797728e2afb4c1a73304c",
     ),
     "accept-560": (
         "2ccb327fec9df4f80337ba46071f940cbc62239aa7b1a9193ec40a9060ce5369",
-        "bfd2cf42e8ee32294f424934ab842647187dfcca232325c4e8e9703a908edd31",
+        "069e9a430643a7ea591285809feacac8e4c736f62c096c638e058570fded78ca",
     ),
 }
 
