@@ -10,8 +10,9 @@ Two subcommands:
                                      --policy mc|baseline|both
                                      --reservation on|off|both]``
     Run an experiment grid and write sweep-<axis>.csv with per-seed rows
-    and per-cell means. Finished cells are cached; re-running with the
-    same output directory only computes what is missing.
+    and per-cell means. Each cell is cached as it finishes; re-running
+    with the same output directory only computes the cells that are
+    missing or whose scenario, prices or SLA terms changed.
 
 The default output directory comes from ``FOGSIM_OUT`` (falling back to
 ``./fogsim-out``). ``fixtures/fd-table`` is accepted anywhere a config

@@ -51,6 +51,14 @@ _SIGNED_FIELDS = {
     "cloud_bandwidth": False, "cloud_processing_rate": False, "frame_bits": True,
 }
 
+# Integer scenario fields and their minimums; devices_per_cluster's is
+# waived when an explicit fleet replaces the generated one.
+_INT_FIELDS = {
+    "app_count": 0, "clusters": 1, "devices_per_cluster": 1, "servers_per_cluster": 0,
+    "tasks_per_app": 1, "cluster_block": 1, "history_window": 2,
+    "max_migrations_per_task": 0, "deadline_changes_per_task": 0,
+}
+
 # Likewise for each task of an explicit workload.
 _TASK_SIGNED_FIELDS = {"length": False, "data_size": True, "deadline": False,
                        "submit_time": True}
@@ -59,6 +67,10 @@ _TASK_SIGNED_FIELDS = {"length": False, "data_size": True, "deadline": False,
 def _is_number(value) -> bool:
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
             and math.isfinite(value))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check_sign(name: str, value, zero_ok: bool) -> None:
@@ -70,6 +82,9 @@ def _check_range(name: str, value) -> tuple:
     lo_ok, hi_ok = _RANGE_FIELDS[name]
     if (not isinstance(value, (list, tuple))) or len(value) != 2:
         raise ConfigError(f"{name}: expected [low, high]")
+    integral = name == "data_bytes_range"  # bounds of rng.randint
+    if not all(_is_int(v) if integral else _is_number(v) for v in value):
+        raise ConfigError(f"{name}: bounds must be {'integers' if integral else 'numbers'}")
     lo, hi = value
     if lo > hi:
         raise ConfigError(f"{name}: low bound {lo} exceeds high bound {hi}")
@@ -91,14 +106,13 @@ def build_scenario(raw: dict) -> Scenario:
             value = tuple(tuple(item) for item in value)
         kwargs[key] = value
     scenario = Scenario(**kwargs)
-    if scenario.app_count < 0:
-        raise ConfigError("app_count: must be >= 0")
+    for name, low in _INT_FIELDS.items():
+        value = getattr(scenario, name)
+        fleet_given = name == "devices_per_cluster" and scenario.explicit_fleet is not None
+        if not _is_int(value) or (value < low and not fleet_given):
+            raise ConfigError(f"{name}: must be an integer >= {low}")
     if scenario.policy not in ("mc", "baseline"):
         raise ConfigError(f"policy: unknown policy {scenario.policy!r}")
-    if scenario.clusters < 1:
-        raise ConfigError("clusters: must be >= 1")
-    if scenario.devices_per_cluster < 1 and scenario.explicit_fleet is None:
-        raise ConfigError("devices_per_cluster: must be >= 1")
     if not 0.0 <= scenario.cloud_fraction <= 1.0:
         raise ConfigError("cloud_fraction: must be within [0, 1]")
     if scenario.deadline_variation_pct < 0 or scenario.deadline_variation_pct > 100:

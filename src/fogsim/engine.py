@@ -697,11 +697,10 @@ class Simulation:
             self._push(submit, "app", app.id)
         deadline_rng = _stream(sc.seed, "deadline")
         for app in apps:
-            changes = deadline_change_events(app, sc.deadline_variation_pct, deadline_rng)
-            for i in range(1, sc.deadline_changes_per_task):
-                changes += deadline_change_events(app, sc.deadline_variation_pct, deadline_rng)
-            for when, task_id, factor in changes:
-                self._push(when, "deadline", task_id, (factor,))
+            for _ in range(sc.deadline_changes_per_task):
+                for when, task_id, factor in deadline_change_events(
+                        app, sc.deadline_variation_pct, deadline_rng):
+                    self._push(when, "deadline", task_id, (factor,))
         for when, node_id, available in sc.scripted_utilisation:
             self._push(when, "script", node_id, (available,))
         if self.remaining > 0:

@@ -2,15 +2,19 @@
 
 Each sweep cell is one (axis value, policy, reservation, seed) scenario.
 Cells are independent and may run in parallel; results are merged in
-scenario-id order so the output never depends on scheduling. Completed
-cells are cached as JSON under ``<out>/cells`` and skipped on re-runs.
+scenario-id order so the output never depends on scheduling. Each cell is
+cached atomically under ``<out>/cells`` as soon as it finishes, named by its
+scenario id plus a hash of its scenario, prices and SLA terms, so a re-run
+skips exactly the cells whose inputs are unchanged.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -93,10 +97,27 @@ def _mean_row(rows: list[dict], axis_value: str, policy: str, reservation: str) 
     return out
 
 
-def _cell_worker(args) -> tuple[str, dict]:
-    sid, axis_value, scenario, prices, sla = args
+def _cell_path(cells_dir: Path, sid: str, scenario: engine.Scenario, prices: PriceBook,
+              sla: SlaTerms) -> Path:
+    """Cache file of one cell: its id plus a short hash of everything it runs with."""
+    inputs = json.dumps([dataclasses.asdict(x) for x in (scenario, prices, sla)],
+                        sort_keys=True)
+    return cells_dir / f"{sid}-{hashlib.sha256(inputs.encode()).hexdigest()[:12]}.json"
+
+
+def _cell_worker(args) -> tuple[Path, dict]:
+    path, sid, axis_value, scenario, prices, sla = args
     report = run_cell(scenario, prices, sla)
-    return sid, report_row(sid, axis_value, report)
+    return path, report_row(sid, axis_value, report)
+
+
+def _finished_cells(jobs: list, workers: int):
+    """(path, row) of every job, in job order, each as soon as it is done."""
+    if workers <= 1:
+        yield from map(_cell_worker, jobs)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_cell_worker, jobs)
 
 
 def sweep(
@@ -119,33 +140,28 @@ def sweep(
     cells_dir.mkdir(parents=True, exist_ok=True)
 
     jobs = []
-    all_ids = []
+    cells = []
     for value, overrides in axis_cells(axis):
         for policy in policies:
             for reservation in reservations:
                 for seed in range(1, seeds + 1):
                     sid = scenario_id(axis, value, policy, reservation, seed)
-                    all_ids.append((sid, value, policy, reservation))
-                    if (cells_dir / f"{sid}.json").exists():
-                        continue
                     scenario = dataclasses.replace(
                         cfg.scenario, seed=seed, policy=policy,
                         reservation=reservation, label=sid, **overrides)
-                    jobs.append((sid, value, scenario, cfg.prices, cfg.sla))
-
-    if jobs:
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                done = list(pool.map(_cell_worker, jobs))
-        else:
-            done = [_cell_worker(job) for job in jobs]
-        for sid, row in done:
-            (cells_dir / f"{sid}.json").write_text(json.dumps(row, sort_keys=True))
+                    path = _cell_path(cells_dir, sid, scenario, cfg.prices, cfg.sla)
+                    cells.append((path, value, policy, reservation))
+                    if not path.exists():
+                        jobs.append((path, sid, value, scenario, cfg.prices, cfg.sla))
+    for path, row in _finished_cells(jobs, workers):
+        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp.write_text(json.dumps(row, sort_keys=True))
+        os.replace(tmp, path)  # a reader sees the whole cell or none of it
 
     rows = []
     grouped: dict[tuple[str, str, str], list[dict]] = {}
-    for sid, value, policy, reservation in all_ids:
-        row = json.loads((cells_dir / f"{sid}.json").read_text())
+    for path, value, policy, reservation in cells:
+        row = json.loads(path.read_text())
         rows.append(row)
         grouped.setdefault((value, policy, "on" if reservation else "off"), []).append(row)
     for (value, policy, res), group in sorted(grouped.items()):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from fogsim import experiments
 from fogsim.cli import main
 from fogsim.config import ConfigError, load_config
 from fogsim.experiments import CSV_COLUMNS, axis_cells, scenario_id
@@ -77,6 +78,15 @@ BAD_SCALARS = [
     ("subtask_length", 0), ("task_length", 0), ("cloud_bandwidth", 0),
     ("cloud_processing_rate", 0), ("frame_bits", -1.0), ("min_available", 0),
     ("min_available", 0.98), ("reservation_cap_fraction", -0.1),
+]
+
+BAD_INTEGERS = [
+    ("tasks_per_app", 2.5), ("tasks_per_app", 0), ("app_count", 2.0), ("app_count", -1),
+    ("clusters", "2"), ("clusters", True), ("clusters", 0), ("devices_per_cluster", 0),
+    ("servers_per_cluster", -1), ("cluster_block", 0), ("history_window", -3),
+    ("history_window", 1), ("max_migrations_per_task", -1),
+    ("deadline_changes_per_task", -1), ("deadline_changes_per_task", 1.0),
+    ("data_bytes_range", [5120.5, 10240.5]),
 ]
 
 
@@ -155,9 +165,17 @@ class TestConfigLoading:
         with pytest.raises(ConfigError, match=message):
             load_config(workload_config(tmp_path, workload))
 
-    @pytest.mark.parametrize("field", ["frame_bits", "reservation_cap_fraction"])
+    @pytest.mark.parametrize("field", [
+        "frame_bits", "reservation_cap_fraction", "app_count", "servers_per_cluster",
+        "max_migrations_per_task", "deadline_changes_per_task"])
     def test_zero_floor_accepted(self, tmp_path, field):
         assert getattr(load_config(small_config(tmp_path, **{field: 0})).scenario, field) == 0
+
+    def test_fleet_waives_devices_per_cluster(self, tmp_path):
+        path = tmp_path / "fleet0.json"
+        path.write_text(json.dumps({"scenario": {"devices_per_cluster": 0},
+                                    "fleet": [{"id": "d0", "cpu_capacity": 4000.0}]}))
+        assert load_config(str(path)).scenario.devices_per_cluster == 0
 
     def test_valid_fleet_accepted(self, tmp_path):
         cfg = load_config(fleet_config(tmp_path))
@@ -231,6 +249,14 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: must be") and "Traceback" not in err
 
+    @pytest.mark.parametrize("field,value", BAD_INTEGERS)
+    def test_bad_integer_exit_code(self, tmp_path, capsys, field, value):
+        assert main(["run", small_config(tmp_path, **{field: value}),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+        assert "integer" in err
+
     @pytest.mark.parametrize("workload,message", BAD_WORKLOADS[:2] + BAD_WORKLOADS[7:9])
     def test_bad_workload_exit_code(self, tmp_path, capsys, workload, message):
         assert main(["run", workload_config(tmp_path, workload),
@@ -282,6 +308,41 @@ class TestSweepCommand:
                      "--out", str(out)]) == 0
         assert csv_path.read_bytes() == first
         assert {c: c.stat().st_mtime_ns for c in cells} == stamps  # cached cells untouched
+
+    def test_changed_prices_compute_fresh_cells(self, tmp_path):
+        path = small_config(tmp_path, app_count=3, devices_per_cluster=2)
+        args = ["--axis", "battery", "--seeds", "1", "--policy", "mc", "--reservation", "on"]
+        out = tmp_path / "sweep"
+        assert main(["sweep", path, "--out", str(out)] + args) == 0
+        first = (out / "sweep-battery.csv").read_bytes()
+        priced = tmp_path / "priced.json"
+        priced.write_text(json.dumps(dict(json.loads((tmp_path / "config.json").read_text()),
+                                          prices={"messaging_unit": 50})))
+        assert main(["sweep", str(priced), "--out", str(out)] + args) == 0
+        assert main(["sweep", str(priced), "--out", str(tmp_path / "fresh")] + args) == 0
+        rerun = (out / "sweep-battery.csv").read_bytes()
+        assert rerun != first
+        assert rerun == (tmp_path / "fresh" / "sweep-battery.csv").read_bytes()
+
+    def test_interrupted_sweep_keeps_finished_cells(self, tmp_path, monkeypatch):
+        cfg = load_config(small_config(tmp_path, app_count=3, devices_per_cluster=2))
+        out = tmp_path / "sweep"
+        real_run_cell = experiments.run_cell
+        ran = []
+
+        def interrupted_after_two(scenario, prices, sla):
+            if len(ran) == 2:
+                raise KeyboardInterrupt
+            ran.append(scenario.label)
+            return real_run_cell(scenario, prices, sla)
+
+        monkeypatch.setattr(experiments, "run_cell", interrupted_after_two)
+        with pytest.raises(KeyboardInterrupt):
+            experiments.sweep(cfg, "battery", 1, str(out), policies=["mc"], reservations=[True])
+        assert sorted(p.name.rsplit("-", 1)[0] for p in (out / "cells").iterdir()) == ran
+        monkeypatch.setattr(experiments, "run_cell", real_run_cell)
+        experiments.sweep(cfg, "battery", 1, str(out), policies=["mc"], reservations=[True])
+        assert len(list((out / "cells").iterdir())) == 6
 
     def test_rows_sorted_and_labelled(self, tmp_path):
         path = small_config(tmp_path, app_count=3, devices_per_cluster=2)

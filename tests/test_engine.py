@@ -173,6 +173,22 @@ class TestDeadlineChangeProcess:
         assert a == b
         assert len(a) == len(apps[0].tasks)
 
+    @pytest.mark.parametrize("changes", [0, 1, 3])
+    def test_changes_per_task_sets_the_deadline_events(self, changes):
+        scenario = small_scenario(deadline_variation_pct=40.0, deadline_changes_per_task=changes)
+        sim = Simulation(scenario)
+        kinds = []
+        push = sim._push
+
+        def counting_push(time, kind, *args):
+            kinds.append(kind)
+            push(time, kind, *args)
+
+        sim._push = counting_push
+        sim.run()
+        tasks = scenario.app_count * scenario.tasks_per_app
+        assert kinds.count("deadline") == changes * tasks
+
     def test_tightening_triggers_migration_or_flag(self):
         cfg = load_config("fixtures/fd-table")
         sim = Simulation(cfg.scenario)

@@ -42,12 +42,14 @@ class TestDelayTotals:
         total, avg = delay_totals([record(task=f"t{i}", delay=0.0) for i in range(3)])
         assert total == 0.0 and avg == 0.0
 
-    def test_single_request(self):
-        total, avg = delay_totals([record(delay=3.0)])
-        assert total == avg == pytest.approx(3.0)
+    def test_single_leg(self):
+        total, avg = delay_totals([record(task=f"t{i}", delay=0.75) for i in range(4)])
+        assert total == pytest.approx(3.0)
+        assert avg == pytest.approx(0.75)
 
-    def test_empty(self):
+    def test_empty_flagged(self):
         assert delay_totals([]) == (0.0, 0.0)
+        assert build_report(RunTrace(), PriceBook(), SlaTerms()).empty
 
 
 class TestInternalDelays:
