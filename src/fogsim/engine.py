@@ -22,11 +22,15 @@ import random
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .metrics import RequestRecord, RunTrace
+from .metrics import RunTrace, account
 from .model import Application, FogNode, NetworkLink, Task, Tier
 from .network import link_bandwidth, link_delay, processing_delay
 from .policies import baseline_allocate, handle_deadline_change, mc_allocate, reserve
 from .scoring import cpu_fluctuation_rate, migration_time
+
+TASK_STAGGER = 0.15  # seconds between the submissions of one application's tasks
+SPIKE_THRESHOLD = 0.10  # available fraction below which a native-load spike reopens migration
+MIN_REMAINING_DEADLINE = 0.25  # seconds; floor on the remaining deadline after a tightening
 
 
 @dataclass
@@ -60,9 +64,7 @@ class Scenario:
     subtask_length: float = 500.0
     data_bytes_range: tuple[int, int] = (5120, 10240)
     deadline_range: tuple[float, float] = (4.0, 12.0)
-    min_deadline: float = 4.0
     submit_interval: float = 2.0  # seconds between app arrivals
-    task_stagger: float = 0.15  # per-task offset inside one application
     cluster_block: int = 8  # consecutive apps homed to one cluster (demand waves)
 
     # dynamics
@@ -74,16 +76,12 @@ class Scenario:
     reservation_cap_fraction: float = 0.4
     admission_optimism: float = 2.0  # accept placements projected within this x budget
     max_migrations_per_task: int = 2
-    spike_threshold: float = 0.10  # available fraction that counts as a native-load spike
-    min_remaining_deadline: float = 0.25  # floor after a tightening event
 
     # network / cloud constants
     frame_bits: float = 12000.0
-    cloud_latency: float = 0.1  # seconds one way
     cloud_bandwidth: float = 1e6
     cloud_processing_rate: float = 1e6  # bits/s equivalent
     cloud_fraction: float = 0.1  # share of requests also stored in the cloud
-    message_kb: float = 5.0  # internal message size
     min_available: float = 0.02
     history_window: int = 16
 
@@ -130,17 +128,15 @@ def generate_workload(scenario: Scenario) -> list[Application]:
         tasks = []
         for j in range(scenario.tasks_per_app):
             data_bits = rng.randint(*scenario.data_bytes_range) * 8
-            deadline = rng.uniform(*scenario.deadline_range)
             tasks.append(Task(
                 id=f"{app_id}.t{j:02d}",
                 app_id=app_id,
                 length=scenario.task_length,
                 data_size=float(data_bits),
-                deadline=max(deadline, scenario.min_deadline),
-                submit_time=submit + j * scenario.task_stagger,
+                deadline=rng.uniform(*scenario.deadline_range),
+                submit_time=submit + j * TASK_STAGGER,
             ))
-        apps.append(Application(id=app_id, tasks=tasks, user_id=f"user{i:04d}",
-                                deadline_variation=scenario.deadline_variation_pct))
+        apps.append(Application(id=app_id, tasks=tasks, user_id=f"user{i:04d}"))
     return apps
 
 
@@ -545,10 +541,10 @@ class Simulation:
         for node, required in zip(nodes, reserve(nodes)):
             node.reservation.reserved_value = min(required, cap * node.cpu_capacity)
 
-    # -- completion accounting --------------------------------------------------
+    # -- completion ------------------------------------------------------------
 
     def _finish(self, trt: _TaskRt) -> None:
-        sc = self.sc
+        """Release a finished task's node, then hand its completion facts to ``account``."""
         task = trt.task
         trt.done = True
         trt.task.completed_work = task.length
@@ -558,55 +554,8 @@ class Simulation:
         node.window_count += 1
         node.window_last = task.length
         self._replan(node)
-
-        n_sub = max(int(math.ceil(task.length / sc.subtask_length)), 1)
-        data_kb = task.data_size / 8.0 / 1024.0
-        server_bw = sc.server_bandwidth
-        fog_leg = sc.message_kb * 8192.0 / server_bw + sc.frame_bits / server_bw
-        server_proc = sc.frame_bits / server_bw
-
-        delay = trt.uplink
-        internal = n_sub * fog_leg * 2.0 + trt.migration_time_total
-        cloud_legs = cloud_proc = 0.0
-        if trt.cloud_bound:
-            cloud_fwd = task.data_size / sc.cloud_bandwidth + sc.cloud_latency
-            cloud_internal_leg = sc.message_kb * 8192.0 / sc.cloud_bandwidth + sc.cloud_latency
-            cloud_proc = task.data_size / sc.cloud_processing_rate
-            delay += cloud_fwd + 2.0 * cloud_fwd  # forward + twice-counted response
-            internal += 2.0 * cloud_internal_leg
-            cloud_legs = 3.0 * cloud_fwd + 2.0 * cloud_internal_leg + cloud_proc
-        else:
-            delay += trt.uplink  # the fog response mirrors the uplink
-        processing = trt.active_time + n_sub * server_proc + cloud_proc
-
-        ledger = self.trace.ledger
-        nominal_minutes = task.length / 1000.0 / 60.0
-        ledger.device_connect_minutes.append(nominal_minutes)
-        ledger.server_connect_minutes.append(nominal_minutes / 2.0)
-        ledger.device_messages_kb.extend([data_kb, data_kb])
-        ledger.device_processing_kb.extend([sc.message_kb] * n_sub)
-        ledger.server_messages_kb.extend([sc.message_kb] * n_sub)
-        if trt.cloud_bound:
-            ledger.cloud_connect_minutes.append(2.0 * sc.cloud_latency / 60.0)
-            ledger.cloud_messages_kb.append(data_kb)
-
-        completion_abs = self.now
-        violated = completion_abs > trt.deadline_abs
-        self.trace.records.append(RequestRecord(
-            task_id=task.id,
-            app_id=task.app_id,
-            submit_time=task.submit_time,
-            completion_time=completion_abs,
-            deadline=trt.deadline_abs,
-            delay=delay,
-            internal_delay=internal,
-            processing_time=processing,
-            cloud_legs_time=cloud_legs,
-            violated=violated,
-            excess=max(completion_abs - trt.deadline_abs, 0.0),
-            migrations=trt.migrations,
-            internal_messages=n_sub + trt.migrations + int(trt.cloud_bound),
-        ))
+        account(self.trace, self.sc, task, self.now, trt.deadline_abs, trt.uplink,
+                trt.active_time, trt.migrations, trt.migration_time_total, trt.cloud_bound)
 
     # -- event handlers --------------------------------------------------------
 
@@ -654,7 +603,7 @@ class Simulation:
                 lo, hi = self.sc.caf_range
                 node.caf_score = min(max(rate / 100.0, lo), hi)
         self._replan(nrt)
-        choked = nrt.available < self.sc.spike_threshold
+        choked = nrt.available < SPIKE_THRESHOLD
         for tid in sorted(nrt.running):
             trt = nrt.running[tid]
             if choked:
@@ -670,7 +619,7 @@ class Simulation:
         remaining = trt.deadline_abs - self.now
         if remaining <= 0:
             return
-        new_remaining = max(remaining * factor, self.sc.min_remaining_deadline)
+        new_remaining = max(remaining * factor, MIN_REMAINING_DEADLINE)
         trt.deadline_abs = self.now + new_remaining
         trt.no_target = False  # changed terms reopen the search
         if factor < 1.0 and self._projected_completion(trt) > trt.deadline_abs:

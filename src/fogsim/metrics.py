@@ -1,17 +1,27 @@
-"""Run post-processing: delay totals, completion times, cost, SLA.
+"""Request accounting and run post-processing: delay totals, completion times, cost, SLA.
 
-All functions are pure over an immutable trace. A trace is a list of
-:class:`RequestRecord`, one per finished request, plus the
-:class:`UsageLedger` the engine produced for one run. Every report total
-is a sum over the records.
+A trace is a list of :class:`RequestRecord`, one per finished request,
+plus the :class:`UsageLedger` of the run. :func:`account` is the only
+writer of both: the engine hands it each request's completion facts.
+Every other function is pure over a finished trace, and every report
+total is a sum over the records.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-from .model import MetricsReport, PriceBook, SlaTerms, UsageLedger
+from .model import MetricsReport, PriceBook, SlaTerms, Task, UsageLedger
+from .network import processing_delay
 from .pricing import total_app_cost
+
+if TYPE_CHECKING:
+    from .engine import Scenario
+
+MESSAGE_KB = 5.0  # size of one internal message
+CLOUD_LATENCY = 0.1  # seconds one way
 
 
 @dataclass
@@ -40,6 +50,52 @@ class RunTrace:
     policy: str = ""
     reservation: bool = False
     seed: int = 0
+
+
+def account(trace: RunTrace, scenario: Scenario, task: Task, completion_time: float,
+            deadline: float, uplink: float, active_time: float, migrations: int,
+            migration_time: float, cloud_bound: bool) -> None:
+    """Append one finished request's record and ledger usage to the trace.
+
+    ``deadline`` is absolute; ``uplink``, ``active_time`` and
+    ``migration_time`` are the seconds the request spent in transfer, in
+    execution and in migration transfers.
+    """
+    sc = scenario
+    n_sub = max(int(math.ceil(task.length / sc.subtask_length)), 1)
+    data_kb = task.data_size / 8.0 / 1024.0
+    frame = processing_delay(sc.frame_bits, sc.server_bandwidth)
+    fog_leg = MESSAGE_KB * 8192.0 / sc.server_bandwidth + frame
+
+    ledger = trace.ledger
+    nominal_minutes = task.length / 1000.0 / 60.0
+    ledger.device_connect_minutes.append(nominal_minutes)
+    ledger.server_connect_minutes.append(nominal_minutes / 2.0)
+    ledger.device_messages_kb.extend([data_kb, data_kb])
+    ledger.device_processing_kb.extend([MESSAGE_KB] * n_sub)
+    ledger.server_messages_kb.extend([MESSAGE_KB] * n_sub)
+
+    delay = uplink
+    internal = n_sub * fog_leg * 2.0 + migration_time
+    cloud_legs = cloud_proc = 0.0
+    if cloud_bound:
+        cloud_fwd = task.data_size / sc.cloud_bandwidth + CLOUD_LATENCY
+        cloud_internal_leg = MESSAGE_KB * 8192.0 / sc.cloud_bandwidth + CLOUD_LATENCY
+        cloud_proc = task.data_size / sc.cloud_processing_rate
+        delay += cloud_fwd + 2.0 * cloud_fwd  # forward + twice-counted response
+        internal += 2.0 * cloud_internal_leg
+        cloud_legs = 3.0 * cloud_fwd + 2.0 * cloud_internal_leg + cloud_proc
+        ledger.cloud_connect_minutes.append(2.0 * CLOUD_LATENCY / 60.0)
+        ledger.cloud_messages_kb.append(data_kb)
+    else:
+        delay += uplink  # the fog response mirrors the uplink
+    trace.records.append(RequestRecord(
+        task_id=task.id, app_id=task.app_id, submit_time=task.submit_time,
+        completion_time=completion_time, deadline=deadline, delay=delay,
+        internal_delay=internal, processing_time=active_time + n_sub * frame + cloud_proc,
+        cloud_legs_time=cloud_legs, violated=completion_time > deadline,
+        excess=max(completion_time - deadline, 0.0), migrations=migrations,
+        internal_messages=n_sub + migrations + int(cloud_bound)))
 
 
 def delay_totals(records: list[RequestRecord]) -> tuple[float, float]:

@@ -112,7 +112,6 @@ class Application:
     id: str
     tasks: list[Task]
     user_id: str = ""
-    deadline_variation: float = 0.0  # percent
 
 
 @dataclass
@@ -186,14 +185,6 @@ class UsageLedger:
     cloud_processing_kb: list[float] = field(default_factory=list)
     server_processing_kb: list[float] = field(default_factory=list)
     device_processing_kb: list[float] = field(default_factory=list)
-
-    def combine(self, other: "UsageLedger") -> "UsageLedger":
-        """Union of two disjoint ledgers (costs must be additive over this)."""
-        merged = UsageLedger()
-        for name in self.__dataclass_fields__:
-            getattr(merged, name).extend(getattr(self, name))
-            getattr(merged, name).extend(getattr(other, name))
-        return merged
 
 
 @dataclass

@@ -5,6 +5,7 @@ import pytest
 from fogsim import experiments
 from fogsim.cli import main
 from fogsim.config import ConfigError, load_config
+from fogsim.engine import generate_workload
 from fogsim.experiments import CSV_COLUMNS, axis_cells, scenario_id
 
 
@@ -112,6 +113,12 @@ class TestConfigLoading:
         path.write_text(json.dumps({"scenario": {"wizard_mode": True}}))
         with pytest.raises(ConfigError, match="wizard_mode"):
             load_config(str(path))
+
+    def test_deadline_range_bounds_every_deadline(self, tmp_path):
+        cfg = load_config(small_config(tmp_path, app_count=20, deadline_range=[1.0, 2.0]))
+        deadlines = [t.deadline for app in generate_workload(cfg.scenario) for t in app.tasks]
+        assert len(deadlines) == 200
+        assert all(1.0 <= d <= 2.0 for d in deadlines)
 
     def test_bad_policy_named(self, tmp_path):
         path = small_config(tmp_path, policy="psychic")
@@ -256,6 +263,16 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
         assert "integer" in err
+
+    @pytest.mark.parametrize("field,value", [
+        ("message_kb", "5"), ("cloud_latency", None), ("min_deadline", "4"),
+        ("task_stagger", -100), ("spike_threshold", "a"), ("min_remaining_deadline", "x")])
+    def test_removed_knobs_are_unknown_fields(self, tmp_path, capsys, field, value):
+        assert main(["run", small_config(tmp_path, **{field: value}),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: unknown scenario field")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("workload,message", BAD_WORKLOADS[:2] + BAD_WORKLOADS[7:9])
     def test_bad_workload_exit_code(self, tmp_path, capsys, workload, message):

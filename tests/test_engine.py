@@ -251,6 +251,26 @@ class TestRecordAccounting:
         assert report.avg_internal_delay == report.total_internal_delay / messages
 
 
+class TestWorkConservation:
+    @pytest.mark.parametrize("policy,reservation",
+                             [("mc", True), ("baseline", True), ("mc", False)])
+    def test_integrated_progress_matches_length(self, policy, reservation):
+        # the acceptance scenario (tests/test_acceptance.py) at 70 apps; the
+        # progress the engine integrates, not the completed_work _finish sets
+        scenario = Scenario(
+            app_count=70, clusters=2, devices_per_cluster=6, submit_interval=5.0,
+            fluctuation_interval=2.0, deadline_range=(6.0, 16.0), reservation_period=60.0,
+            cluster_block=4, admission_optimism=1.5, reservation_cap_fraction=0.3,
+            distance_range=(5.0, 30.0), device_mips=(3000.0, 6000.0),
+            initial_utilisation=(0.2, 0.55), policy=policy, reservation=reservation)
+        sim = Simulation(scenario)
+        sim.run()
+        assert len(sim.tasks) == 700
+        for trt in sim.tasks.values():
+            assert trt.done
+            assert abs(trt.progress - trt.task.length) <= 1e-9 * trt.task.length, trt.task.id
+
+
 class TestClusterAssignment:
     def test_single_cluster(self):
         assert hash_cluster("user0005", 1) == 0

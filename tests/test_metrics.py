@@ -4,9 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fogsim.engine import Scenario
 from fogsim.metrics import (
+    CLOUD_LATENCY,
+    MESSAGE_KB,
     RequestRecord,
     RunTrace,
+    account,
     build_report,
     completion_metrics,
     cost_metrics,
@@ -16,7 +20,7 @@ from fogsim.metrics import (
     sla_violation_rate,
     total_penalty,
 )
-from fogsim.model import PriceBook, SlaTerms, UsageLedger
+from fogsim.model import PriceBook, SlaTerms, Task, UsageLedger
 
 
 def record(task="t0", app="a0", delay=1.0, internal=0.5, proc=0.25, cloud=0.0,
@@ -141,6 +145,64 @@ def test_report_totals_are_record_sums():
     assert (report.total_internal_delay, report.avg_internal_delay) == (2.0, 0.25)
     assert (report.total_processing, report.avg_processing) == (1.0, 0.5)
 
+
+class TestAccount:
+    """One request's record and ledger usage, against the README's formulas.
+
+    Default scenario: subtask_length 500 MI, server, cloud and cloud-processing
+    rates 1e6 bits/s, frame_bits 12000. The task has 1200 MI (3 subtasks) and
+    81920 bits (10 KB) of data, and migrated once with 0.5 s of transfer.
+    """
+
+    def accounted(self, cloud_bound, completion_time):
+        trace = RunTrace()
+        task = Task(id="t0", app_id="a0", length=1200.0, data_size=81920.0, deadline=6.0,
+                    submit_time=1.0)
+        account(trace, Scenario(), task, completion_time=completion_time, deadline=7.0,
+                uplink=0.4, active_time=3.0, migrations=1, migration_time=0.5,
+                cloud_bound=cloud_bound)
+        assert len(trace.records) == 1
+        return trace.records[0], trace.ledger
+
+    def test_constants(self):
+        assert (MESSAGE_KB, CLOUD_LATENCY) == (5.0, 0.1)
+
+    def test_fog_served(self):
+        rec, ledger = self.accounted(cloud_bound=False, completion_time=9.0)
+        fog_leg = (5.0 * 8192.0 + 12000.0) / 1e6
+        assert (rec.task_id, rec.app_id, rec.submit_time) == ("t0", "a0", 1.0)
+        assert (rec.completion_time, rec.deadline) == (9.0, 7.0)
+        assert rec.delay == pytest.approx(0.4 + 0.4)
+        assert rec.internal_delay == pytest.approx(2 * 3 * fog_leg + 0.5)
+        assert rec.processing_time == pytest.approx(3.0 + 3 * 12000.0 / 1e6)
+        assert rec.cloud_legs_time == 0.0
+        assert rec.internal_messages == 3 + 1
+        assert (rec.violated, rec.excess, rec.migrations) == (True, 2.0, 1)
+        assert ledger.device_connect_minutes == [pytest.approx(1200.0 / 1000.0 / 60.0)]
+        assert ledger.server_connect_minutes == [pytest.approx(1200.0 / 1000.0 / 60.0 / 2)]
+        assert ledger.device_messages_kb == [10.0, 10.0]
+        assert ledger.device_processing_kb == [5.0] * 3
+        assert ledger.server_messages_kb == [5.0] * 3
+        assert ledger.cloud_connect_minutes == ledger.cloud_messages_kb == []
+        assert ledger.cloud_processing_kb == ledger.server_processing_kb == []
+
+    def test_cloud_bound(self):
+        rec, ledger = self.accounted(cloud_bound=True, completion_time=6.5)
+        fog_leg = (5.0 * 8192.0 + 12000.0) / 1e6
+        cloud_fwd = 81920.0 / 1e6 + 0.1
+        cloud_leg = 5.0 * 8192.0 / 1e6 + 0.1
+        cloud_proc = 81920.0 / 1e6
+        assert rec.delay == pytest.approx(0.4 + cloud_fwd + 2 * cloud_fwd)
+        assert rec.internal_delay == pytest.approx(2 * 3 * fog_leg + 0.5 + 2 * cloud_leg)
+        assert rec.processing_time == pytest.approx(3.0 + 3 * 12000.0 / 1e6 + cloud_proc)
+        assert rec.cloud_legs_time == pytest.approx(3 * cloud_fwd + 2 * cloud_leg + cloud_proc)
+        assert rec.internal_messages == 3 + 1 + 1
+        assert (rec.violated, rec.excess) == (False, 0.0)
+        assert ledger.device_messages_kb == [10.0, 10.0]
+        assert ledger.device_processing_kb == ledger.server_messages_kb == [5.0] * 3
+        assert ledger.cloud_connect_minutes == [pytest.approx(2 * 0.1 / 60.0)]
+        assert ledger.cloud_messages_kb == [10.0]
+        assert ledger.cloud_processing_kb == ledger.server_processing_kb == []
 
 
 class TestSla:

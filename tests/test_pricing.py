@@ -97,10 +97,16 @@ def ledger_st(draw):
 ALL_COSTS = (connectivity_cost, messaging_cost, processing_cost, total_app_cost)
 
 
+def union(a, b):
+    """The ledger holding both ledgers' usage: each list concatenated."""
+    return UsageLedger(**{name: getattr(a, name) + getattr(b, name)
+                          for name in UsageLedger.__dataclass_fields__})
+
+
 @settings(max_examples=200, deadline=None)
 @given(a=ledger_st(), b=ledger_st())
 def test_costs_additive_over_disjoint_ledgers(a, b):
-    merged = a.combine(b)
+    merged = union(a, b)
     for fn in ALL_COSTS:
         assert fn(merged, PRICES) == pytest.approx(fn(a, PRICES) + fn(b, PRICES))
 
@@ -108,7 +114,7 @@ def test_costs_additive_over_disjoint_ledgers(a, b):
 @settings(max_examples=200, deadline=None)
 @given(a=ledger_st(), extra=st.floats(min_value=0.0, max_value=100.0))
 def test_costs_monotone_in_usage(a, extra):
-    grown = a.combine(UsageLedger(
+    grown = union(a, UsageLedger(
         cloud_connect_minutes=[extra], cloud_messages_kb=[extra + 0.1],
         cloud_processing_kb=[extra + 0.1]))
     for fn in ALL_COSTS:
