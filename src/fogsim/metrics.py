@@ -121,22 +121,24 @@ class CompletionMetrics:
 
 
 def completion_metrics(records: list[RequestRecord]) -> CompletionMetrics:
-    """Per-user and per-application completion aggregates from the trace."""
+    """Per-application completion totals and the mean completion over requests.
+
+    A request's completion is ``delay + internal_delay + processing_time``;
+    its mean over requests is summed once and reported as both ``ctu_avg``
+    and ``cta_avg``.
+    """
     if not records:
         return CompletionMetrics(0.0, {}, 0.0, 0.0, True)
-    per_request_ctu = []
+    per_request = []
     cta: dict[str, float] = {}
-    counts: dict[str, int] = {}
     total_proc = 0.0
     for r in records:
         full = r.delay + r.internal_delay + r.processing_time
-        per_request_ctu.append(full)
+        per_request.append(full)
         cta[r.app_id] = cta.get(r.app_id, 0.0) + full
-        counts[r.app_id] = counts.get(r.app_id, 0) + 1
         total_proc += r.processing_time
-    ctu_avg = sum(per_request_ctu) / len(per_request_ctu)
-    cta_avg = sum(cta.values()) / sum(counts.values())
-    return CompletionMetrics(ctu_avg, cta, cta_avg, total_proc, False)
+    avg = sum(per_request) / len(records)
+    return CompletionMetrics(avg, cta, avg, total_proc, False)
 
 
 def cost_metrics(records: list[RequestRecord], app_cost: float) -> tuple[list[float], float]:

@@ -104,6 +104,15 @@ class TestCompletionMetrics:
         assert got.cta_avg == pytest.approx(
             sum(sum(p) for p in apps.values()) / len(records), rel=1e-9)
 
+    def test_one_mean_reported_twice(self):
+        rng = random.Random(5)
+        records = [record(task=f"t{i}", app=f"a{i % 7}", delay=rng.uniform(0, 5),
+                          internal=rng.uniform(0, 2), proc=rng.uniform(0, 1))
+                   for i in range(200)]
+        got = completion_metrics(records)
+        per_request = [r.delay + r.internal_delay + r.processing_time for r in records]
+        assert got.ctu_avg == got.cta_avg == sum(per_request) / len(records)
+
     def test_empty_flagged(self):
         got = completion_metrics([])
         assert got.empty and got.cta_avg == 0.0
