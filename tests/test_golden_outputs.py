@@ -39,11 +39,11 @@ GOLDEN = {
     ),
     "accept-70": (
         "d4f9fbd374b1df6c74d878a5e482b0d4d8b2957473c413ee548e2b6df1ccdc8c",
-        "da915a30f0a2db8fafbe4cd8e05305aa132f931ebc7797728e2afb4c1a73304c",
+        "8dea7d475bc48bf8ca2bf460537c7b9f5af694f2c53a03ee5b8b910445dd1ce1",
     ),
     "accept-560": (
         "2ccb327fec9df4f80337ba46071f940cbc62239aa7b1a9193ec40a9060ce5369",
-        "069e9a430643a7ea591285809feacac8e4c736f62c096c638e058570fded78ca",
+        "45629e3983833c09a67e5f380e49d3af3bb1f698e66872e68e769178bb2d21a7",
     ),
 }
 
