@@ -22,7 +22,7 @@ from .engine import (
     task_from_spec,
 )
 from .fixtures import fd_table_scenario_config
-from .model import PriceBook, SlaTerms, validate
+from .model import PriceBook, SlaTerms, Tier, validate
 
 
 class ConfigError(ValueError):
@@ -128,6 +128,9 @@ def build_scenario(raw: dict) -> Scenario:
         raise ConfigError("reservation_cap_fraction: must be within [0, 1]")
     if scenario.explicit_fleet is not None:
         _check_fleet(scenario)
+    elif scenario.distance_range[1] >= scenario.max_supported_distance:
+        raise ConfigError(f"distance_range: upper bound {scenario.distance_range[1]} must be "
+                          f"below max_supported_distance {scenario.max_supported_distance}")
     if scenario.explicit_workload is not None:
         _check_workload(scenario.explicit_workload)
     return scenario
@@ -138,26 +141,25 @@ def _check_fleet(scenario: Scenario) -> None:
     if not isinstance(scenario.explicit_fleet, list):
         raise ConfigError("fleet: expected a list of objects")
     seen = set()
+    devices = 0
     for i, spec in enumerate(scenario.explicit_fleet):
         where = f"fleet[{i}]"
-        if not isinstance(spec, dict):
-            raise ConfigError(f"{where}: expected an object")
-        for key in spec:
-            if key not in FLEET_SPEC_KEYS:
-                raise ConfigError(f"{where}.{key}: unknown field")
+        _check_entry(where, spec, FLEET_SPEC_KEYS, ("id", "cpu_capacity"))
         try:
-            problems = validate(node_from_spec(spec, scenario))
+            node = node_from_spec(spec, scenario)
+            problems = validate(node)
             if spec.get("bandwidth", 1.0) <= 0:
                 problems.append("bandwidth must be > 0")
             if spec["id"] in seen:
                 problems.append(f"duplicate id {spec['id']!r}")
-        except KeyError as exc:
-            raise ConfigError(f"{where}.{exc.args[0]}: required field missing") from None
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from None
         if problems:
             raise ConfigError(f"{where}: {'; '.join(problems)}")
         seen.add(spec["id"])
+        devices += node.tier is Tier.FOG_DEVICE
+    if not devices:
+        raise ConfigError("fleet: needs at least one fog_device entry")
 
 
 def _check_workload(workload) -> None:

@@ -26,7 +26,7 @@ from .metrics import RunTrace, account
 from .model import Application, FogNode, NetworkLink, Task, Tier
 from .network import link_bandwidth, link_delay, processing_delay
 from .policies import baseline_allocate, handle_deadline_change, mc_allocate, reserve
-from .scoring import cpu_fluctuation_rate, migration_time
+from .scoring import cpu_fluctuation_rate, migration_time, throughput_by_distance
 
 TASK_STAGGER = 0.15  # seconds between the submissions of one application's tasks
 SPIKE_THRESHOLD = 0.10  # available fraction below which a native-load spike reopens migration
@@ -301,7 +301,7 @@ class Simulation:
 
     def _register(self, node: FogNode, cluster: int, bandwidth: float) -> None:
         sc = self.sc
-        t_bd = max(1.0 - node.distance / node.max_supported_distance, 0.05)
+        t_bd = throughput_by_distance(node)
         per_frame = processing_delay(sc.frame_bits, bandwidth)
         link = NetworkLink(
             endpoint_bandwidths=(bandwidth, bandwidth),

@@ -85,6 +85,8 @@ def validate(node: FogNode) -> list[str]:
         problems.append("distance must be >= 0")
     elif node.distance > node.max_supported_distance:
         problems.append("distance exceeds max supported distance")
+    elif node.distance == node.max_supported_distance:
+        problems.append("distance at max supported distance leaves no throughput")
     if node.caf_score <= 0:
         problems.append("caf_score must be > 0")
     return problems

@@ -34,6 +34,11 @@ def test_distance_beyond_supported_reported():
     assert any("distance exceeds" in p for p in problems)
 
 
+def test_distance_at_supported_reported():
+    problems = validate(in_range_node(distance=40.0, max_supported_distance=40.0))
+    assert problems == ["distance at max supported distance leaves no throughput"]
+
+
 def test_validation_reports_every_problem():
     node = in_range_node(cpu_capacity=-1.0, battery_charge=140.0, caf_score=0.0)
     problems = validate(node)
