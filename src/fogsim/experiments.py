@@ -4,14 +4,16 @@ Each sweep cell is one (axis value, policy, reservation, seed) scenario.
 Cells are independent and may run in parallel; results are merged in
 scenario-id order so the output never depends on scheduling. Each cell is
 cached atomically under ``<out>/cells`` as soon as it finishes, named by its
-scenario id plus a hash of its scenario, prices and SLA terms, so a re-run
-skips exactly the cells whose inputs are unchanged.
+scenario id plus a hash of its scenario, prices, SLA terms and the package
+source, so a re-run skips exactly the cells whose inputs and code are
+unchanged.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -97,11 +99,18 @@ def _mean_row(rows: list[dict], axis_value: str, policy: str, reservation: str) 
     return out
 
 
+@functools.cache
+def _code_fingerprint() -> str:
+    """SHA-256 of the package's ``*.py`` bytes, files in name order; computed on first use."""
+    files = sorted(Path(__file__).parent.glob("*.py"))
+    return hashlib.sha256(b"".join(path.read_bytes() for path in files)).hexdigest()
+
+
 def _cell_path(cells_dir: Path, sid: str, scenario: engine.Scenario, prices: PriceBook,
               sla: SlaTerms) -> Path:
     """Cache file of one cell: its id plus a short hash of everything it runs with."""
-    inputs = json.dumps([dataclasses.asdict(x) for x in (scenario, prices, sla)],
-                        sort_keys=True)
+    inputs = json.dumps([dataclasses.asdict(x) for x in (scenario, prices, sla)]
+                        + [_code_fingerprint()], sort_keys=True)
     return cells_dir / f"{sid}-{hashlib.sha256(inputs.encode()).hexdigest()[:12]}.json"
 
 

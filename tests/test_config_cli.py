@@ -388,6 +388,25 @@ class TestSweepCommand:
         assert rerun != first
         assert rerun == (tmp_path / "fresh" / "sweep-battery.csv").read_bytes()
 
+    def test_changed_code_computes_fresh_cells(self, tmp_path, monkeypatch):
+        cfg = load_config(small_config(tmp_path, app_count=3, devices_per_cluster=2))
+        out = tmp_path / "sweep"
+        experiments.sweep(cfg, "battery", 1, str(out), policies=["mc"], reservations=[True])
+        first = set((out / "cells").iterdir())
+        assert len(first) == 6
+        real_run_cell = experiments.run_cell
+        ran = []
+
+        def counted(scenario, prices, sla):
+            ran.append(scenario.label)
+            return real_run_cell(scenario, prices, sla)
+
+        monkeypatch.setattr(experiments, "run_cell", counted)
+        monkeypatch.setattr(experiments, "_code_fingerprint", lambda: "other code")
+        experiments.sweep(cfg, "battery", 1, str(out), policies=["mc"], reservations=[True])
+        assert len(ran) == 6
+        assert len(set((out / "cells").iterdir()) - first) == 6
+
     def test_interrupted_sweep_keeps_finished_cells(self, tmp_path, monkeypatch):
         cfg = load_config(small_config(tmp_path, app_count=3, devices_per_cluster=2))
         out = tmp_path / "sweep"
