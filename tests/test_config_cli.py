@@ -5,9 +5,8 @@ import pytest
 from fogsim import experiments
 from fogsim.cli import main
 from fogsim.config import ConfigError, load_config
-from fogsim.engine import Simulation, generate_workload
+from fogsim.engine import generate_workload
 from fogsim.experiments import CSV_COLUMNS, axis_cells, scenario_id
-from fogsim.scoring import throughput_by_distance
 
 
 def small_config(tmp_path, **scenario_overrides):
@@ -198,56 +197,12 @@ class TestConfigLoading:
         ({"bandwidth": 0.0}, r"^fleet\[1\]: bandwidth must be > 0"),
         ({"cpu": 100.0}, r"^fleet\[1\]\.cpu: unknown field"),
         ({"id": "s0"}, r"^fleet\[1\]: duplicate id 's0'"),
+        ({"distance": 45.0}, r"^fleet\[1\]: distance at max supported distance"),
+        ({"id": 1}, r"^fleet\[1\]\.id: expected a string"),
     ])
     def test_bad_fleet_entry_named(self, tmp_path, overrides, message):
         with pytest.raises(ConfigError, match=message):
             load_config(fleet_config(tmp_path, **overrides))
-
-
-def raw_fleet_config(tmp_path, fleet):
-    path = tmp_path / "raw_fleet.json"
-    path.write_text(json.dumps({"scenario": {"app_count": 1, "clusters": 1}, "fleet": fleet}))
-    return str(path)
-
-
-SERVER = {"id": "s0", "cpu_capacity": 8000.0, "tier": "fog_server"}
-
-
-class TestFleetAndDistanceChecks:
-    @pytest.mark.parametrize("fleet,message", [
-        ([SERVER, {"id": "d0", "cpu_capacity": 4000.0, "distance": 45.0}],
-         "fleet[1]: distance at max supported distance"),
-        ([SERVER, {"id": "d0", "cpu_capacity": 4000.0, "distance": 20.0,
-                   "max_supported_distance": 20.0}],
-         "fleet[1]: distance at max supported distance"),
-        ([{"id": 1, "cpu_capacity": 4000.0}, {"id": "b", "cpu_capacity": 4000.0}],
-         "fleet[0].id: expected a string"),
-        ([], "fleet: needs at least one fog_device entry"),
-        ([SERVER], "fleet: needs at least one fog_device entry"),
-    ])
-    def test_bad_fleet_exit_code(self, tmp_path, capsys, fleet, message):
-        assert main(["run", raw_fleet_config(tmp_path, fleet),
-                     "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {message}") and "Traceback" not in err
-
-    @pytest.mark.parametrize("overrides", [
-        {"distance_range": [5.0, 60.0]}, {"distance_range": [5.0, 45.0]},
-        {"max_supported_distance": 10}])
-    def test_generated_fleet_distance_exit_code(self, tmp_path, capsys, overrides):
-        assert main(["run", small_config(tmp_path, **overrides),
-                     "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error: distance_range: upper bound")
-        assert "max_supported_distance" in err and "Traceback" not in err
-
-    def test_engine_takes_scoring_distance_throughput(self, tmp_path):
-        # 1 - 44/45 is below the 0.05 floor the engine used to apply
-        cfg = load_config(fleet_config(tmp_path, distance=44.0))
-        sim = Simulation(cfg.scenario)
-        for nrt in sim.nodes.values():
-            assert nrt.t_bd == throughput_by_distance(nrt.node)
-        assert sim.nodes["d0"].t_bd == 1.0 - 44.0 / 45.0
 
 
 class TestAxes:
@@ -289,12 +244,33 @@ class TestRunCommand:
         assert "battery_range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("overrides,field", [
-        ({"distance": 60.0}, "distance"), ({"cpu_capacity": None}, "cpu_capacity")])
+        ({"distance": 60.0}, "distance"), ({"cpu_capacity": None}, "cpu_capacity"),
+        ({"distance": 45.0}, "distance"), ({"id": 1}, "id")])
     def test_bad_fleet_exit_code(self, tmp_path, capsys, overrides, field):
         assert main(["run", fleet_config(tmp_path, **overrides),
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "fleet[1]" in err and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("fleet", [[], [{"id": "s0", "cpu_capacity": 8000.0,
+                                               "tier": "fog_server"}]])
+    def test_fleet_without_device_exit_code(self, tmp_path, capsys, fleet):
+        path = tmp_path / "no_device.json"
+        path.write_text(json.dumps({"scenario": {"app_count": 1}, "fleet": fleet}))
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: fleet: needs at least one fog_device entry")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("overrides", [
+        {"distance_range": [5.0, 60.0]}, {"distance_range": [5.0, 45.0]},
+        {"max_supported_distance": 10}])
+    def test_generated_fleet_distance_exit_code(self, tmp_path, capsys, overrides):
+        assert main(["run", small_config(tmp_path, **overrides),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: distance_range: upper bound")
+        assert "max_supported_distance" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("field,value", BAD_SCALARS)
     def test_bad_scalar_exit_code(self, tmp_path, capsys, field, value):

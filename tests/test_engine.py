@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import random
 
@@ -18,7 +19,7 @@ from fogsim.engine import (
 from fogsim.fixtures import fd_table_task
 from fogsim.metrics import build_report
 from fogsim.model import PriceBook, ReservationState, SlaTerms
-from fogsim.scoring import cpu_fluctuation_rate
+from fogsim.scoring import cpu_fluctuation_rate, throughput_by_distance
 
 
 def small_scenario(**overrides):
@@ -269,6 +270,19 @@ class TestWorkConservation:
         for trt in sim.tasks.values():
             assert trt.done
             assert abs(trt.progress - trt.task.length) <= 1e-9 * trt.task.length, trt.task.id
+
+
+class TestDistanceThroughput:
+    def test_engine_takes_scoring_distance_throughput(self, tmp_path):
+        # 1 - 44/45 is below the 0.05 floor the engine used to apply
+        path = tmp_path / "fleet.json"
+        path.write_text(json.dumps({"fleet": [
+            {"id": "d0", "cpu_capacity": 4000.0, "distance": 44.0},
+            {"id": "s0", "cpu_capacity": 8000.0, "tier": "fog_server", "distance": 5.0}]}))
+        sim = Simulation(load_config(str(path)).scenario)
+        for nrt in sim.nodes.values():
+            assert nrt.t_bd == throughput_by_distance(nrt.node)
+        assert sim.nodes["d0"].t_bd == 1.0 - 44.0 / 45.0
 
 
 class TestClusterAssignment:
