@@ -6,8 +6,6 @@ from hypothesis import strategies as st
 
 from fogsim.engine import Scenario
 from fogsim.metrics import (
-    CLOUD_LATENCY,
-    MESSAGE_KB,
     RequestRecord,
     RunTrace,
     account,
@@ -172,9 +170,6 @@ class TestAccount:
                 cloud_bound=cloud_bound)
         assert len(trace.records) == 1
         return trace.records[0], trace.ledger
-
-    def test_constants(self):
-        assert (MESSAGE_KB, CLOUD_LATENCY) == (5.0, 0.1)
 
     def test_fog_served(self):
         rec, ledger = self.accounted(cloud_bound=False, completion_time=9.0)
