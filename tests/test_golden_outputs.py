@@ -32,7 +32,26 @@ ACCEPT_SCENARIO = {
     "reservation": "both",
 }
 
+# Same-timestamp collisions on the default 40-device fleet: every tick is
+# also a reservation rotation, scripted loads land on exact tick times and
+# deadlines swing three times per task.
+COLLISION_SCENARIO = {
+    "app_count": 24,
+    "deadline_variation_pct": 80,
+    "deadline_changes_per_task": 3,
+    "fluctuation_interval": 1.0,
+    "reservation_period": 1.0,
+    "scripted_utilisation": [[2.0, "c0d03", 0.05], [8.0, "c1d07", 0.03], [15.0, "c0d11", 0.9],
+                             [23.0, "c1d00", 0.04], [31.0, "c0d00", 0.05], [40.0, "c1d12", 0.6]],
+    "policy": "both",
+    "reservation": "both",
+}
+
 GOLDEN = {
+    "collision": (
+        "5faf2b97dd508d17442e7c962e38f8725f4bfc63ebf52fdb977181371e800c10",
+        "aeaa5d1d7c7ad37b3614ad853dff296f7026fa6ba98239151264b994ad5e6ebc",
+    ),
     "fd-table": (
         "bfb603a604fd881ae40e5d6a2c6bf2ad6b437250a4bb0b33958ccd0883311430",
         "e4a5cc738093c2e8e13cec14b929345e886a399aa9b5a4707bdd09f686895a97",
@@ -51,9 +70,12 @@ GOLDEN = {
 def _config_path(name, tmp_path):
     if name == "fd-table":
         return "fixtures/fd-table"
-    apps = int(name.split("-")[1])
+    if name == "collision":
+        scenario = COLLISION_SCENARIO
+    else:
+        scenario = dict(ACCEPT_SCENARIO, app_count=int(name.split("-")[1]))
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps({"scenario": dict(ACCEPT_SCENARIO, app_count=apps)}))
+    path.write_text(json.dumps({"scenario": scenario}))
     return str(path)
 
 
