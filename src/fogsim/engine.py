@@ -12,6 +12,10 @@ worked example's arithmetic holds: a factor above 1 speeds progress up).
 Physical shares never exceed free capacity, so utilisation plus
 allocation stays within the device budget at every event. The live
 fluctuation history feeds the *scoring* factor only.
+
+Rankings score candidates from the engine's own node state. Each node keeps
+one pending completion event, for its earliest finisher, and one tick event
+per fluctuation interval steps every device in fleet order.
 """
 
 from __future__ import annotations
@@ -25,8 +29,9 @@ from dataclasses import dataclass, field
 from .metrics import RunTrace, account
 from .model import Application, FogNode, NetworkLink, Task, Tier
 from .network import link_bandwidth, link_delay, processing_delay
-from .policies import baseline_allocate, handle_deadline_change, mc_allocate, reserve
-from .scoring import cpu_fluctuation_rate, migration_time, throughput_by_distance
+from .policies import migration_bound_ok, migration_order, rank, reserve
+from .scoring import (availability_score, battery_minutes, completion_time,
+                      cpu_fluctuation_rate, execution_time, throughput_by_distance)
 
 TASK_STAGGER = 0.15  # seconds between the submissions of one application's tasks
 SPIKE_THRESHOLD = 0.10  # available fraction below which a native-load spike reopens migration
@@ -204,7 +209,6 @@ class _TaskRt:
     rate: float = 0.0
     progress: float = 0.0
     last_update: float = 0.0
-    version: int = 0
     start_time: float | None = None
     active_time: float = 0.0
     uplink: float = 0.0
@@ -220,13 +224,15 @@ class _TaskRt:
 class _NodeRt:
     node: FogNode
     cluster: int
-    link: NetworkLink
+    rtt: float  # link round-trip, seconds
+    move_bw: float  # link bandwidth de-rated by the distance throughput, bits/s
     t_bd: float
     base_drain: float
     available: float
     yield_factor: float = 1.0  # fixed fraction of free cycles usable for fog work
     running: dict[str, _TaskRt] = field(default_factory=dict)
     pending: int = 0  # placements/migrations already bound for this node
+    version: int = 0  # bumped by every replan; only the latest ``done`` event is live
     window_count: int = 0
     window_last: float = 0.0
 
@@ -314,7 +320,8 @@ class Simulation:
             transmission_rate=bandwidth,
         )
         drain = sum(node.discharge_rates) or 0.2
-        rt = _NodeRt(node=node, cluster=cluster, link=link, t_bd=t_bd,
+        rt = _NodeRt(node=node, cluster=cluster, rtt=link_delay(link),
+                     move_bw=link_bandwidth(link) * t_bd, t_bd=t_bd,
                      base_drain=drain, available=1.0 - node.native_utilisation,
                      yield_factor=node.caf_score)
         self.nodes[node.id] = rt
@@ -338,14 +345,17 @@ class Simulation:
         trt.last_update = self.now
 
     def _replan(self, nrt: _NodeRt) -> None:
-        """Recompute shares for every task on a node and reschedule completions.
+        """Recompute shares for every task on a node and reschedule its next completion.
 
         Free capacity is split equally, except that with reservation active
         peer-cluster tasks are down-weighted by the unreserved fraction:
         the held-back capacity flows to the node's own cluster. The split
         stays work-conserving, so total allocation never exceeds free
-        capacity.
+        capacity. The node keeps one pending ``done`` event, for its
+        earliest finisher (ties go to the first task in ``running`` order);
+        the version bump makes any earlier one stale.
         """
+        nrt.version += 1
         n = len(nrt.running)
         if n == 0:
             return
@@ -363,6 +373,7 @@ class Simulation:
         load = nrt.node.cpu_capacity * (1.0 - nrt.available) + allocated
         self.max_load_ratio = max(self.max_load_ratio, load / nrt.node.cpu_capacity)
         base_rate = _share_rate(nrt, weight_sum)
+        first, first_time = None, math.inf
         for trt in nrt.running.values():
             self._progress(trt)
             if n_own and n_peer and trt.cluster != nrt.cluster:
@@ -376,12 +387,11 @@ class Simulation:
                 if was_on_time and now_late:
                     trt.no_target = False  # slowdown crossed the deadline boundary
             trt.rate = rate
-            trt.version += 1
             remaining = trt.task.length - trt.progress
-            if remaining <= 1e-9:
-                self._push(self.now, "done", trt.task.id, (trt.version,))
-            else:
-                self._push(self.now + remaining / rate, "done", trt.task.id, (trt.version,))
+            finish = self.now if remaining <= 1e-9 else self.now + remaining / rate
+            if finish < first_time:
+                first, first_time = trt, finish
+        self._push(first_time, "done", nrt.node.id, (nrt.version, first.task.id))
 
     def _projected_completion(self, trt: _TaskRt) -> float:
         if trt.node_id is None or trt.rate <= 0:
@@ -389,39 +399,52 @@ class Simulation:
         remaining = trt.task.length - trt.progress
         return self.now + max(remaining, 0.0) / trt.rate
 
-    # -- scoring snapshots --------------------------------------------------
+    # -- scoring ------------------------------------------------------------
 
-    def _prep_snapshot(self, nrt: _NodeRt, extra_tasks: int = 1,
-                       requester_cluster: int | None = None) -> None:
-        node = nrt.node
-        n_next = len(nrt.running) + nrt.pending + extra_tasks
+    def _completion(self, task: Task, nrt: _NodeRt, n_next: int, peer: bool) -> float:
+        """``C_t`` of the task on the node once it runs ``n_next`` tasks.
+
+        The free fraction is the available fraction per share; reserved
+        capacity is not advertised to a peer-cluster requester.
+        """
         avail = nrt.available
-        if (requester_cluster is not None and requester_cluster != nrt.cluster
-                and self.sc.reservation):
-            # reserved capacity is not advertised to peer clusters
-            avail = max(avail - node.reservation.reserved_value / node.cpu_capacity, 0.0)
-        node.free_resource_fraction = max(min(avail / max(n_next, 1), 1.0), 1e-6)
-        if node.tier is Tier.FOG_DEVICE:
-            node.discharge_rates = [nrt.base_drain] * max(n_next, 1)
+        if peer and self.sc.reservation:
+            avail = max(avail - nrt.node.reservation.reserved_value / nrt.node.cpu_capacity, 0.0)
+        free = max(min(avail / max(n_next, 1), 1.0), 1e-6)
+        return completion_time(execution_time(task, nrt.node), free, nrt.node.caf_score, nrt.t_bd)
 
-    def _candidates(self, exclude: str | None = None,
-                    requester_cluster: int | None = None) -> list[FogNode]:
-        out = []
-        for nid in self.device_ids:
-            if nid == exclude:
-                continue
-            nrt = self.nodes[nid]
-            self._prep_snapshot(nrt, requester_cluster=requester_cluster)
-            out.append(nrt.node)
-        return out
+    def _ranking(self, trt: _TaskRt, nodes: list[_NodeRt]) -> list[str]:
+        """Node ids in the policy's fresh-request order for the task."""
+        task = trt.task
+        if self.sc.policy == "baseline":
+            return rank([(execution_time(task, nrt.node) + nrt.rtt, nrt.node.id)
+                         for nrt in nodes])
+        return rank([(self._completion(task, nrt, len(nrt.running) + nrt.pending + 1,
+                                       nrt.cluster != trt.cluster), nrt.node.id)
+                     for nrt in nodes])
 
-    def _links(self) -> dict[str, NetworkLink]:
-        return {nid: self.nodes[nid].link for nid in self.device_ids}
+    def _migration_search(self, trt: _TaskRt, current: _NodeRt, others: list[_NodeRt],
+                          budget: float) -> list[tuple[str, float, float, float]] | None:
+        """The other nodes' ``(id, C_t, A_s, M_t)`` rows in migration order.
+
+        ``None`` when the current node still meets the deadline.
+        """
+        task = trt.task
+        if self._completion(task, current, len(current.running) + current.pending,
+                            peer=False) < budget:
+            return None
+        rows = []
+        for nrt in others:
+            n_next = len(nrt.running) + nrt.pending + 1
+            c_t = self._completion(task, nrt, n_next, nrt.cluster != trt.cluster)
+            a_v = battery_minutes(nrt.node.battery_charge, [nrt.base_drain] * n_next)
+            rows.append((nrt.node.id, c_t, availability_score(a_v, c_t),
+                         task.data_size / nrt.move_bw))
+        return migration_order(rows, budget)
 
     def _uplink_time(self, nrt: _NodeRt, data_bits: float) -> float:
         # transfers contend with other in-flight transfers, not with executing tasks
-        eff = link_bandwidth(nrt.link) * nrt.t_bd / (nrt.pending + 1)
-        return data_bits / eff + link_delay(nrt.link) / 2.0
+        return data_bits / (nrt.move_bw / (nrt.pending + 1)) + nrt.rtt / 2.0
 
     # -- admission ----------------------------------------------------------
 
@@ -445,25 +468,18 @@ class Simulation:
 
     # -- allocation -----------------------------------------------------------
 
-    def _rank(self, trt: _TaskRt, candidates: list[FogNode]) -> list[FogNode]:
-        if self.sc.policy == "baseline":
-            return baseline_allocate(trt.task, candidates, links=self._links())
-        return mc_allocate(trt.task, candidates) or []
-
     def _place_fresh(self, trt: _TaskRt) -> None:
-        candidates = self._candidates(requester_cluster=trt.cluster)
-        order = self._rank(trt, candidates)
+        order = [self.nodes[nid] for nid in
+                 self._ranking(trt, [self.nodes[nid] for nid in self.device_ids])]
         chosen = None
-        for node in order:
-            nrt = self.nodes[node.id]
+        for nrt in order:
             transfer = self._uplink_time(nrt, trt.task.data_size)
             if self._admits(nrt, trt, peer=nrt.cluster != trt.cluster, transfer=transfer):
                 chosen = nrt
                 break
         if chosen is None:  # nothing meets the deadline: spread the overload at home
-            own = [n for n in order if self.nodes[n.id].cluster == trt.cluster]
-            pool = own or order
-            chosen = min((self.nodes[n.id] for n in pool),
+            own = [nrt for nrt in order if nrt.cluster == trt.cluster]
+            chosen = min(own or order,
                          key=lambda nrt: (len(nrt.running) + nrt.pending, nrt.node.id))
         uplink = self._uplink_time(chosen, trt.task.data_size)
         trt.uplink = uplink
@@ -479,45 +495,42 @@ class Simulation:
         self._progress(trt)
         trt.task.completed_work = min(trt.progress, trt.task.length)
         budget = trt.deadline_abs - self.now
-        candidates = self._candidates(exclude=trt.node_id, requester_cluster=trt.cluster)
-        if not candidates or budget <= 0:
+        others = [self.nodes[nid] for nid in self.device_ids if nid != trt.node_id]
+        if not others or budget <= 0:
             trt.flagged = True
             trt.no_target = True
             return
-        migration_times = {n.id: migration_time(trt.task, self.nodes[n.id].link)
-                           for n in candidates}
         if self.sc.policy == "baseline":
-            target_id = baseline_allocate(trt.task, candidates, links=self._links())[0].id
+            target = self.nodes[self._ranking(trt, others)[0]]
         else:
-            self._prep_snapshot(current, extra_tasks=0)
-            decision = handle_deadline_change(trt.task, candidates, budget, current=current.node,
-                                              migration_times=migration_times)
-            if decision.ranked:  # the paper reserves on every migration search
-                self._refresh_reservations(decision.ranked)
-            if decision.target_id is None:
-                trt.flagged = trt.flagged or decision.violation_flagged
+            ordered = self._migration_search(trt, current, others, budget)
+            if ordered is None:  # the current node still meets the deadline
                 trt.no_target = True
                 return
-            target_id = decision.target_id
+            # the paper reserves on every migration search
+            self._refresh_reservations(row[0] for row in ordered)
+            if not migration_bound_ok(ordered[0], budget):
+                trt.flagged = True
+                trt.no_target = True
+                return
+            target = self.nodes[ordered[0][0]]
         # moving must actually beat staying, transfer included
-        target = self.nodes[target_id]
+        move_time = trt.task.data_size / target.move_bw
         remaining = trt.task.length - trt.progress
         prospective = _share_rate(target, len(target.running) + target.pending + 1)
-        move_total = migration_times[target_id] + remaining / max(prospective, 1e-9)
+        move_total = move_time + remaining / max(prospective, 1e-9)
         stay = self._projected_completion(trt) - self.now
         if move_total >= stay:
             trt.no_target = True
             return
-        move_time = migration_times[target_id]
         target.pending += 1
         del current.running[trt.task.id]
         trt.node_id = None
         trt.rate = 0.0
-        trt.version += 1
         trt.migrations += 1
         trt.migration_time_total += move_time
         self._replan(current)
-        self._push(self.now + move_time, "migrate", trt.task.id, (target_id,))
+        self._push(self.now + move_time, "migrate", trt.task.id, (target.node.id,))
 
     # -- reservation ----------------------------------------------------------
 
@@ -588,9 +601,15 @@ class Simulation:
         nrt.running[trt.task.id] = trt
         self._replan(nrt)
 
-    def _on_fluct(self, node_id: str) -> None:
-        nrt = self.nodes[node_id]
-        rng = self._fluct_rng[node_id]
+    def _on_tick(self) -> None:
+        """Step every device's load, in fleet order, then schedule the next tick."""
+        for nid in self.device_ids:
+            self._fluctuate(self.nodes[nid])
+        if self.remaining > 0:
+            self._push(self.now + self.sc.fluctuation_interval, "fluct")
+
+    def _fluctuate(self, nrt: _NodeRt) -> None:
+        rng = self._fluct_rng[nrt.node.id]
         nrt.available = next_fluctuation(nrt.available, self.sc.utilisation_band, rng,
                                          self.sc.min_available)
         node = nrt.node
@@ -602,6 +621,8 @@ class Simulation:
             if rate > 0:  # a flat history keeps the configured score
                 lo, hi = self.sc.caf_range
                 node.caf_score = min(max(rate / 100.0, lo), hi)
+        if not nrt.running:  # an idle device has nothing to replan or migrate
+            return
         self._replan(nrt)
         choked = nrt.available < SPIKE_THRESHOLD
         for tid in sorted(nrt.running):
@@ -610,8 +631,6 @@ class Simulation:
                 trt.no_target = False  # a choke reopens the search
             if not trt.no_target and self._projected_completion(trt) > trt.deadline_abs:
                 self._attempt_migration(trt)
-        if self.remaining > 0:
-            self._push(self.now + self.sc.fluctuation_interval, "fluct", node_id)
 
     def _on_deadline(self, trt: _TaskRt, factor: float) -> None:
         if trt.done:
@@ -653,8 +672,7 @@ class Simulation:
         for when, node_id, available in sc.scripted_utilisation:
             self._push(when, "script", node_id, (available,))
         if self.remaining > 0:
-            for nid in self.device_ids:
-                self._push(sc.fluctuation_interval, "fluct", nid)
+            self._push(sc.fluctuation_interval, "fluct")
             if sc.reservation:
                 self._push(sc.reservation_period, "rotate")
 
@@ -666,12 +684,10 @@ class Simulation:
                     f"simulation exceeded max_sim_time={sc.max_sim_time}; "
                     f"{self.remaining} tasks unfinished (fleet overloaded?)")
             if kind == "done":
-                trt = self.tasks.get(key)
-                if trt is None or trt.done or payload[0] != trt.version:
-                    continue
+                if payload[0] != self.nodes[key].version:
+                    continue  # the node replanned since this completion was scheduled
+                trt = self.tasks[payload[1]]
                 self._progress(trt)
-                if trt.progress < trt.task.length - 1e-6 * max(trt.task.length, 1.0):
-                    continue  # stale completion after replanning
                 self._finish(trt)
             elif kind == "app":
                 self._on_app(self._apps[key])
@@ -680,7 +696,7 @@ class Simulation:
             elif kind == "arrive":
                 self._on_arrive(self.tasks[key], payload[0])
             elif kind == "fluct":
-                self._on_fluct(key)
+                self._on_tick()
             elif kind == "deadline":
                 trt = self.tasks.get(key)
                 if trt is not None:

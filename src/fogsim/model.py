@@ -37,11 +37,12 @@ class ReservationState:
 class FogNode:
     """A compute node: fog device, fog server, or cloud endpoint.
 
-    ``free_resource_fraction`` and ``caf_score`` are scoring inputs kept up
-    to date by the engine; ``fluctuation_history`` holds per-interval
-    available-CPU percentages from which the fluctuation score is derived.
-    ``native_utilisation`` is the load at the start of a run; the engine
-    tracks the live load itself.
+    ``free_resource_fraction`` and ``discharge_rates`` are the scoring
+    inputs of a node snapshot. The engine never writes them: it takes a
+    base drain from ``discharge_rates`` and the starting load from
+    ``native_utilisation`` when it builds its fleet, and then tracks the
+    live load itself. It keeps ``caf_score`` up to date from
+    ``fluctuation_history``, the per-interval available-CPU percentages.
     """
 
     id: str

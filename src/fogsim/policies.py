@@ -8,14 +8,17 @@ fastest one. The baseline comparator ranks by raw execution time plus link
 round-trip only, ignoring every other device characteristic.
 
 Every function here is a pure query: it reads nodes and tasks and writes
-nothing. The engine applies the decisions, reservations included.
+nothing. The engine applies the decisions, reservations included. It
+scores candidates from its own state and orders them with the row-based
+functions (:func:`rank`, :func:`migration_order`); the ``FogNode``
+functions score node snapshots and order them with the same ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import FogNode, NetworkLink, ScoreCard, Task
+from .model import FogNode, NetworkLink, Task
 from .network import link_delay
 from .scoring import execution_time, score_device
 
@@ -28,34 +31,35 @@ class MigrationDecision:
     violation_flagged: bool  # no node can meet the deadline
 
 
-def _score_all(
-    task: Task,
-    candidates: list[FogNode],
-    migration_times: dict[str, float] | None = None,
-) -> list[ScoreCard]:
-    cards = []
-    for node in candidates:
-        override = migration_times.get(node.id) if migration_times else None
-        cards.append(score_device(task, node, migration_override=override))
-    return cards
+def rank(rows: list[tuple[float, str]]) -> list[str]:
+    """Node ids of ``(cost, node id)`` rows, ascending by cost, ties broken on node id.
+
+    The fresh-request order: cost is ``C_t`` for the multi-criteria policy
+    and ``E_t`` plus the link round-trip for the baseline.
+    """
+    return [node_id for _, node_id in sorted(rows)]
 
 
-def _migration_bound_ok(card: ScoreCard, deadline: float) -> bool:
-    """A node stays a migration target while ``C_t < deadline + M_t``."""
-    return card.completion_time < deadline + card.migration_time
+def migration_bound_ok(row: tuple[str, float, float, float], deadline: float) -> bool:
+    """A ``(node id, C_t, A_s, M_t)`` row stays a migration target while ``C_t < deadline + M_t``."""
+    return row[1] < deadline + row[3]
 
 
-def _migration_order(cards: list[ScoreCard], deadline: float) -> list[ScoreCard]:
-    """Deadline-feasible nodes first (highest availability score), then the rest."""
-    feasible = [c for c in cards if c.completion_time < deadline]
-    rest = [c for c in cards if c.completion_time >= deadline]
-    feasible.sort(key=lambda c: (-c.availability_score, c.node_id))
-    rest.sort(key=lambda c: (c.completion_time, c.node_id))
+def migration_order(rows: list[tuple[str, float, float, float]],
+                    deadline: float) -> list[tuple[str, float, float, float]]:
+    """``(node id, C_t, A_s, M_t)`` rows in migration order.
+
+    Deadline-feasible nodes come first (highest availability score), then
+    the rest by completion time; nodes outside even the migration bound
+    sink to the back. The first row is the target when it is in bound.
+    """
+    feasible = [r for r in rows if r[1] < deadline]
+    rest = [r for r in rows if r[1] >= deadline]
+    feasible.sort(key=lambda r: (-r[2], r[0]))
+    rest.sort(key=lambda r: (r[1], r[0]))
     ordered = feasible + rest
-    # nodes outside even the migration bound sink to the back
-    in_bound = [c for c in ordered if _migration_bound_ok(c, deadline)]
-    out_bound = [c for c in ordered if not _migration_bound_ok(c, deadline)]
-    return in_bound + out_bound
+    return ([r for r in ordered if migration_bound_ok(r, deadline)]
+            + [r for r in ordered if not migration_bound_ok(r, deadline)])
 
 
 def mc_allocate(task: Task, candidates: list[FogNode]) -> list[FogNode] | None:
@@ -68,9 +72,8 @@ def mc_allocate(task: Task, candidates: list[FogNode]) -> list[FogNode] | None:
     if not candidates:
         return None
     by_id = {n.id: n for n in candidates}
-    cards = _score_all(task, candidates)
-    ordered = sorted(cards, key=lambda c: (c.completion_time, c.node_id))
-    return [by_id[c.node_id] for c in ordered]
+    return [by_id[i] for i in rank([(score_device(task, n).completion_time, n.id)
+                                    for n in candidates])]
 
 
 def reserve(devices: list[FogNode]) -> list[float]:
@@ -108,21 +111,24 @@ def handle_deadline_change(
     is flagged as a prospective violation. Whenever candidates were ranked,
     the engine refreshes their reservations (see :func:`reserve`).
     """
-    if current is not None:
-        current_card = score_device(task, current)
-        if current_card.completion_time < new_deadline:
-            return MigrationDecision(None, (), (), False)
+    if current is not None and score_device(task, current).completion_time < new_deadline:
+        return MigrationDecision(None, (), (), False)
     others = [n for n in candidates if current is None or n.id != current.id]
     if not others:
         return MigrationDecision(None, (), (), True)
-    cards_list = _score_all(task, others, migration_times)
-    ordered = _migration_order(cards_list, new_deadline)
-    ranked = tuple(c.node_id for c in ordered)
-    in_bound = [c for c in ordered if _migration_bound_ok(c, new_deadline)]
-    feasible = tuple(c.node_id for c in in_bound if c.completion_time < new_deadline)
+    rows = []
+    for node in others:
+        override = migration_times.get(node.id) if migration_times else None
+        card = score_device(task, node, migration_override=override)
+        rows.append((node.id, card.completion_time, card.availability_score,
+                     card.migration_time))
+    ordered = migration_order(rows, new_deadline)
+    ranked = tuple(r[0] for r in ordered)
+    in_bound = [r for r in ordered if migration_bound_ok(r, new_deadline)]
+    feasible = tuple(r[0] for r in in_bound if r[1] < new_deadline)
     if not in_bound:
         return MigrationDecision(None, ranked, (), True)
-    return MigrationDecision(in_bound[0].node_id, ranked, feasible, False)
+    return MigrationDecision(in_bound[0][0], ranked, feasible, False)
 
 
 def baseline_allocate(
@@ -134,8 +140,9 @@ def baseline_allocate(
 
     Deliberately blind to free resources, fluctuation, battery and distance.
     """
-    def key(node: FogNode):
+    def cost(node: FogNode) -> float:
         delay = link_delay(links[node.id]) if links and node.id in links else 0.0
-        return (execution_time(task, node) + delay, node.id)
+        return execution_time(task, node) + delay
 
-    return sorted(candidates, key=key)
+    by_id = {n.id: n for n in candidates}
+    return [by_id[i] for i in rank([(cost(n), n.id) for n in candidates])]

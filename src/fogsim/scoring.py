@@ -59,10 +59,15 @@ def availability(node: FogNode) -> float:
     """
     if node.tier is not Tier.FOG_DEVICE:
         return MAINS_AVAILABILITY_MINUTES
-    total_drain = sum(node.discharge_rates)
+    return battery_minutes(node.battery_charge, node.discharge_rates)
+
+
+def battery_minutes(charge: float, drains: list[float]) -> float:
+    """Minutes until a battery at ``charge`` percent runs out under the summed drains."""
+    total_drain = sum(drains)
     if total_drain <= 0:
-        raise UndefinedAvailabilityError(f"node {node.id} has no discharge rates")
-    return node.battery_charge / total_drain
+        raise UndefinedAvailabilityError("battery node has no discharge rates")
+    return charge / total_drain
 
 
 def throughput_by_distance(node: FogNode) -> float:
@@ -76,11 +81,9 @@ def cpu_fluctuation_rate(history: list[float]) -> float:
     """Mean percent change between consecutive available-CPU samples."""
     if len(history) < 2:
         raise InsufficientHistoryError("need at least two samples")
-    steps = []
-    for prev, cur in zip(history, history[1:]):
-        if prev <= 0:
-            raise ValueError("history samples must be > 0")
-        steps.append(abs(cur - prev) / prev * 100.0)
+    if min(history[:-1]) <= 0:
+        raise ValueError("history samples must be > 0")
+    steps = [abs(cur - prev) / prev * 100.0 for prev, cur in zip(history, history[1:])]
     return sum(steps) / len(steps)
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,8 +19,16 @@ from fogsim.engine import (
 )
 from fogsim.fixtures import fd_table_task
 from fogsim.metrics import build_report
-from fogsim.model import PriceBook, ReservationState, SlaTerms
-from fogsim.scoring import cpu_fluctuation_rate, throughput_by_distance
+from fogsim.model import NetworkLink, PriceBook, ReservationState, SlaTerms
+from fogsim.network import link_bandwidth, link_delay, processing_delay
+from fogsim.policies import (
+    MigrationDecision,
+    baseline_allocate,
+    handle_deadline_change,
+    mc_allocate,
+    migration_bound_ok,
+)
+from fogsim.scoring import cpu_fluctuation_rate, migration_time, throughput_by_distance
 
 
 def small_scenario(**overrides):
@@ -27,6 +36,19 @@ def small_scenario(**overrides):
         seed=1, app_count=6, clusters=2, devices_per_cluster=3,
         submit_interval=4.0, fluctuation_interval=2.0,
         deadline_range=(6.0, 16.0), reservation_period=20.0,
+        distance_range=(5.0, 30.0), device_mips=(3000.0, 6000.0),
+        initial_utilisation=(0.2, 0.55),
+    )
+    base.update(overrides)
+    return Scenario(**base)
+
+
+def accept_scenario(**overrides):
+    """The acceptance scenario (tests/test_acceptance.py) at 70 apps."""
+    base = dict(
+        app_count=70, clusters=2, devices_per_cluster=6, submit_interval=5.0,
+        fluctuation_interval=2.0, deadline_range=(6.0, 16.0), reservation_period=60.0,
+        cluster_block=4, admission_optimism=1.5, reservation_cap_fraction=0.3,
         distance_range=(5.0, 30.0), device_mips=(3000.0, 6000.0),
         initial_utilisation=(0.2, 0.55),
     )
@@ -232,13 +254,7 @@ class TestDeterminismAndConservation:
 
 class TestRecordAccounting:
     def test_internal_messages_count_subtasks_migrations_and_cloud(self):
-        # the acceptance scenario (tests/test_acceptance.py) at 70 apps
-        scenario = Scenario(
-            app_count=70, clusters=2, devices_per_cluster=6, submit_interval=5.0,
-            fluctuation_interval=2.0, deadline_range=(6.0, 16.0), reservation_period=60.0,
-            cluster_block=4, admission_optimism=1.5, reservation_cap_fraction=0.3,
-            distance_range=(5.0, 30.0), device_mips=(3000.0, 6000.0),
-            initial_utilisation=(0.2, 0.55))
+        scenario = accept_scenario()
         sim = Simulation(scenario)
         trace = sim.run()
         tasks = sim.tasks.values()
@@ -256,20 +272,113 @@ class TestWorkConservation:
     @pytest.mark.parametrize("policy,reservation",
                              [("mc", True), ("baseline", True), ("mc", False)])
     def test_integrated_progress_matches_length(self, policy, reservation):
-        # the acceptance scenario (tests/test_acceptance.py) at 70 apps; the
-        # progress the engine integrates, not the completed_work _finish sets
-        scenario = Scenario(
-            app_count=70, clusters=2, devices_per_cluster=6, submit_interval=5.0,
-            fluctuation_interval=2.0, deadline_range=(6.0, 16.0), reservation_period=60.0,
-            cluster_block=4, admission_optimism=1.5, reservation_cap_fraction=0.3,
-            distance_range=(5.0, 30.0), device_mips=(3000.0, 6000.0),
-            initial_utilisation=(0.2, 0.55), policy=policy, reservation=reservation)
-        sim = Simulation(scenario)
+        # the progress the engine integrates, not the completed_work _finish sets
+        sim = Simulation(accept_scenario(policy=policy, reservation=reservation))
         sim.run()
         assert len(sim.tasks) == 700
         for trt in sim.tasks.values():
             assert trt.done
             assert abs(trt.progress - trt.task.length) <= 1e-9 * trt.task.length, trt.task.id
+
+
+def _snapshot(sim, nrt, n_next, peer):
+    """The ``FogNode`` a ranking scores: the engine's node over ``n_next`` shares.
+
+    The free fraction is the available fraction per share, with reserved
+    capacity hidden from a peer-cluster requester; each share adds one base
+    drain. A copy, so the engine's nodes stay untouched.
+    """
+    avail = nrt.available
+    if peer and sim.sc.reservation:
+        avail = max(avail - nrt.node.reservation.reserved_value / nrt.node.cpu_capacity, 0.0)
+    n = max(n_next, 1)
+    return dataclasses.replace(nrt.node, free_resource_fraction=max(min(avail / n, 1.0), 1e-6),
+                               discharge_rates=[nrt.base_drain] * n)
+
+
+def _device_link(sim, nrt):
+    """A generated device's link, built from the scenario as the engine's fleet is."""
+    bw = sim.sc.device_bandwidth
+    per_frame = processing_delay(sim.sc.frame_bits, bw)
+    return NetworkLink(endpoint_bandwidths=(bw, bw), capacity=bw, medium_throughput=nrt.t_bd,
+                       propagation_delay=nrt.node.distance / 1000.0 * 5e-6,
+                       processing_delay=per_frame, transmission_delay=per_frame,
+                       frame_length=sim.sc.frame_bits, transmission_rate=bw)
+
+
+class TestRankingFromEngineState:
+    """The engine ranks from its own state; the FogNode policies are the oracle."""
+
+    @pytest.mark.parametrize("policy", ["mc", "baseline"])
+    def test_orders_and_targets_match_fognode_policies(self, policy):
+        sim = Simulation(accept_scenario(policy=policy, reservation=True))
+        links = {nid: _device_link(sim, sim.nodes[nid]) for nid in sim.device_ids}
+        for nid, link in links.items():
+            assert sim.nodes[nid].rtt == link_delay(link)
+            assert sim.nodes[nid].move_bw == link_bandwidth(link) * sim.nodes[nid].t_bd
+        checked = Counter()
+        ranking, search = sim._ranking, sim._migration_search
+
+        def checked_ranking(trt, nodes):
+            order = ranking(trt, nodes)
+            snaps = [_snapshot(sim, nrt, len(nrt.running) + nrt.pending + 1,
+                               nrt.cluster != trt.cluster) for nrt in nodes]
+            if policy == "baseline":
+                want = baseline_allocate(trt.task, snaps, links=links)
+            else:
+                want = mc_allocate(trt.task, snaps)
+            assert order == [n.id for n in want]
+            checked["fresh" if len(nodes) == len(sim.device_ids) else "migration"] += 1
+            return order
+
+        def checked_search(trt, current, others, budget):
+            ordered = search(trt, current, others, budget)
+            snaps = [_snapshot(sim, nrt, len(nrt.running) + nrt.pending + 1,
+                               nrt.cluster != trt.cluster) for nrt in others]
+            decision = handle_deadline_change(
+                trt.task, snaps, budget,
+                current=_snapshot(sim, current, len(current.running) + current.pending, False),
+                migration_times={n.id: migration_time(trt.task, links[n.id]) for n in snaps})
+            if ordered is None:
+                assert decision == MigrationDecision(None, (), (), False)
+                checked["stay"] += 1
+                return ordered
+            target = ordered[0][0] if migration_bound_ok(ordered[0], budget) else None
+            assert decision.ranked == tuple(row[0] for row in ordered)
+            assert (decision.target_id, decision.violation_flagged) == (target, target is None)
+            checked["migration"] += 1
+            return ordered
+
+        sim._ranking, sim._migration_search = checked_ranking, checked_search
+        sim.run()
+        assert checked["fresh"] == 700 and checked["migration"] > 0
+        if policy == "mc":
+            assert checked["stay"] > 0
+
+    def test_one_live_completion_per_node_and_one_tick_per_interval(self):
+        sim = Simulation(accept_scenario())
+        ticks = []
+        push = sim._push
+
+        def checked_push(time, kind, key="", payload=()):
+            if kind == "done":
+                version = sim.nodes[key].version
+                assert payload[0] == version
+                assert not [e for e in sim._heap
+                            if e[2] == "done" and e[3] == key and e[4][0] == version]
+            elif kind == "fluct":
+                ticks.append(time)
+            push(time, kind, key, payload)
+
+        sim._push = checked_push
+        trace = sim.run()
+        interval = sim.sc.fluctuation_interval
+        expected = [interval]
+        while len(expected) < len(ticks):
+            expected.append(expected[-1] + interval)
+        assert ticks == expected
+        last = max(r.completion_time for r in trace.records)
+        assert ticks[-2] <= last <= ticks[-1]
 
 
 class TestDistanceThroughput:
