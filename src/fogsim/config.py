@@ -18,6 +18,7 @@ from .engine import (
     FLEET_SPEC_KEYS,
     TASK_SPEC_KEYS,
     Scenario,
+    Simulation,
     node_from_spec,
     task_from_spec,
 )
@@ -49,6 +50,7 @@ _SIGNED_FIELDS = {
     "device_bandwidth": False, "server_bandwidth": False,
     "max_supported_distance": False, "subtask_length": False, "task_length": False,
     "cloud_bandwidth": False, "cloud_processing_rate": False, "frame_bits": True,
+    "submit_interval": True, "admission_optimism": False, "max_sim_time": False,
 }
 
 # Integer scenario fields and their minimums; devices_per_cluster's is
@@ -103,7 +105,7 @@ def build_scenario(raw: dict) -> Scenario:
         if key in _TUPLE_FIELDS:
             value = _check_range(key, value)
         elif key == "scripted_utilisation":
-            value = tuple(tuple(item) for item in value)
+            value = _check_script(value)
         kwargs[key] = value
     scenario = Scenario(**kwargs)
     for name, low in _INT_FIELDS.items():
@@ -113,9 +115,10 @@ def build_scenario(raw: dict) -> Scenario:
             raise ConfigError(f"{name}: must be an integer >= {low}")
     if scenario.policy not in ("mc", "baseline"):
         raise ConfigError(f"policy: unknown policy {scenario.policy!r}")
-    if not 0.0 <= scenario.cloud_fraction <= 1.0:
+    if not (_is_number(scenario.cloud_fraction) and 0.0 <= scenario.cloud_fraction <= 1.0):
         raise ConfigError("cloud_fraction: must be within [0, 1]")
-    if scenario.deadline_variation_pct < 0 or scenario.deadline_variation_pct > 100:
+    if not (_is_number(scenario.deadline_variation_pct)
+            and 0.0 <= scenario.deadline_variation_pct <= 100.0):
         raise ConfigError("deadline_variation_pct: must be within [0, 100]")
     for name, zero_ok in _SIGNED_FIELDS.items():
         _check_sign(name, getattr(scenario, name), zero_ok)
@@ -133,7 +136,24 @@ def build_scenario(raw: dict) -> Scenario:
                           f"below max_supported_distance {scenario.max_supported_distance}")
     if scenario.explicit_workload is not None:
         _check_workload(scenario.explicit_workload)
+    if scenario.scripted_utilisation:
+        node_ids = Simulation(scenario).nodes
+        for i, (_, node_id, _) in enumerate(scenario.scripted_utilisation):
+            if node_id not in node_ids:
+                raise ConfigError(f"scripted_utilisation[{i}]: unknown node {node_id!r}")
     return scenario
+
+
+def _check_script(script) -> tuple:
+    """``[time >= 0, node id, available]`` entries; their ids are checked against the fleet later."""
+    if not isinstance(script, list):
+        raise ConfigError("scripted_utilisation: expected a list of [time, node id, available]")
+    for i, entry in enumerate(script):
+        if not (isinstance(entry, list) and len(entry) == 3 and _is_number(entry[0])
+                and entry[0] >= 0 and isinstance(entry[1], str) and _is_number(entry[2])):
+            raise ConfigError(f"scripted_utilisation[{i}]: expected [time >= 0, node id, "
+                              "available] with numbers for time and available")
+    return tuple(tuple(entry) for entry in script)
 
 
 def _check_fleet(scenario: Scenario) -> None:

@@ -79,6 +79,24 @@ BAD_SCALARS = [
     ("subtask_length", 0), ("task_length", 0), ("cloud_bandwidth", 0),
     ("cloud_processing_rate", 0), ("frame_bits", -1.0), ("min_available", 0),
     ("min_available", 0.98), ("reservation_cap_fraction", -0.1),
+    ("submit_interval", -5), ("submit_interval", "a"), ("admission_optimism", 0),
+    ("admission_optimism", "x"), ("max_sim_time", 0), ("max_sim_time", "1e6"),
+    ("cloud_fraction", "0.1"), ("cloud_fraction", 1.5), ("deadline_variation_pct", "20"),
+    ("deadline_variation_pct", None),
+]
+
+BAD_SCRIPTS = [
+    (5, r"^scripted_utilisation: expected a list"),
+    ({"t": 1.0}, r"^scripted_utilisation: expected a list"),
+    ([[1.0, "nodeX", 0.5]], r"^scripted_utilisation\[0\]: unknown node 'nodeX'"),
+    ([[1.0, "c0d00", 0.5], [2.0, "c9d00", 0.5]],
+     r"^scripted_utilisation\[1\]: unknown node 'c9d00'"),
+    ([[1.0, "c0d00"]], r"^scripted_utilisation\[0\]: expected \[time >= 0"),
+    ([[-1.0, "c0d00", 0.5]], r"^scripted_utilisation\[0\]: expected \[time >= 0"),
+    ([["1", "c0d00", 0.5]], r"^scripted_utilisation\[0\]: expected \[time >= 0"),
+    ([[1.0, 3, 0.5]], r"^scripted_utilisation\[0\]: expected \[time >= 0"),
+    ([[1.0, "c0d00", "low"]], r"^scripted_utilisation\[0\]: expected \[time >= 0"),
+    (["c0d00"], r"^scripted_utilisation\[0\]: expected \[time >= 0"),
 ]
 
 BAD_INTEGERS = [
@@ -177,6 +195,22 @@ class TestConfigLoading:
         "max_migrations_per_task", "deadline_changes_per_task"])
     def test_zero_floor_accepted(self, tmp_path, field):
         assert getattr(load_config(small_config(tmp_path, **{field: 0})).scenario, field) == 0
+
+    @pytest.mark.parametrize("script,message", BAD_SCRIPTS)
+    def test_bad_script_named(self, tmp_path, script, message):
+        with pytest.raises(ConfigError, match=message):
+            load_config(small_config(tmp_path, scripted_utilisation=script))
+
+    def test_script_on_fleet_nodes_accepted(self, tmp_path):
+        script = [[0.0, "c0d00", 0.5], [3.5, "c1d02", 0.05], [4.0, "c1s0", 0.9]]
+        cfg = load_config(small_config(tmp_path, scripted_utilisation=script))
+        assert cfg.scenario.scripted_utilisation == tuple(tuple(e) for e in script)
+        assert load_config(fleet_config(tmp_path)).scenario.scripted_utilisation == ()
+        path = tmp_path / "scripted-fleet.json"
+        path.write_text(json.dumps({"scenario": {"app_count": 1, "clusters": 1,
+                                                 "scripted_utilisation": [[1.0, "d0", 0.2]]},
+                                    "fleet": [{"id": "d0", "cpu_capacity": 4000.0}]}))
+        assert load_config(str(path)).scenario.scripted_utilisation == ((1.0, "d0", 0.2),)
 
     def test_fleet_waives_devices_per_cluster(self, tmp_path):
         path = tmp_path / "fleet0.json"
@@ -278,6 +312,13 @@ class TestRunCommand:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: must be") and "Traceback" not in err
+
+    @pytest.mark.parametrize("script", [5, [[1.0, "nodeX", 0.5]], [[-1.0, "c0d00", 0.5]]])
+    def test_bad_script_exit_code(self, tmp_path, capsys, script):
+        assert main(["run", small_config(tmp_path, scripted_utilisation=script),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: scripted_utilisation") and "Traceback" not in err
 
     @pytest.mark.parametrize("field,value", BAD_INTEGERS)
     def test_bad_integer_exit_code(self, tmp_path, capsys, field, value):
