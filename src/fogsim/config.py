@@ -11,17 +11,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 from pathlib import Path
 
-from .engine import (
-    APP_SPEC_KEYS,
-    FLEET_SPEC_KEYS,
-    TASK_SPEC_KEYS,
-    Scenario,
-    Simulation,
-    node_from_spec,
-    task_from_spec,
-)
+from .engine import (APP_SPEC_KEYS, FLEET_SPEC_KEYS, TASK_SPEC_KEYS, Scenario, Simulation,
+                     node_from_spec)
 from .fixtures import fd_table_scenario_config
 from .model import PriceBook, SlaTerms, Tier, validate
 
@@ -30,112 +24,146 @@ class ConfigError(ValueError):
     pass
 
 
-_RANGE_FIELDS = {
-    "battery_range": (0.0, 100.0),
-    "caf_range": (0.01, 10.0),
-    "utilisation_band": (0.0, 1.0),
-    "initial_utilisation": (0.0, 1.0),
-    "distance_range": (0.0, 1e6),
-    "deadline_range": (0.01, 1e6),
-    "device_mips": (1.0, 1e9),
-    "data_bytes_range": (1, 1 << 30),
-    "discharge_range": (0.001, 100.0),
-}
+@dataclasses.dataclass(frozen=True)
+class Rule:
+    """What one config number must be.
 
-_TUPLE_FIELDS = set(_RANGE_FIELDS)
+    A finite number, or an integer when ``integer`` is set, and never a
+    boolean, within ``low`` and ``high`` (both exclusive when ``open``).
+    ``shape`` 1 is one value, 2 a ``[low, high]`` pair with low <= high,
+    and 0 a list of any length.
+    """
 
-# Scalar scenario fields that must be numbers > 0 (False) or >= 0 (True).
-_SIGNED_FIELDS = {
-    "fluctuation_interval": False, "reservation_period": False,
-    "device_bandwidth": False, "server_bandwidth": False,
-    "max_supported_distance": False, "subtask_length": False, "task_length": False,
-    "cloud_bandwidth": False, "cloud_processing_rate": False, "frame_bits": True,
-    "submit_interval": True, "admission_optimism": False, "max_sim_time": False,
-}
+    integer: bool = False
+    low: float = -math.inf
+    high: float = math.inf
+    open: bool = False
+    shape: int = 1
 
-# Integer scenario fields and their minimums; devices_per_cluster's is
-# waived when an explicit fleet replaces the generated one.
-_INT_FIELDS = {
-    "app_count": 0, "clusters": 1, "devices_per_cluster": 1, "servers_per_cluster": 0,
-    "tasks_per_app": 1, "cluster_block": 1, "history_window": 2,
-    "max_migrations_per_task": 0, "deadline_changes_per_task": 0,
-}
+    def fits(self, v) -> bool:
+        if isinstance(v, bool) or not isinstance(v, int if self.integer else (int, float)):
+            return False
+        return (abs(v) <= sys.float_info.max  # rejects NaN, infinities and huge integers
+                and (self.low < v < self.high if self.open else self.low <= v <= self.high))
 
-# Likewise for each task of an explicit workload.
-_TASK_SIGNED_FIELDS = {"length": False, "data_size": True, "deadline": False,
-                       "submit_time": True}
+    def check(self, name: str, value):
+        """``value`` (a tuple for pairs and lists) if it obeys the rule; else name the field."""
+        items = [value] if self.shape == 1 else value
+        if not (isinstance(items, list) and len(items) == (self.shape or len(items))
+                and all(map(self.fits, items)) and (self.shape != 2 or items[0] <= items[1])):
+            raise ConfigError(f"{name}: must be {self.describe()}")
+        return value if self.shape == 1 else tuple(value)
 
-
-def _is_number(value) -> bool:
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _check_sign(name: str, value, zero_ok: bool) -> None:
-    if not _is_number(value) or value < 0 or (value == 0 and not zero_ok):
-        raise ConfigError(f"{name}: must be {'>=' if zero_ok else '>'} 0")
+    def describe(self) -> str:
+        kind = "an integer" if self.integer else ""
+        if self.high < math.inf:
+            left, right = "()" if self.open else "[]"
+            bounds = f"within {left}{self.low}, {self.high}{right}"
+        elif self.low > -math.inf:
+            bounds = f"{'>' if self.open else '>='} {self.low}"
+        else:
+            bounds, kind = "", kind or "a finite number"
+        what = " ".join(filter(None, (kind, bounds)))
+        return {1: what, 2: f"[low, high] with low <= high, each {what}",
+                0: f"a list, each {what}"}[self.shape]
 
 
-def _check_range(name: str, value) -> tuple:
-    lo_ok, hi_ok = _RANGE_FIELDS[name]
-    if (not isinstance(value, (list, tuple))) or len(value) != 2:
-        raise ConfigError(f"{name}: expected [low, high]")
-    integral = name == "data_bytes_range"  # bounds of rng.randint
-    if not all(_is_int(v) if integral else _is_number(v) for v in value):
-        raise ConfigError(f"{name}: bounds must be {'integers' if integral else 'numbers'}")
-    lo, hi = value
-    if lo > hi:
-        raise ConfigError(f"{name}: low bound {lo} exceeds high bound {hi}")
-    if lo < lo_ok or hi > hi_ok:
-        raise ConfigError(f"{name}: [{lo}, {hi}] outside permitted [{lo_ok}, {hi_ok}]")
-    return tuple(value)
+_NUMBER = Rule()
+_POSITIVE = Rule(low=0, open=True)
+_NON_NEGATIVE = Rule(low=0)
+_FRACTION = Rule(low=0, high=1)
 
 
-def build_scenario(raw: dict) -> Scenario:
-    """Turn the ``scenario`` section of a config into a Scenario, validating fields."""
-    known = {f.name for f in dataclasses.fields(Scenario)}
-    kwargs = {}
-    for key, value in raw.items():
-        if key not in known:
-            raise ConfigError(f"{key}: unknown scenario field")
-        if key in _TUPLE_FIELDS:
-            value = _check_range(key, value)
-        elif key == "scripted_utilisation":
-            value = _check_script(value)
-        kwargs[key] = value
-    scenario = Scenario(**kwargs)
-    for name, low in _INT_FIELDS.items():
-        value = getattr(scenario, name)
-        fleet_given = name == "devices_per_cluster" and scenario.explicit_fleet is not None
-        if not _is_int(value) or (value < low and not fleet_given):
-            raise ConfigError(f"{name}: must be an integer >= {low}")
-    if scenario.policy not in ("mc", "baseline"):
-        raise ConfigError(f"policy: unknown policy {scenario.policy!r}")
-    if not (_is_number(scenario.cloud_fraction) and 0.0 <= scenario.cloud_fraction <= 1.0):
-        raise ConfigError("cloud_fraction: must be within [0, 1]")
-    if not (_is_number(scenario.deadline_variation_pct)
-            and 0.0 <= scenario.deadline_variation_pct <= 100.0):
-        raise ConfigError("deadline_variation_pct: must be within [0, 100]")
-    for name, zero_ok in _SIGNED_FIELDS.items():
-        _check_sign(name, getattr(scenario, name), zero_ok)
-    # the fluctuation floor keeps every available fraction (and history sample) > 0
-    if not (_is_number(scenario.min_available) and 0.0 < scenario.min_available < 0.98):
-        raise ConfigError("min_available: must be within (0, 0.98)")
+def _count(low: float = -math.inf) -> Rule:
+    """An integer, at least ``low``."""
+    return Rule(integer=True, low=low)
+
+
+def _pair(low: float, high: float, integer: bool = False) -> Rule:
+    return Rule(integer=integer, low=low, high=high, shape=2)
+
+
+# One rule per number a config can set. Scenario fields are named bare in
+# messages; the other tables are named by their section or entry.
+SCENARIO_RULES = {
+    "seed": _count(), "app_count": _count(0), "clusters": _count(1),
+    "devices_per_cluster": _count(1), "servers_per_cluster": _count(0),
+    "tasks_per_app": _count(1), "cluster_block": _count(1), "history_window": _count(2),
+    "max_migrations_per_task": _count(0), "deadline_changes_per_task": _count(0),
+    "device_mips": _pair(1.0, 1e9), "distance_range": _pair(0.0, 1e6),
+    "battery_range": _pair(0.0, 100.0), "caf_range": _pair(0.01, 10.0),
+    "discharge_range": _pair(0.001, 100.0), "initial_utilisation": _pair(0.0, 1.0),
+    "utilisation_band": _pair(0.0, 1.0), "deadline_range": _pair(0.01, 1e6),
+    "data_bytes_range": _pair(1, 1 << 30, integer=True),  # bounds of rng.randint
+    "server_mips": _POSITIVE, "device_bandwidth": _POSITIVE, "server_bandwidth": _POSITIVE,
+    "max_supported_distance": _POSITIVE, "task_length": _POSITIVE,
+    "subtask_length": _POSITIVE, "fluctuation_interval": _POSITIVE,
+    "reservation_period": _POSITIVE, "admission_optimism": _POSITIVE,
+    "cloud_bandwidth": _POSITIVE, "cloud_processing_rate": _POSITIVE,
+    "max_sim_time": _POSITIVE, "submit_interval": _NON_NEGATIVE, "frame_bits": _NON_NEGATIVE,
+    "cloud_fraction": _FRACTION, "deadline_variation_pct": Rule(low=0, high=100),
     # stored reservations start at 0, so a cap >= 0 keeps every one within its cap
-    if not (_is_number(scenario.reservation_cap_fraction)
-            and 0.0 <= scenario.reservation_cap_fraction <= 1.0):
-        raise ConfigError("reservation_cap_fraction: must be within [0, 1]")
-    if scenario.explicit_fleet is not None:
+    "reservation_cap_fraction": _FRACTION,
+    # the fluctuation floor keeps every available fraction (and history sample) > 0
+    "min_available": Rule(low=0, high=0.98, open=True),
+}
+PRICE_RULES = {
+    "connectivity_unit": _NON_NEGATIVE, "messaging_unit": _NON_NEGATIVE,
+    "processing_unit": _NON_NEGATIVE, "data_unit": _POSITIVE,
+    "server_divisor": Rule(low=1), "device_divisor": Rule(low=1),
+}
+# ``SlaTerms.delay_time`` is per violation: the run sets it, a config cannot.
+SLA_RULES = {"base_penalty": _NON_NEGATIVE, "penalty_rate": _NON_NEGATIVE}
+TASK_RULES = {"length": _POSITIVE, "data_size": _NON_NEGATIVE, "deadline": _POSITIVE,
+              "submit_time": _NON_NEGATIVE}
+# Types only: ``model.validate`` checks the ranges of the node an entry builds.
+FLEET_RULES = {
+    "cpu_capacity": _NUMBER, "free_resource_fraction": _NUMBER,
+    "native_utilisation": _NUMBER, "battery_charge": _NUMBER,
+    "discharge_rates": Rule(shape=0), "distance": _NUMBER,
+    "max_supported_distance": _NUMBER, "caf_score": _NUMBER, "bandwidth": _NUMBER,
+    "cluster": _count(0),
+}
+
+
+def _read(where: str, raw, rules: dict, keys=frozenset(), required: tuple = ()) -> dict:
+    """``raw`` as one checked config object: each number by its rule (pairs as tuples).
+
+    Any other key must be in ``keys``; ``required`` keys must be present,
+    and a required ``id`` must be a string. Messages start with ``where``.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected an object")
+    bare = where == "scenario"
+    fields = {}
+    for key, value in raw.items():
+        name = key if bare else f"{where}.{key}"
+        if key in rules:
+            value = rules[key].check(name, value)
+        elif key not in keys:
+            raise ConfigError(f"{name}: unknown {'scenario field' if bare else 'field'}")
+        fields[key] = value
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"{where}.{key}: required field missing")
+    if "id" in required and not isinstance(raw["id"], str):
+        raise ConfigError(f"{where}.id: expected a string")
+    return fields
+
+
+def build_scenario(fields: dict, fleet: list | None = None,
+                   workload: list | None = None) -> Scenario:
+    """A Scenario from checked ``scenario`` fields and an optional explicit fleet and workload."""
+    if "scripted_utilisation" in fields:
+        fields = dict(fields, scripted_utilisation=_check_script(fields["scripted_utilisation"]))
+    scenario = Scenario(**fields, explicit_fleet=fleet, explicit_workload=workload)
+    if fleet is not None:
         _check_fleet(scenario)
     elif scenario.distance_range[1] >= scenario.max_supported_distance:
         raise ConfigError(f"distance_range: upper bound {scenario.distance_range[1]} must be "
                           f"below max_supported_distance {scenario.max_supported_distance}")
-    if scenario.explicit_workload is not None:
-        _check_workload(scenario.explicit_workload)
+    if workload is not None:
+        _check_workload(workload)
     if scenario.scripted_utilisation:
         node_ids = Simulation(scenario).nodes
         for i, (_, node_id, _) in enumerate(scenario.scripted_utilisation):
@@ -149,8 +177,8 @@ def _check_script(script) -> tuple:
     if not isinstance(script, list):
         raise ConfigError("scripted_utilisation: expected a list of [time, node id, available]")
     for i, entry in enumerate(script):
-        if not (isinstance(entry, list) and len(entry) == 3 and _is_number(entry[0])
-                and entry[0] >= 0 and isinstance(entry[1], str) and _is_number(entry[2])):
+        if not (isinstance(entry, list) and len(entry) == 3 and _NON_NEGATIVE.fits(entry[0])
+                and isinstance(entry[1], str) and _NUMBER.fits(entry[2])):
             raise ConfigError(f"scripted_utilisation[{i}]: expected [time >= 0, node id, "
                               "available] with numbers for time and available")
     return tuple(tuple(entry) for entry in script)
@@ -158,22 +186,20 @@ def _check_script(script) -> tuple:
 
 def _check_fleet(scenario: Scenario) -> None:
     """Reject fleet entries the engine could not build or whose node breaks an invariant."""
-    if not isinstance(scenario.explicit_fleet, list):
-        raise ConfigError("fleet: expected a list of objects")
     seen = set()
     devices = 0
     for i, spec in enumerate(scenario.explicit_fleet):
         where = f"fleet[{i}]"
-        _check_entry(where, spec, FLEET_SPEC_KEYS, ("id", "cpu_capacity"))
-        try:
-            node = node_from_spec(spec, scenario)
-            problems = validate(node)
-            if spec.get("bandwidth", 1.0) <= 0:
-                problems.append("bandwidth must be > 0")
-            if spec["id"] in seen:
-                problems.append(f"duplicate id {spec['id']!r}")
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: {exc}") from None
+        _read(where, spec, FLEET_RULES, FLEET_SPEC_KEYS, ("id", "cpu_capacity"))
+        if spec.get("tier", Tier.FOG_DEVICE) not in tuple(Tier):
+            raise ConfigError(f"{where}: {spec['tier']!r} is not a valid Tier; tier must be "
+                              f"one of {', '.join(t.value for t in Tier)}")
+        node = node_from_spec(spec, scenario)
+        problems = validate(node)
+        if spec.get("bandwidth", 1.0) <= 0:
+            problems.append("bandwidth must be > 0")
+        if spec["id"] in seen:
+            problems.append(f"duplicate id {spec['id']!r}")
         if problems:
             raise ConfigError(f"{where}: {'; '.join(problems)}")
         seen.add(spec["id"])
@@ -182,15 +208,13 @@ def _check_fleet(scenario: Scenario) -> None:
         raise ConfigError("fleet: needs at least one fog_device entry")
 
 
-def _check_workload(workload) -> None:
+def _check_workload(workload: list) -> None:
     """Reject workload entries the engine could not build or would run wrongly."""
-    if not isinstance(workload, list):
-        raise ConfigError("workload: expected a list of objects")
     app_ids = set()
     task_ids = set()
     for i, app in enumerate(workload):
         where = f"workload[{i}]"
-        _check_entry(where, app, APP_SPEC_KEYS, ("id", "tasks"))
+        _read(where, app, {}, APP_SPEC_KEYS, ("id", "tasks"))
         if app["id"] in app_ids:
             raise ConfigError(f"{where}.id: duplicate id {app['id']!r}")
         app_ids.add(app["id"])
@@ -200,53 +224,10 @@ def _check_workload(workload) -> None:
             raise ConfigError(f"{where}.tasks: expected a list of objects")
         for j, spec in enumerate(app["tasks"]):
             at = f"{where}.tasks[{j}]"
-            _check_entry(at, spec, TASK_SPEC_KEYS, ("id", "length", "data_size", "deadline"))
-            task = task_from_spec(spec, app["id"])
-            for name, zero_ok in _TASK_SIGNED_FIELDS.items():
-                _check_sign(f"{at}.{name}", getattr(task, name), zero_ok)
-            if task.id in task_ids:
-                raise ConfigError(f"{at}.id: duplicate id {task.id!r}")
-            task_ids.add(task.id)
-
-
-def _check_entry(where: str, spec, keys: frozenset, required: tuple) -> None:
-    """An object with only known keys, every required one, and a string ``id``."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{where}: expected an object")
-    for key in spec:
-        if key not in keys:
-            raise ConfigError(f"{where}.{key}: unknown field")
-    for key in required:
-        if key not in spec:
-            raise ConfigError(f"{where}.{key}: required field missing")
-    if not isinstance(spec["id"], str):
-        raise ConfigError(f"{where}.id: expected a string")
-
-
-def build_prices(raw: dict) -> PriceBook:
-    known = {f.name for f in dataclasses.fields(PriceBook)}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(f"prices.{key}: unknown field")
-    prices = PriceBook(**raw)
-    for name in ("connectivity_unit", "messaging_unit", "processing_unit"):
-        if getattr(prices, name) < 0:
-            raise ConfigError(f"prices.{name}: must be >= 0")
-    if prices.data_unit <= 0:
-        raise ConfigError("prices.data_unit: must be > 0")
-    if prices.server_divisor < 1 or prices.device_divisor < 1:
-        raise ConfigError("prices: tier divisors must be >= 1")
-    return prices
-
-
-def build_sla(raw: dict) -> SlaTerms:
-    for key in raw:
-        if key not in ("base_penalty", "penalty_rate"):
-            raise ConfigError(f"sla.{key}: unknown field")
-    terms = SlaTerms(**raw)
-    if terms.base_penalty < 0 or terms.penalty_rate < 0:
-        raise ConfigError("sla: penalties must be >= 0")
-    return terms
+            _read(at, spec, TASK_RULES, TASK_SPEC_KEYS, ("id", "length", "data_size", "deadline"))
+            if spec["id"] in task_ids:
+                raise ConfigError(f"{at}.id: duplicate id {spec['id']!r}")
+            task_ids.add(spec["id"])
 
 
 def expand_policy(value) -> list[str]:
@@ -293,21 +274,24 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"config file not found: {path}")
         try:
             data = json.loads(file.read_text())
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # also undecodable bytes and over-long integers
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
-    raw_scenario = dict(data.get("scenario", {}))
-    if "fleet" in data:
-        raw_scenario["explicit_fleet"] = data["fleet"]
-    if "workload" in data:
-        raw_scenario["explicit_workload"] = data["workload"]
-        if isinstance(data["workload"], list):
-            raw_scenario.setdefault("app_count", len(data["workload"]))
-    policy_set = expand_policy(raw_scenario.pop("policy", "mc"))
-    reservation_set = expand_reservation(raw_scenario.pop("reservation", True))
-    scenario = build_scenario(raw_scenario)
-    prices = build_prices(dict(data.get("prices", {})))
-    sla = build_sla(dict(data.get("sla", {})))
-    return RunConfig(scenario=scenario, prices=prices, sla=sla,
+    for key in ("fleet", "workload"):
+        if key in data and not isinstance(data[key], list):
+            raise ConfigError(f"{key}: expected a list of objects")
+    fleet, workload = data.get("fleet"), data.get("workload")
+    # devices_per_cluster only shapes a generated fleet
+    rules = SCENARIO_RULES if fleet is None else dict(SCENARIO_RULES,
+                                                      devices_per_cluster=_count(0))
+    fields = _read("scenario", data.get("scenario", {}), rules,
+                   {"policy", "reservation", "scripted_utilisation"})
+    policy_set = expand_policy(fields.pop("policy", "mc"))
+    reservation_set = expand_reservation(fields.pop("reservation", True))
+    if workload is not None:
+        fields.setdefault("app_count", len(workload))
+    return RunConfig(scenario=build_scenario(fields, fleet, workload),
+                     prices=PriceBook(**_read("prices", data.get("prices", {}), PRICE_RULES)),
+                     sla=SlaTerms(**_read("sla", data.get("sla", {}), SLA_RULES)),
                      policy_set=policy_set, reservation_set=reservation_set)

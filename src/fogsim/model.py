@@ -78,7 +78,7 @@ def validate(node: FogNode) -> list[str]:
         problems.append("battery_charge outside [0, 100]")
     for rate in node.discharge_rates:
         if rate <= 0:
-            problems.append("discharge rate must be > 0 when listed")
+            problems.append("discharge_rates must be > 0 when listed")
             break
     if node.max_supported_distance <= 0:
         problems.append("max_supported_distance must be > 0")

@@ -1,11 +1,16 @@
+import dataclasses
 import json
+import math
+import re
 
 import pytest
 
 from fogsim import experiments
 from fogsim.cli import main
-from fogsim.config import ConfigError, load_config
-from fogsim.engine import generate_workload
+from fogsim.config import (FLEET_RULES, PRICE_RULES, SCENARIO_RULES, SLA_RULES, TASK_RULES,
+                           ConfigError, load_config)
+from fogsim.engine import FLEET_SPEC_KEYS, TASK_SPEC_KEYS, Scenario, generate_workload
+from fogsim.model import PriceBook, SlaTerms
 from fogsim.experiments import CSV_COLUMNS, axis_cells, scenario_id
 
 
@@ -454,3 +459,98 @@ class TestSweepCommand:
         assert seeds.count("mean") == 6
         sids = [line.split(",")[0] for line in lines if "mean" not in line]
         assert sids[0] == scenario_id("battery", "BA1", "mc", True, 1)
+
+
+def run_config(tmp_path, data):
+    """Exit code of ``fogsim run`` on a config written from ``data``."""
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(data))
+    return main(["run", str(path), "--out", str(tmp_path / "o")])
+
+
+SMALL_SCENARIO = {"app_count": 2, "clusters": 2, "devices_per_cluster": 2}
+FLEET_DEVICE = {"id": "d0", "cpu_capacity": 4000.0, "distance": 10.0}
+
+# Configs that used to exit 1 with a traceback, run silently, or name no field.
+HOLES = [
+    pytest.param({"prices": {"data_unit": "x"}}, "prices.data_unit", id="prices-string"),
+    pytest.param({"sla": {"base_penalty": "x"}}, "sla.base_penalty", id="sla-string"),
+    pytest.param({"prices": [1]}, "prices", id="prices-not-object"),
+    pytest.param({"sla": 0.1}, "sla", id="sla-not-object"),
+    pytest.param({"scenario": [1]}, "scenario", id="scenario-not-object"),
+    pytest.param({"scenario": dict(SMALL_SCENARIO, seed="abc")}, "seed", id="seed-string"),
+    pytest.param({"scenario": dict(SMALL_SCENARIO, seed=1.5)}, "seed", id="seed-float"),
+    pytest.param({"scenario": dict(SMALL_SCENARIO, server_mips=-5)}, "server_mips",
+                 id="server-mips-negative"),
+    pytest.param({"scenario": dict(SMALL_SCENARIO, label=[1])}, "label", id="label"),
+    pytest.param({"scenario": dict(SMALL_SCENARIO, explicit_fleet=[FLEET_DEVICE])},
+                 "explicit_fleet", id="explicit-fleet"),
+    pytest.param({"scenario": dict(SMALL_SCENARIO, explicit_workload=[])},
+                 "explicit_workload", id="explicit-workload"),
+    pytest.param({"prices": {"server_divisor": math.nan}}, "prices.server_divisor",
+                 id="server-divisor-nan"),
+    pytest.param({"prices": {"messaging_unit": True}}, "prices.messaging_unit",
+                 id="messaging-unit-bool"),
+    pytest.param({"fleet": [dict(FLEET_DEVICE, cpu_capacity=math.nan)]},
+                 "fleet[0].cpu_capacity", id="fleet-capacity-nan"),
+    pytest.param({"fleet": [dict(FLEET_DEVICE, cpu_capacity="big")]},
+                 "fleet[0].cpu_capacity", id="fleet-capacity-string"),
+    pytest.param({"fleet": [dict(FLEET_DEVICE, cluster=0),
+                            dict(FLEET_DEVICE, id="d1", cluster="a")]},
+                 "fleet[1].cluster", id="fleet-cluster-mixed-types"),
+    pytest.param({"fleet": [dict(FLEET_DEVICE, cluster=0.5)]}, "fleet[0].cluster",
+                 id="fleet-cluster-fraction"),
+    pytest.param({"fleet": [dict(FLEET_DEVICE, discharge_rates=0.2)]},
+                 "fleet[0].discharge_rates", id="fleet-discharge-not-list"),
+    pytest.param({"fleet": None}, "fleet", id="fleet-null"),
+]
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("data,field", HOLES)
+    def test_hole_exit_code_names_field(self, tmp_path, capsys, data, field):
+        assert run_config(tmp_path, data) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+
+    @staticmethod
+    def numeric_fields(cls):
+        numeric = {"int", "float", "tuple[float, float]", "tuple[int, int]"}
+        return {f.name: f.type for f in dataclasses.fields(cls) if f.type in numeric}
+
+    def test_every_scenario_number_has_one_rule(self):
+        fields = self.numeric_fields(Scenario)
+        assert set(SCENARIO_RULES) == set(fields)
+        for name, rule in SCENARIO_RULES.items():
+            assert rule.integer == ("int" in fields[name]), name
+            assert rule.shape == (2 if fields[name].startswith("tuple") else 1), name
+        others = {f.name for f in dataclasses.fields(Scenario)} - set(fields)
+        assert others == {"policy", "reservation", "label", "scripted_utilisation",
+                          "explicit_fleet", "explicit_workload"}
+
+    def test_every_price_and_sla_number_has_one_rule(self):
+        assert set(PRICE_RULES) == set(self.numeric_fields(PriceBook))
+        # delay_time is each violation's lateness, which the run computes
+        assert set(SLA_RULES) == set(self.numeric_fields(SlaTerms)) - {"delay_time"}
+
+    def test_every_fleet_and_task_number_has_one_rule(self):
+        assert set(FLEET_RULES) == FLEET_SPEC_KEYS - {"id", "tier"}
+        assert set(TASK_RULES) == TASK_SPEC_KEYS - {"id"}
+
+    @pytest.mark.parametrize("data,field", [
+        ({"sla": {"delay_time": 1.0}}, "sla.delay_time"),
+        ({"scenario": {"label": "x"}}, "label"),
+        ({"scenario": {"explicit_workload": None}}, "explicit_workload")])
+    def test_fields_no_config_sets_are_unknown(self, tmp_path, data, field):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: unknown"):
+            load_config(self.write(tmp_path, data))
+
+    @staticmethod
+    def write(tmp_path, data):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    @pytest.mark.parametrize("value", [0, -1, 2**70])
+    def test_seed_any_integer(self, tmp_path, value):
+        assert load_config(small_config(tmp_path, seed=value)).scenario.seed == value
