@@ -194,6 +194,10 @@ def _check_fleet(scenario: Scenario) -> None:
         if spec.get("tier", Tier.FOG_DEVICE) not in tuple(Tier):
             raise ConfigError(f"{where}: {spec['tier']!r} is not a valid Tier; tier must be "
                               f"one of {', '.join(t.value for t in Tier)}")
+        if ({"free_resource_fraction", "native_utilisation"} <= spec.keys() and
+                abs(spec["free_resource_fraction"] + spec["native_utilisation"] - 1.0) > 1e-9):
+            raise ConfigError(f"{where}.free_resource_fraction: must equal "
+                              "1 - native_utilisation when both are given")
         node = node_from_spec(spec, scenario)
         problems = validate(node)
         if spec.get("bandwidth", 1.0) <= 0:

@@ -155,13 +155,17 @@ FLEET_SPEC_KEYS = frozenset((
 
 
 def node_from_spec(spec: dict, scenario: Scenario) -> FogNode:
-    """The node an explicit fleet entry describes; ``id`` and ``cpu_capacity`` are required."""
+    """The node an explicit fleet entry describes; ``id`` and ``cpu_capacity`` are required.
+
+    ``free_resource_fraction`` or ``native_utilisation`` alone sets the other to its complement.
+    """
+    native = spec.get("native_utilisation", 1.0 - spec.get("free_resource_fraction", 1.0))
     return FogNode(
         id=spec["id"],
         tier=Tier(spec.get("tier", "fog_device")),
         cpu_capacity=spec["cpu_capacity"],
-        free_resource_fraction=spec.get("free_resource_fraction", 1.0),
-        native_utilisation=spec.get("native_utilisation", 0.0),
+        free_resource_fraction=spec.get("free_resource_fraction", 1.0 - native),
+        native_utilisation=native,
         battery_charge=spec.get("battery_charge", 80.0),
         discharge_rates=list(spec.get("discharge_rates", [0.2])),
         distance=spec.get("distance", 10.0),

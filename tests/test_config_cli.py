@@ -9,7 +9,8 @@ from fogsim import experiments
 from fogsim.cli import main
 from fogsim.config import (FLEET_RULES, PRICE_RULES, SCENARIO_RULES, SLA_RULES, TASK_RULES,
                            ConfigError, load_config)
-from fogsim.engine import FLEET_SPEC_KEYS, TASK_SPEC_KEYS, Scenario, generate_workload
+from fogsim.engine import (FLEET_SPEC_KEYS, TASK_SPEC_KEYS, Scenario, generate_workload,
+                           node_from_spec)
 from fogsim.model import PriceBook, SlaTerms
 from fogsim.experiments import CSV_COLUMNS, axis_cells, scenario_id
 
@@ -554,3 +555,34 @@ class TestRuleTable:
     @pytest.mark.parametrize("value", [0, -1, 2**70])
     def test_seed_any_integer(self, tmp_path, value):
         assert load_config(small_config(tmp_path, seed=value)).scenario.seed == value
+
+
+def fleet_run_csv(tmp_path, name, **device):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"scenario": {"app_count": 2, "clusters": 1},
+                                "fleet": [dict(FLEET_DEVICE, **device)]}))
+    assert main(["run", str(path), "--out", str(tmp_path / name)]) == 0
+    return (tmp_path / name / "run.csv").read_bytes()
+
+
+class TestFreeResourceFraction:
+    def test_free_alone_sets_native_load(self, tmp_path):
+        free_only = fleet_run_csv(tmp_path, "free", free_resource_fraction=0.1)
+        assert free_only == fleet_run_csv(tmp_path, "native", native_utilisation=0.9)
+        assert free_only != fleet_run_csv(tmp_path, "idle")
+
+    def test_free_alone_sets_node(self, tmp_path):
+        cfg = load_config(fleet_config(tmp_path, free_resource_fraction=0.25))
+        node = node_from_spec(cfg.scenario.explicit_fleet[1], cfg.scenario)
+        assert (node.free_resource_fraction, node.native_utilisation) == (0.25, 0.75)
+
+    @pytest.mark.parametrize("free,native", [(0.1, 0.5), (0.6, 0.4 + 1e-8)])
+    def test_inconsistent_pair_named(self, tmp_path, free, native):
+        with pytest.raises(ConfigError, match=r"^fleet\[1\]\.free_resource_fraction: must "
+                                              r"equal 1 - native_utilisation"):
+            load_config(fleet_config(tmp_path, free_resource_fraction=free,
+                                     native_utilisation=native))
+
+    def test_complements_accepted(self, tmp_path):
+        load_config(fleet_config(tmp_path, free_resource_fraction=1.0 - 0.37,
+                                 native_utilisation=0.37))
