@@ -34,6 +34,13 @@ def _default_out() -> str:
     return os.environ.get("FOGSIM_OUT", "fogsim-out")
 
 
+def _at_least_one(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="fogsim",
                                      description="Fog cluster simulation experiments")
@@ -46,9 +53,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run an experiment grid")
     p_sweep.add_argument("config", help="path to a JSON config, or fixtures/fd-table")
     p_sweep.add_argument("--axis", required=True, choices=AXES)
-    p_sweep.add_argument("--seeds", type=int, default=20)
+    p_sweep.add_argument("--seeds", type=_at_least_one, default=20)
     p_sweep.add_argument("--out", default=None, help="output directory")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_at_least_one, default=1)
     p_sweep.add_argument("--policy", choices=["mc", "baseline", "both"], default=None)
     p_sweep.add_argument("--reservation", choices=["on", "off", "both"], default=None)
     return parser

@@ -586,3 +586,15 @@ class TestFreeResourceFraction:
     def test_complements_accepted(self, tmp_path):
         load_config(fleet_config(tmp_path, free_resource_fraction=1.0 - 0.37,
                                  native_utilisation=0.37))
+
+
+class TestSweepFlags:
+    @pytest.mark.parametrize("flag,value", [("--seeds", "0"), ("--seeds", "-2"),
+                                            ("--workers", "0"), ("--seeds", "two")])
+    def test_below_one_exit_code(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", small_config(tmp_path), "--axis", "battery",
+                  "--out", str(tmp_path / "o"), flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be an integer >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
