@@ -364,15 +364,13 @@ class Simulation:
         if n == 0:
             return
         fog_free = nrt.node.cpu_capacity * nrt.available
-        peer_weight = 1.0
-        if self.sc.reservation and fog_free > 0:
-            reserved = min(nrt.node.reservation.reserved_value, fog_free)
-            peer_weight = max((fog_free - reserved) / fog_free, 0.5)
         n_own = sum(1 for t in nrt.running.values() if t.cluster == nrt.cluster)
         n_peer = n - n_own
+        peer_weight = 1.0  # single-class nodes share evenly
+        if self.sc.reservation and fog_free > 0 and n_own and n_peer:
+            reserved = min(nrt.node.reservation.reserved_value, fog_free)
+            peer_weight = max((fog_free - reserved) / fog_free, 0.5)
         weight_sum = n_own + peer_weight * n_peer
-        if n_peer == 0 or n_own == 0:
-            weight_sum = float(n)  # single-class nodes share evenly
         allocated = fog_free / weight_sum * weight_sum  # capacity handed out over all shares
         load = nrt.node.cpu_capacity * (1.0 - nrt.available) + allocated
         self.max_load_ratio = max(self.max_load_ratio, load / nrt.node.cpu_capacity)
@@ -380,10 +378,7 @@ class Simulation:
         first, first_time = None, math.inf
         for trt in nrt.running.values():
             self._progress(trt)
-            if n_own and n_peer and trt.cluster != nrt.cluster:
-                rate = base_rate * peer_weight
-            else:
-                rate = base_rate
+            rate = base_rate * peer_weight if trt.cluster != nrt.cluster else base_rate
             remaining_now = trt.task.length - trt.progress
             if trt.rate > 0 and remaining_now > 0:
                 was_on_time = self.now + remaining_now / trt.rate <= trt.deadline_abs
