@@ -678,7 +678,8 @@ class Simulation:
         while self._heap:
             when, _seq, kind, key, payload = heapq.heappop(self._heap)
             self.now = when
-            if when > sc.max_sim_time:
+            # what is left after the last completion (stale events, say) is no runaway
+            if when > sc.max_sim_time and self.remaining:
                 raise SimTimeExceeded(
                     f"simulation exceeded max_sim_time={sc.max_sim_time}; "
                     f"{self.remaining} tasks unfinished (fleet overloaded?)")

@@ -4,6 +4,8 @@ import math
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fogsim import experiments
 from fogsim.cli import main
@@ -598,3 +600,61 @@ class TestSweepFlags:
         assert exc.value.code == 2
         assert f"argument {flag}: must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+class TestSimTimeGuard:
+    def test_events_after_the_last_task_do_not_trip_it(self, tmp_path):
+        # every task finishes by t=40; stale events past it stay in the heap
+        out = tmp_path / "o"
+        assert main(["run", small_config(tmp_path, max_sim_time=40.0), "--out", str(out)]) == 0
+        [report] = json.loads((out / "run.json").read_text()).values()
+        assert report["requests"] == 40
+
+
+# Values a fuzzed field takes: wrong types, non-finite numbers, booleans,
+# numeric strings, zero, negatives, lists of the wrong length and in-range
+# values. No tiny positive numbers and no big integers, so that every
+# accepted config finishes within seconds.
+FUZZ_POOL = ["x", "2", "", None, True, False, {}, math.nan, math.inf, -math.inf, 0, 0.0,
+             -1, -2.5, 1, 3, 0.5, 40.0, [], [1.0], [2.0, 1.0], [-1.0, 1.0], [0.5, 4.0],
+             [1, 2, 3]]
+FUZZ_DEVICE = {"id": "d0", "tier": "fog_device", "cpu_capacity": 4000.0,
+               "free_resource_fraction": 0.6, "native_utilisation": 0.4, "battery_charge": 80.0,
+               "discharge_rates": [0.2], "distance": 10.0, "max_supported_distance": 45.0,
+               "caf_score": 1.0, "cluster": 0, "bandwidth": 100000.0}
+FUZZ_TASK = {"id": "t0", "length": 1000.0, "data_size": 40960.0, "deadline": 8.0,
+             "submit_time": 1.0}
+FUZZ_TARGETS = ([("scenario", f) for f in sorted(SCENARIO_RULES) +
+                 ["policy", "reservation", "scripted_utilisation"]] +
+                [("fleet", f) for f in FUZZ_DEVICE] + [("task", f) for f in FUZZ_TASK])
+
+
+class TestConfigFuzz:
+    @settings(max_examples=600, derandomize=True, database=None, deadline=None,
+              # every example rewrites the same config file and output directory
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(target=st.sampled_from(FUZZ_TARGETS), value=st.sampled_from(FUZZ_POOL))
+    def test_one_bad_field_is_named_or_runs(self, tmp_path, capsys, target, value):
+        section, field = target
+        path = small_config(tmp_path, max_sim_time=600.0)
+        data = json.loads((tmp_path / "config.json").read_text())
+        where = ""
+        if section == "scenario":
+            data["scenario"][field] = value
+        elif section == "fleet":
+            data["fleet"] = [{"id": "s0", "cpu_capacity": 8000.0, "tier": "fog_server"},
+                             dict(FUZZ_DEVICE, **{field: value})]
+            where = "fleet[1]"
+        else:
+            data["workload"] = [{"id": "a0", "tasks": [dict(FUZZ_TASK, **{field: value})]}]
+            where = "workload[0].tasks[0]"
+        (tmp_path / "config.json").write_text(json.dumps(data))
+        code = main(["run", path, "--out", str(tmp_path / "o")])
+        err = capsys.readouterr().err
+        assert code in (0, 2) and "Traceback" not in err
+        if code == 2 and err.startswith("run error: "):
+            # the max_sim_time guard stopped a run the value made too slow
+            assert re.search(r"max_sim_time=[\d.]+; [1-9]\d* tasks unfinished", err), err
+        elif code == 2:
+            assert err.startswith(f"config error: {where}"), err
+            assert field in err or field.replace("_", " ") in err, err
