@@ -464,11 +464,10 @@ class TestSweepCommand:
         assert sids[0] == scenario_id("battery", "BA1", "mc", True, 1)
 
 
-def run_config(tmp_path, data):
-    """Exit code of ``fogsim run`` on a config written from ``data``."""
+def write_config(tmp_path, data):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(data))
-    return main(["run", str(path), "--out", str(tmp_path / "o")])
+    return str(path)
 
 
 SMALL_SCENARIO = {"app_count": 2, "clusters": 2, "devices_per_cluster": 2}
@@ -512,7 +511,7 @@ HOLES = [
 class TestRuleTable:
     @pytest.mark.parametrize("data,field", HOLES)
     def test_hole_exit_code_names_field(self, tmp_path, capsys, data, field):
-        assert run_config(tmp_path, data) == 2
+        assert main(["run", write_config(tmp_path, data), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
 
@@ -531,28 +530,16 @@ class TestRuleTable:
         assert others == {"policy", "reservation", "label", "scripted_utilisation",
                           "explicit_fleet", "explicit_workload"}
 
-    def test_every_price_and_sla_number_has_one_rule(self):
+    def test_every_price_and_sla_number_has_one_rule(self, tmp_path):
         assert set(PRICE_RULES) == set(self.numeric_fields(PriceBook))
         # delay_time is each violation's lateness, which the run computes
         assert set(SLA_RULES) == set(self.numeric_fields(SlaTerms)) - {"delay_time"}
+        with pytest.raises(ConfigError, match=r"^sla\.delay_time: unknown field"):
+            load_config(write_config(tmp_path, {"sla": {"delay_time": 1.0}}))
 
     def test_every_fleet_and_task_number_has_one_rule(self):
         assert set(FLEET_RULES) == FLEET_SPEC_KEYS - {"id", "tier"}
         assert set(TASK_RULES) == TASK_SPEC_KEYS - {"id"}
-
-    @pytest.mark.parametrize("data,field", [
-        ({"sla": {"delay_time": 1.0}}, "sla.delay_time"),
-        ({"scenario": {"label": "x"}}, "label"),
-        ({"scenario": {"explicit_workload": None}}, "explicit_workload")])
-    def test_fields_no_config_sets_are_unknown(self, tmp_path, data, field):
-        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: unknown"):
-            load_config(self.write(tmp_path, data))
-
-    @staticmethod
-    def write(tmp_path, data):
-        path = tmp_path / "rules.json"
-        path.write_text(json.dumps(data))
-        return str(path)
 
     @pytest.mark.parametrize("value", [0, -1, 2**70])
     def test_seed_any_integer(self, tmp_path, value):
@@ -560,10 +547,9 @@ class TestRuleTable:
 
 
 def fleet_run_csv(tmp_path, name, **device):
-    path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps({"scenario": {"app_count": 2, "clusters": 1},
-                                "fleet": [dict(FLEET_DEVICE, **device)]}))
-    assert main(["run", str(path), "--out", str(tmp_path / name)]) == 0
+    path = write_config(tmp_path, {"scenario": {"app_count": 2, "clusters": 1},
+                                   "fleet": [dict(FLEET_DEVICE, **device)]})
+    assert main(["run", path, "--out", str(tmp_path / name)]) == 0
     return (tmp_path / name / "run.csv").read_bytes()
 
 
