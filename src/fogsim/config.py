@@ -1,4 +1,4 @@
-"""Scenario configuration files: JSON with scenario/prices/fleet sections.
+"""Scenario configuration files: JSON with scenario, prices, sla, fleet and workload sections.
 
 A config names every knob a run needs. Validation rejects out-of-range
 values with the offending field name so CLI users get actionable errors.
@@ -124,6 +124,9 @@ FLEET_RULES = {
     "max_supported_distance": _NUMBER, "caf_score": _NUMBER, "bandwidth": _NUMBER,
     "cluster": _count(0),
 }
+
+
+SECTIONS = ("scenario", "prices", "sla", "fleet", "workload")
 
 
 def _read(where: str, raw, rules: dict, keys=frozenset(), required: tuple = ()) -> dict:
@@ -282,6 +285,9 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
+    for key in data:
+        if key not in SECTIONS:
+            raise ConfigError(f"{key}: unknown section; sections are {', '.join(SECTIONS)}")
     for key in ("fleet", "workload"):
         if key in data and not isinstance(data[key], list):
             raise ConfigError(f"{key}: expected a list of objects")

@@ -14,8 +14,9 @@ allocation stays within the device budget at every event. The live
 fluctuation history feeds the *scoring* factor only.
 
 Rankings score candidates from the engine's own node state. Each node keeps
-one pending completion event, for its earliest finisher, and one tick event
-per fluctuation interval steps every device in fleet order.
+at most one pending completion event, for its earliest finisher when that
+falls by the next tick, and one tick event per fluctuation interval steps
+every device in fleet order.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .model import Application, FogNode, NetworkLink, Task, Tier
 from .network import link_bandwidth, link_delay, processing_delay
 from .policies import migration_bound_ok, migration_order, rank, reserve
 from .scoring import (availability_score, battery_minutes, completion_time,
-                      cpu_fluctuation_rate, execution_time, throughput_by_distance)
+                      execution_time, fluctuation_step, throughput_by_distance)
+from .scoring import cpu_fluctuation_rate  # noqa: F401 -- the rate _fluctuate caches, re-exported
 
 TASK_STAGGER = 0.15  # seconds between the submissions of one application's tasks
 SPIKE_THRESHOLD = 0.10  # available fraction below which a native-load spike reopens migration
@@ -239,6 +241,8 @@ class _NodeRt:
     version: int = 0  # bumped by every replan; only the latest ``done`` event is live
     window_count: int = 0
     window_last: float = 0.0
+    rng: random.Random | None = None  # the device's fluctuation stream
+    steps: list[float] = field(default_factory=list)  # fluctuation_history's percent steps
 
 
 def _share_rate(nrt: _NodeRt, weight: float) -> float:
@@ -265,7 +269,7 @@ class Simulation:
                               seed=scenario.seed)
         self.remaining = 0
         self.max_load_ratio = 0.0
-        self._fluct_rng: dict[str, random.Random] = {}
+        self._next_tick = math.inf  # time of the pending fluctuation tick
         self._build_fleet()
 
     # -- fleet -----------------------------------------------------------
@@ -331,7 +335,7 @@ class Simulation:
         self.nodes[node.id] = rt
         if node.tier is Tier.FOG_DEVICE:
             self.device_ids.append(node.id)
-            self._fluct_rng[node.id] = _stream(sc.seed, f"fluct:{node.id}")
+            rt.rng = _stream(sc.seed, f"fluct:{node.id}")
 
     # -- event plumbing ---------------------------------------------------
 
@@ -357,7 +361,8 @@ class Simulation:
         stays work-conserving, so total allocation never exceeds free
         capacity. The node keeps one pending ``done`` event, for its
         earliest finisher (ties go to the first task in ``running`` order);
-        the version bump makes any earlier one stale.
+        the version bump makes any earlier one stale. A finisher after the
+        pending tick gets no event: that tick replans every busy device.
         """
         nrt.version += 1
         n = len(nrt.running)
@@ -390,7 +395,9 @@ class Simulation:
             finish = self.now if remaining <= 1e-9 else self.now + remaining / rate
             if finish < first_time:
                 first, first_time = trt, finish
-        self._push(first_time, "done", nrt.node.id, (nrt.version, first.task.id))
+        # an event at the tick's time may still pop first, by push order
+        if first_time <= self._next_tick:
+            self._push(first_time, "done", nrt.node.id, (nrt.version, first.task.id))
 
     def _projected_completion(self, trt: _TaskRt) -> float:
         if trt.node_id is None or trt.rate <= 0:
@@ -494,11 +501,11 @@ class Simulation:
         self._progress(trt)
         trt.task.completed_work = min(trt.progress, trt.task.length)
         budget = trt.deadline_abs - self.now
-        others = [self.nodes[nid] for nid in self.device_ids if nid != trt.node_id]
-        if not others or budget <= 0:
+        if budget <= 0 or len(self.device_ids) < 2:  # too late, or nowhere else to go
             trt.flagged = True
             trt.no_target = True
             return
+        others = [self.nodes[nid] for nid in self.device_ids if nid != trt.node_id]
         if self.sc.policy == "baseline":
             target = self.nodes[self._ranking(trt, others)[0]]
         else:
@@ -601,22 +608,32 @@ class Simulation:
         self._replan(nrt)
 
     def _on_tick(self) -> None:
-        """Step every device's load, in fleet order, then schedule the next tick."""
+        """Step every device's load, in fleet order, then schedule the next tick.
+
+        The next tick's time is known before the steps, so their replans can
+        leave out completions that tick would replace.
+        """
+        self._next_tick = self.now + self.sc.fluctuation_interval
         for nid in self.device_ids:
             self._fluctuate(self.nodes[nid])
         if self.remaining > 0:
-            self._push(self.now + self.sc.fluctuation_interval, "fluct")
+            self._push(self._next_tick, "fluct")
 
     def _fluctuate(self, nrt: _NodeRt) -> None:
-        rng = self._fluct_rng[nrt.node.id]
-        nrt.available = next_fluctuation(nrt.available, self.sc.utilisation_band, rng,
+        nrt.available = next_fluctuation(nrt.available, self.sc.utilisation_band, nrt.rng,
                                          self.sc.min_available)
         node = nrt.node
-        node.fluctuation_history.append(nrt.available * 100.0)
-        if len(node.fluctuation_history) > self.sc.history_window:
-            del node.fluctuation_history[0]
-        if len(node.fluctuation_history) >= 2:
-            rate = cpu_fluctuation_rate(node.fluctuation_history)
+        history, steps = node.fluctuation_history, nrt.steps
+        sample = nrt.available * 100.0
+        if history:
+            steps.append(fluctuation_step(history[-1], sample))
+        history.append(sample)
+        if len(history) > self.sc.history_window:
+            del history[0]
+            del steps[:1]  # the oldest sample's step, if it had a successor
+        if steps:
+            # cpu_fluctuation_rate(history), summed over the same steps in the same order
+            rate = sum(steps) / len(steps)
             if rate > 0:  # a flat history keeps the configured score
                 lo, hi = self.sc.caf_range
                 node.caf_score = min(max(rate / 100.0, lo), hi)
@@ -671,7 +688,8 @@ class Simulation:
         for when, node_id, available in sc.scripted_utilisation:
             self._push(when, "script", node_id, (available,))
         if self.remaining > 0:
-            self._push(sc.fluctuation_interval, "fluct")
+            self._next_tick = sc.fluctuation_interval
+            self._push(self._next_tick, "fluct")
             if sc.reservation:
                 self._push(sc.reservation_period, "rotate")
 

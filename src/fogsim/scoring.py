@@ -77,13 +77,18 @@ def throughput_by_distance(node: FogNode) -> float:
     return 1.0 - node.distance / node.max_supported_distance
 
 
+def fluctuation_step(prev: float, cur: float) -> float:
+    """Percent change from one available-CPU sample to the next."""
+    if prev <= 0:
+        raise ValueError("history samples must be > 0")
+    return abs(cur - prev) / prev * 100.0
+
+
 def cpu_fluctuation_rate(history: list[float]) -> float:
     """Mean percent change between consecutive available-CPU samples."""
     if len(history) < 2:
         raise InsufficientHistoryError("need at least two samples")
-    if min(history[:-1]) <= 0:
-        raise ValueError("history samples must be > 0")
-    steps = [abs(cur - prev) / prev * 100.0 for prev, cur in zip(history, history[1:])]
+    steps = [fluctuation_step(prev, cur) for prev, cur in zip(history, history[1:])]
     return sum(steps) / len(steps)
 
 

@@ -505,6 +505,12 @@ HOLES = [
     pytest.param({"fleet": [dict(FLEET_DEVICE, discharge_rates=0.2)]},
                  "fleet[0].discharge_rates", id="fleet-discharge-not-list"),
     pytest.param({"fleet": None}, "fleet", id="fleet-null"),
+    # a misspelt section was ignored, so the run took that section's defaults
+    pytest.param({"scenario": SMALL_SCENARIO, "price": {"messaging_unit": 50}}, "price",
+                 id="section-price"),
+    pytest.param({"scenarios": SMALL_SCENARIO}, "scenarios", id="section-scenarios"),
+    pytest.param({"scenario": SMALL_SCENARIO, "Fleet": [FLEET_DEVICE]}, "Fleet",
+                 id="section-fleet-capitalised"),
 ]
 
 

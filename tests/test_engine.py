@@ -1,4 +1,5 @@
 import dataclasses
+import heapq
 import json
 import math
 import random
@@ -28,7 +29,8 @@ from fogsim.policies import (
     mc_allocate,
     migration_bound_ok,
 )
-from fogsim.scoring import cpu_fluctuation_rate, migration_time, throughput_by_distance
+from fogsim.scoring import (cpu_fluctuation_rate, fluctuation_step, migration_time,
+                            throughput_by_distance)
 
 
 def small_scenario(**overrides):
@@ -446,3 +448,119 @@ class TestEventType:
         assert [(when, kind) for when, _seq, kind, _key, _payload in ordered] == [
             (1.0, "a"), (1.0, "c"), (2.0, "b")]
         assert ordered[0][1] < ordered[1][1]
+
+
+def storm_scenario(**overrides):
+    """A short run shaped like the deadline-storm benchmark: 80% swings, three per task."""
+    base = dict(app_count=8, deadline_variation_pct=80.0, deadline_changes_per_task=3,
+                utilisation_band=(0.1, 0.5))
+    base.update(overrides)
+    return Scenario(**base)
+
+
+class TestCachedFluctuationSteps:
+    """The rate each tick takes from its cached steps; the whole-window rate is the oracle."""
+
+    @pytest.mark.parametrize("scenario", [
+        accept_scenario(), accept_scenario(history_window=2),
+        storm_scenario(), storm_scenario(history_window=2)],
+        ids=["accept", "accept-window-2", "storm", "storm-window-2"])
+    def test_every_step_matches_the_window_rate(self, scenario):
+        sim = Simulation(scenario)
+        fluctuate = sim._fluctuate
+        lo, hi = scenario.caf_range
+        checked = Counter()
+
+        def checked_fluctuate(nrt):
+            caf_before = nrt.node.caf_score
+            fluctuate(nrt)
+            history = nrt.node.fluctuation_history
+            assert len(history) <= scenario.history_window
+            assert nrt.steps == [fluctuation_step(prev, cur)
+                                 for prev, cur in zip(history, history[1:])]
+            if len(history) < 2:
+                assert nrt.node.caf_score == caf_before
+                return
+            rate = cpu_fluctuation_rate(history)
+            assert sum(nrt.steps) / len(nrt.steps) == rate
+            want = min(max(rate / 100.0, lo), hi) if rate > 0 else caf_before
+            assert nrt.node.caf_score == want
+            checked["full" if len(history) == scenario.history_window else "filling"] += 1
+
+        sim._fluctuate = checked_fluctuate
+        sim.run()
+        assert checked["full"] > 0
+        assert (checked["filling"] > 0) == (scenario.history_window > 2)
+
+
+class TestCompletionEvents:
+    """A replan that pushes no ``done`` event leaves the completion to the pending tick."""
+
+    def test_no_completion_is_lost(self, monkeypatch):
+        # a lost completion ends at the guard rather than ticking on to 1e6 s
+        sim = Simulation(accept_scenario(max_sim_time=1000.0))
+        plans = {}  # node id -> (version, earliest finish) after its latest replan
+        skipped = {}  # node id -> earliest finish its latest replan pushed no event for
+        live = Counter()  # (node id, version) of each pending done event
+        ticks = Counter()  # times of the pending ticks
+        counts = Counter()
+        push, replan = sim._push, sim._replan
+
+        def checked_push(time, kind, key="", payload=()):
+            if kind == "done":
+                live[key, payload[0]] += 1
+                counts["done"] += 1
+            elif kind == "fluct":
+                ticks[time] += 1
+            push(time, kind, key, payload)
+
+        def checked_replan(nrt):
+            nid = nrt.node.id
+            if nid in skipped:
+                assert sim.now <= skipped.pop(nid), (sim.now, nid)
+            pushed = counts["done"]
+            replan(nrt)
+            if not nrt.running:
+                return
+            first = min(sim.now if t.task.length - t.progress <= 1e-9
+                        else sim.now + (t.task.length - t.progress) / t.rate
+                        for t in nrt.running.values())
+            plans[nid] = (nrt.version, first)
+            if counts["done"] == pushed:
+                skipped[nid] = first
+                counts["skipped"] += 1
+
+        def check_busy_nodes():
+            tick = min(ticks, default=math.inf)
+            for nid in sim.device_ids:
+                nrt = sim.nodes[nid]
+                if not nrt.running:
+                    continue
+                version, first = plans[nid]
+                assert version == nrt.version, nid  # every change of tasks replanned
+                assert live[nid, version] == 1 or (live[nid, version] == 0 and tick <= first), (
+                    sim.now, nid)
+                counts["busy"] += 1
+
+        def checked_pop(heap):
+            check_busy_nodes()
+            event = heapq.heappop(heap)
+            when, _seq, kind, key, payload = event
+            if kind == "done":
+                live[key, payload[0]] -= 1
+            elif kind == "fluct":
+                ticks[when] -= 1
+                if not ticks[when]:
+                    del ticks[when]
+            return event
+
+        class CheckedHeapq:
+            heappush = staticmethod(heapq.heappush)
+            heappop = staticmethod(checked_pop)
+
+        sim._push, sim._replan = checked_push, checked_replan
+        monkeypatch.setattr("fogsim.engine.heapq", CheckedHeapq)
+        trace = sim.run()
+        assert len(trace.records) == 700
+        assert not skipped
+        assert counts["skipped"] > 0 and counts["busy"] > 0
