@@ -13,10 +13,10 @@ Physical shares never exceed free capacity, so utilisation plus
 allocation stays within the device budget at every event. The live
 fluctuation history feeds the *scoring* factor only.
 
-Rankings score candidates from the engine's own node state. Each node keeps
-at most one pending completion event, for its earliest finisher when that
-falls by the next tick, and one tick event per fluctuation interval steps
-every device in fleet order.
+Rankings score candidates from the engine's own node state, every
+candidate in one pass. Each node keeps at most one pending completion
+event, for its earliest finisher when that falls by the next tick, and one
+tick event per fluctuation interval steps every device in fleet order.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .metrics import RunTrace, account
 from .model import Application, FogNode, NetworkLink, Task, Tier
 from .network import link_bandwidth, link_delay, processing_delay
 from .policies import migration_bound_ok, migration_order, rank, reserve
-from .scoring import (availability_score, battery_minutes, completion_time,
-                      execution_time, fluctuation_step, throughput_by_distance)
+from .scoring import (availability_score, battery_minutes, checked_capacity, completion_time,
+                      execution_seconds, fluctuation_step, throughput_by_distance)
 from .scoring import cpu_fluctuation_rate  # noqa: F401 -- the rate _fluctuate caches, re-exported
 
 TASK_STAGGER = 0.15  # seconds between the submissions of one application's tasks
@@ -243,6 +243,16 @@ class _NodeRt:
     window_last: float = 0.0
     rng: random.Random | None = None  # the device's fluctuation stream
     steps: list[float] = field(default_factory=list)  # fluctuation_history's percent steps
+    minutes: dict[int, float] = field(default_factory=dict)  # A_v by share count
+
+
+def _minutes(nrt: _NodeRt, shares: int) -> float:
+    """``A_v`` of the node over ``shares`` tasks, memoised: charge and drain are fixed for a run."""
+    a_v = nrt.minutes.get(shares)
+    if a_v is None:
+        a_v = nrt.minutes[shares] = battery_minutes(nrt.node.battery_charge,
+                                                    [nrt.base_drain] * shares)
+    return a_v
 
 
 def _share_rate(nrt: _NodeRt, weight: float) -> float:
@@ -264,6 +274,7 @@ class Simulation:
         self._heap: list[tuple] = []  # (time, seq, kind, key, payload)
         self.nodes: dict[str, _NodeRt] = {}
         self.device_ids: list[str] = []
+        self._devices: list[_NodeRt] = []  # the nodes of device_ids, in fleet order
         self.tasks: dict[str, _TaskRt] = {}
         self.trace = RunTrace(policy=scenario.policy, reservation=scenario.reservation,
                               seed=scenario.seed)
@@ -271,6 +282,10 @@ class Simulation:
         self.max_load_ratio = 0.0
         self._next_tick = math.inf  # time of the pending fluctuation tick
         self._build_fleet()
+        self._home_clusters = sorted({nrt.cluster for nrt in self._devices})
+        # the scenario constants of every device step, read once per run
+        self._step_params = (scenario.utilisation_band, scenario.min_available,
+                             scenario.history_window, *scenario.caf_range)
 
     # -- fleet -----------------------------------------------------------
 
@@ -315,6 +330,7 @@ class Simulation:
 
     def _register(self, node: FogNode, cluster: int, bandwidth: float) -> None:
         sc = self.sc
+        checked_capacity(node)  # rankings divide by it unchecked
         t_bd = throughput_by_distance(node)
         per_frame = processing_delay(sc.frame_bits, bandwidth)
         link = NetworkLink(
@@ -335,6 +351,7 @@ class Simulation:
         self.nodes[node.id] = rt
         if node.tier is Tier.FOG_DEVICE:
             self.device_ids.append(node.id)
+            self._devices.append(rt)
             rt.rng = _stream(sc.seed, f"fluct:{node.id}")
 
     # -- event plumbing ---------------------------------------------------
@@ -363,13 +380,18 @@ class Simulation:
         earliest finisher (ties go to the first task in ``running`` order);
         the version bump makes any earlier one stale. A finisher after the
         pending tick gets no event: that tick replans every busy device.
+
+        A task whose last migration attempt found no target gets its search
+        reopened when the new rate moves its finish past the deadline.
         """
         nrt.version += 1
-        n = len(nrt.running)
+        running = nrt.running
+        n = len(running)
         if n == 0:
             return
-        fog_free = nrt.node.cpu_capacity * nrt.available
-        n_own = sum(1 for t in nrt.running.values() if t.cluster == nrt.cluster)
+        now, cluster, capacity = self.now, nrt.cluster, nrt.node.cpu_capacity
+        fog_free = capacity * nrt.available
+        n_own = sum(1 for t in running.values() if t.cluster == cluster)
         n_peer = n - n_own
         peer_weight = 1.0  # single-class nodes share evenly
         if self.sc.reservation and fog_free > 0 and n_own and n_peer:
@@ -377,22 +399,26 @@ class Simulation:
             peer_weight = max((fog_free - reserved) / fog_free, 0.5)
         weight_sum = n_own + peer_weight * n_peer
         allocated = fog_free / weight_sum * weight_sum  # capacity handed out over all shares
-        load = nrt.node.cpu_capacity * (1.0 - nrt.available) + allocated
-        self.max_load_ratio = max(self.max_load_ratio, load / nrt.node.cpu_capacity)
+        load_ratio = (capacity * (1.0 - nrt.available) + allocated) / capacity
+        if load_ratio > self.max_load_ratio:
+            self.max_load_ratio = load_ratio
         base_rate = _share_rate(nrt, weight_sum)
         first, first_time = None, math.inf
-        for trt in nrt.running.values():
-            self._progress(trt)
-            rate = base_rate * peer_weight if trt.cluster != nrt.cluster else base_rate
-            remaining_now = trt.task.length - trt.progress
-            if trt.rate > 0 and remaining_now > 0:
-                was_on_time = self.now + remaining_now / trt.rate <= trt.deadline_abs
-                now_late = self.now + remaining_now / rate > trt.deadline_abs
-                if was_on_time and now_late:
+        for trt in running.values():
+            old_rate = trt.rate
+            if old_rate > 0:  # _progress, inline: every running task has a node
+                dt = now - trt.last_update
+                trt.progress += old_rate * dt
+                trt.active_time += dt
+            trt.last_update = now
+            rate = base_rate * peer_weight if trt.cluster != cluster else base_rate
+            remaining = trt.task.length - trt.progress
+            if trt.no_target and old_rate > 0 and remaining > 0:
+                was_on_time = now + remaining / old_rate <= trt.deadline_abs
+                if was_on_time and now + remaining / rate > trt.deadline_abs:
                     trt.no_target = False  # slowdown crossed the deadline boundary
             trt.rate = rate
-            remaining = trt.task.length - trt.progress
-            finish = self.now if remaining <= 1e-9 else self.now + remaining / rate
+            finish = now if remaining <= 1e-9 else now + remaining / rate
             if finish < first_time:
                 first, first_time = trt, finish
         # an event at the tick's time may still pop first, by push order
@@ -407,27 +433,45 @@ class Simulation:
 
     # -- scoring ------------------------------------------------------------
 
-    def _completion(self, task: Task, nrt: _NodeRt, n_next: int, peer: bool) -> float:
-        """``C_t`` of the task on the node once it runs ``n_next`` tasks.
+    def _score_pass(self, task: Task, cluster: int, nodes: list[_NodeRt], extra: int = 1,
+                    migration: bool = False) -> list[tuple]:
+        """Score every node for the task in one pass, each over ``extra`` more shares.
 
-        The free fraction is the available fraction per share; reserved
-        capacity is not advertised to a peer-cluster requester.
+        Rows are ``(C_t, id)``, or ``(id, C_t, A_s, M_t)`` for a migration
+        search. The free fraction is the available fraction per share (at
+        least one share); reserved capacity is not advertised to a requester
+        from a cluster other than ``cluster``.
         """
-        avail = nrt.available
-        if peer and self.sc.reservation:
-            avail = max(avail - nrt.node.reservation.reserved_value / nrt.node.cpu_capacity, 0.0)
-        free = max(min(avail / max(n_next, 1), 1.0), 1e-6)
-        return completion_time(execution_time(task, nrt.node), free, nrt.node.caf_score, nrt.t_bd)
+        work, data = task.remaining_work, task.data_size
+        hide = self.sc.reservation
+        rows = []
+        for nrt in nodes:
+            node = nrt.node
+            shares = len(nrt.running) + nrt.pending + extra or 1
+            avail = nrt.available
+            if hide and nrt.cluster != cluster:
+                avail -= node.reservation.reserved_value / node.cpu_capacity
+                avail = 0.0 if avail < 0.0 else avail
+            # max(min(avail / shares, 1.0), 1e-6), without builtin calls per node
+            free = avail / shares
+            free = 1.0 if free > 1.0 else 1e-6 if free < 1e-6 else free
+            c_t = completion_time(execution_seconds(work, node.cpu_capacity), free,
+                                  node.caf_score, nrt.t_bd)
+            if migration:
+                rows.append((node.id, c_t, availability_score(_minutes(nrt, shares), c_t),
+                             data / nrt.move_bw))
+            else:
+                rows.append((c_t, node.id))
+        return rows
 
     def _ranking(self, trt: _TaskRt, nodes: list[_NodeRt]) -> list[str]:
         """Node ids in the policy's fresh-request order for the task."""
         task = trt.task
         if self.sc.policy == "baseline":
-            return rank([(execution_time(task, nrt.node) + nrt.rtt, nrt.node.id)
+            work = task.remaining_work
+            return rank([(execution_seconds(work, nrt.node.cpu_capacity) + nrt.rtt, nrt.node.id)
                          for nrt in nodes])
-        return rank([(self._completion(task, nrt, len(nrt.running) + nrt.pending + 1,
-                                       nrt.cluster != trt.cluster), nrt.node.id)
-                     for nrt in nodes])
+        return rank(self._score_pass(task, trt.cluster, nodes))
 
     def _migration_search(self, trt: _TaskRt, current: _NodeRt, others: list[_NodeRt],
                           budget: float) -> list[tuple[str, float, float, float]] | None:
@@ -436,17 +480,11 @@ class Simulation:
         ``None`` when the current node still meets the deadline.
         """
         task = trt.task
-        if self._completion(task, current, len(current.running) + current.pending,
-                            peer=False) < budget:
+        # the current node over the shares it runs, none of them held back from its task
+        if self._score_pass(task, current.cluster, [current], extra=0)[0][0] < budget:
             return None
-        rows = []
-        for nrt in others:
-            n_next = len(nrt.running) + nrt.pending + 1
-            c_t = self._completion(task, nrt, n_next, nrt.cluster != trt.cluster)
-            a_v = battery_minutes(nrt.node.battery_charge, [nrt.base_drain] * n_next)
-            rows.append((nrt.node.id, c_t, availability_score(a_v, c_t),
-                         task.data_size / nrt.move_bw))
-        return migration_order(rows, budget)
+        return migration_order(self._score_pass(task, trt.cluster, others, migration=True),
+                               budget)
 
     def _uplink_time(self, nrt: _NodeRt, data_bits: float) -> float:
         # transfers contend with other in-flight transfers, not with executing tasks
@@ -475,8 +513,7 @@ class Simulation:
     # -- allocation -----------------------------------------------------------
 
     def _place_fresh(self, trt: _TaskRt) -> None:
-        order = [self.nodes[nid] for nid in
-                 self._ranking(trt, [self.nodes[nid] for nid in self.device_ids])]
+        order = [self.nodes[nid] for nid in self._ranking(trt, self._devices)]
         chosen = None
         for nrt in order:
             transfer = self._uplink_time(nrt, trt.task.data_size)
@@ -487,10 +524,10 @@ class Simulation:
             own = [nrt for nrt in order if nrt.cluster == trt.cluster]
             chosen = min(own or order,
                          key=lambda nrt: (len(nrt.running) + nrt.pending, nrt.node.id))
-        uplink = self._uplink_time(chosen, trt.task.data_size)
-        trt.uplink = uplink
+            transfer = self._uplink_time(chosen, trt.task.data_size)
+        trt.uplink = transfer
         chosen.pending += 1
-        self._push(self.now + uplink, "arrive", trt.task.id, (chosen.node.id,))
+        self._push(self.now + transfer, "arrive", trt.task.id, (chosen.node.id,))
 
     def _attempt_migration(self, trt: _TaskRt) -> None:
         if trt.migrations >= self.sc.max_migrations_per_task or trt.done:
@@ -505,7 +542,7 @@ class Simulation:
             trt.flagged = True
             trt.no_target = True
             return
-        others = [self.nodes[nid] for nid in self.device_ids if nid != trt.node_id]
+        others = [nrt for nrt in self._devices if nrt is not current]
         if self.sc.policy == "baseline":
             target = self.nodes[self._ranking(trt, others)[0]]
         else:
@@ -541,8 +578,7 @@ class Simulation:
     # -- reservation ----------------------------------------------------------
 
     def _rotate_reservation(self) -> None:
-        for nid in self.device_ids:
-            nrt = self.nodes[nid]
+        for nrt in self._devices:
             if nrt.window_count > 0:  # quiet windows keep the last known demand
                 nrt.node.reservation.total_apps_processed = nrt.window_count
                 nrt.node.reservation.last_app_request = nrt.window_last
@@ -580,7 +616,7 @@ class Simulation:
 
     def _on_app(self, app: Application) -> None:
         cloud_rng = _stream(self.sc.seed, f"cloudmix:{app.id}")
-        present = sorted({self.nodes[nid].cluster for nid in self.device_ids})
+        present = self._home_clusters
         home = present[hash_cluster(app.user_id, len(present), self.sc.cluster_block)]
         for task in app.tasks:
             trt = _TaskRt(
@@ -614,33 +650,35 @@ class Simulation:
         leave out completions that tick would replace.
         """
         self._next_tick = self.now + self.sc.fluctuation_interval
-        for nid in self.device_ids:
-            self._fluctuate(self.nodes[nid])
+        fluctuate = self._fluctuate
+        for nrt in self._devices:
+            fluctuate(nrt)
         if self.remaining > 0:
             self._push(self._next_tick, "fluct")
 
     def _fluctuate(self, nrt: _NodeRt) -> None:
-        nrt.available = next_fluctuation(nrt.available, self.sc.utilisation_band, nrt.rng,
-                                         self.sc.min_available)
+        band, floor, window, lo, hi = self._step_params
+        nrt.available = available = next_fluctuation(nrt.available, band, nrt.rng, floor)
         node = nrt.node
         history, steps = node.fluctuation_history, nrt.steps
-        sample = nrt.available * 100.0
+        sample = available * 100.0
         if history:
             steps.append(fluctuation_step(history[-1], sample))
         history.append(sample)
-        if len(history) > self.sc.history_window:
+        if len(history) > window:
             del history[0]
             del steps[:1]  # the oldest sample's step, if it had a successor
         if steps:
             # cpu_fluctuation_rate(history), summed over the same steps in the same order
             rate = sum(steps) / len(steps)
             if rate > 0:  # a flat history keeps the configured score
-                lo, hi = self.sc.caf_range
-                node.caf_score = min(max(rate / 100.0, lo), hi)
+                caf = rate / 100.0  # min(max(caf, lo), hi), without builtin calls per device
+                caf = lo if caf < lo else caf
+                node.caf_score = hi if caf > hi else caf
         if not nrt.running:  # an idle device has nothing to replan or migrate
             return
         self._replan(nrt)
-        choked = nrt.available < SPIKE_THRESHOLD
+        choked = available < SPIKE_THRESHOLD
         for tid in sorted(nrt.running):
             trt = nrt.running[tid]
             if choked:

@@ -29,11 +29,21 @@ class InsufficientHistoryError(ValueError):
     pass
 
 
-def execution_time(task: Task, node: FogNode) -> float:
-    """Seconds of compute for the task's remaining work at the node's full speed."""
+def checked_capacity(node: FogNode) -> float:
+    """The node's CPU capacity (MIPS); a node without positive capacity cannot run work."""
     if node.cpu_capacity <= 0:
         raise InvalidNodeError(f"node {node.id} has non-positive capacity")
-    return task.remaining_work / node.cpu_capacity
+    return node.cpu_capacity
+
+
+def execution_seconds(work: float, capacity: float) -> float:
+    """``E_t``: seconds of compute for ``work`` MI at ``capacity`` MIPS, full speed."""
+    return work / capacity
+
+
+def execution_time(task: Task, node: FogNode) -> float:
+    """Seconds of compute for the task's remaining work at the node's full speed."""
+    return execution_seconds(task.remaining_work, checked_capacity(node))
 
 
 def migration_time(task: Task, link: NetworkLink) -> float:

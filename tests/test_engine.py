@@ -6,11 +6,14 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogsim.config import load_config
 from fogsim.engine import (
     Scenario,
     Simulation,
+    _minutes,
     _TaskRt,
     deadline_change_events,
     generate_workload,
@@ -20,7 +23,7 @@ from fogsim.engine import (
 )
 from fogsim.fixtures import fd_table_task
 from fogsim.metrics import build_report
-from fogsim.model import NetworkLink, PriceBook, ReservationState, SlaTerms
+from fogsim.model import NetworkLink, PriceBook, ReservationState, SlaTerms, Task
 from fogsim.network import link_bandwidth, link_delay, processing_delay
 from fogsim.policies import (
     MigrationDecision,
@@ -29,8 +32,9 @@ from fogsim.policies import (
     mc_allocate,
     migration_bound_ok,
 )
-from fogsim.scoring import (cpu_fluctuation_rate, fluctuation_step, migration_time,
-                            throughput_by_distance)
+from fogsim.scoring import (InvalidNodeError, availability_score, battery_minutes,
+                            completion_time, cpu_fluctuation_rate, execution_time,
+                            fluctuation_step, migration_time, throughput_by_distance)
 
 
 def small_scenario(**overrides):
@@ -564,3 +568,111 @@ class TestCompletionEvents:
         assert len(trace.records) == 700
         assert not skipped
         assert counts["skipped"] > 0 and counts["busy"] > 0
+
+
+def _floats(low, high):
+    return st.floats(min_value=low, max_value=high, allow_nan=False, allow_infinity=False)
+
+
+CANDIDATE = st.fixed_dictionaries(dict(
+    capacity=_floats(1.0, 1e5), available=_floats(1e-4, 1.0), running=st.integers(0, 30),
+    pending=st.integers(0, 30), caf=_floats(0.01, 10.0), t_bd=_floats(1e-3, 1.0),
+    cluster=st.sampled_from([0, 1]), reserved=_floats(0.0, 1.0),
+    charge=_floats(0.0, 100.0), drain=_floats(1e-3, 100.0)))
+
+
+class TestScorePass:
+    """Every row the one-pass scoring yields equals the ``scoring`` formulas on the same numbers."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(candidates=st.lists(CANDIDATE, min_size=1, max_size=6), reservation=st.booleans(),
+           requester=st.sampled_from([0, 1]), extra=st.sampled_from([0, 1]),
+           length=_floats(1.0, 1e5), done=_floats(0.0, 0.99), data_size=_floats(0.0, 1e7))
+    def test_rows_equal_the_scoring_formulas(self, candidates, reservation, requester, extra,
+                                             length, done, data_size):
+        fleet = [dict(id=f"d{i}", cpu_capacity=c["capacity"], native_utilisation=0.0,
+                      battery_charge=c["charge"], discharge_rates=[c["drain"]],
+                      cluster=c["cluster"]) for i, c in enumerate(candidates)]
+        sim = Simulation(Scenario(explicit_fleet=fleet, reservation=reservation, app_count=0))
+        nodes = [sim.nodes[spec["id"]] for spec in fleet]
+        for nrt, c in zip(nodes, candidates):
+            nrt.available, nrt.pending, nrt.t_bd = c["available"], c["pending"], c["t_bd"]
+            nrt.running = {f"r{k}": None for k in range(c["running"])}
+            nrt.node.caf_score = c["caf"]
+            nrt.node.reservation.reserved_value = c["reserved"] * c["capacity"]
+        task = Task(id="t", app_id="a", length=length, data_size=data_size, deadline=10.0,
+                    completed_work=length * done)
+        fresh = sim._score_pass(task, requester, nodes, extra)
+        moving = sim._score_pass(task, requester, nodes, extra, migration=True)
+        assert len(fresh) == len(moving) == len(nodes)
+        for nrt, (c_fresh, fresh_id), (node_id, c_t, a_s, m_t) in zip(nodes, fresh, moving):
+            node = nrt.node
+            shares = max(len(nrt.running) + nrt.pending + extra, 1)
+            avail = nrt.available
+            if reservation and nrt.cluster != requester:
+                avail = max(avail - node.reservation.reserved_value / node.cpu_capacity, 0.0)
+            free = max(min(avail / shares, 1.0), 1e-6)
+            want = completion_time(execution_time(task, node), free, node.caf_score, nrt.t_bd)
+            assert fresh_id == node_id == node.id
+            assert c_fresh == c_t == want
+            a_v = battery_minutes(node.battery_charge, [nrt.base_drain] * shares)
+            assert a_s == availability_score(a_v, want)
+            assert nrt.minutes[shares] == a_v
+            assert m_t == task.data_size / nrt.move_bw
+
+    @settings(max_examples=100, derandomize=True, database=None, deadline=None)
+    @given(charge=_floats(0.0, 100.0), drain=_floats(1e-3, 100.0))
+    def test_battery_memo_equals_battery_minutes(self, charge, drain):
+        fleet = [dict(id="d0", cpu_capacity=1000.0, battery_charge=charge,
+                      discharge_rates=[drain])]
+        nrt = Simulation(Scenario(explicit_fleet=fleet, app_count=0)).nodes["d0"]
+        for shares in range(1, 65):
+            want = battery_minutes(charge, [drain] * shares)
+            assert _minutes(nrt, shares) == want  # computed
+            assert _minutes(nrt, shares) == want  # from the memo
+        assert sorted(nrt.minutes) == list(range(1, 65))
+
+
+class TestDeadlineCrossingReopen:
+    """A slowdown reopens the migration search only of tasks it makes late."""
+
+    def test_only_tasks_pushed_past_their_deadline_reopen(self):
+        # one 1000-MIPS device, fully available, running three equal tasks
+        scenario = Scenario(
+            explicit_fleet=[dict(id="d0", cpu_capacity=1000.0, native_utilisation=0.0,
+                                 distance=0.0, caf_score=1.0)],
+            app_count=0, scripted_utilisation=((0.5, "d0", 0.5),))
+        sim = Simulation(scenario)
+        # each finishes at 3.0 s at a third of the device, at 5.5 s once it halves at 0.5 s
+        deadlines = {"crosses": 4.0, "on-time": 10.0, "already-late": 2.0}
+        for tid, deadline in deadlines.items():
+            task = Task(id=tid, app_id="a", length=1000.0, data_size=0.0, deadline=deadline)
+            trt = sim.tasks[tid] = _TaskRt(task=task, cluster=0, deadline_abs=deadline,
+                                           cloud_bound=False)
+            sim._on_arrive(trt, "d0")
+        for trt in sim.tasks.values():
+            assert trt.rate == pytest.approx(1000.0 / 3)
+            trt.no_target = True  # their last search found nowhere better
+        after_drop = {}
+        replan = sim._replan
+
+        def recording_replan(nrt):
+            replan(nrt)  # read before the handler's own migration attempts
+            after_drop.update((tid, trt.no_target) for tid, trt in nrt.running.items())
+
+        sim._replan = recording_replan
+        when, node_id, available = scenario.scripted_utilisation[0]
+        sim.now = when
+        sim._on_script(node_id, available)
+        for trt in sim.tasks.values():
+            assert sim.now + (trt.task.length - trt.progress) / trt.rate == pytest.approx(5.5)
+        assert after_drop == {"crosses": False, "on-time": True, "already-late": True}
+
+
+class TestCapacityCheckedAtRegistration:
+    @pytest.mark.parametrize("capacity", [0.0, -1.0])
+    def test_python_built_fleet_names_the_node(self, capacity):
+        # built in Python, so no config check ran on the fleet
+        fleet = [dict(id="d0", cpu_capacity=4000.0), dict(id="d1", cpu_capacity=capacity)]
+        with pytest.raises(InvalidNodeError, match="node d1 has non-positive capacity"):
+            Simulation(Scenario(explicit_fleet=fleet, app_count=2)).run()
