@@ -14,7 +14,7 @@ import math
 import sys
 from pathlib import Path
 
-from .engine import (APP_SPEC_KEYS, FLEET_SPEC_KEYS, TASK_SPEC_KEYS, Scenario, Simulation,
+from .engine import (APP_SPEC_KEYS, FLEET_SPEC_KEYS, TASK_SPEC_KEYS, Scenario, fleet_specs,
                      node_from_spec)
 from .fixtures import fd_table_scenario_config
 from .model import PriceBook, SlaTerms, Tier, validate
@@ -168,7 +168,7 @@ def build_scenario(fields: dict, fleet: list | None = None,
     if workload is not None:
         _check_workload(workload)
     if scenario.scripted_utilisation:
-        node_ids = Simulation(scenario).nodes
+        node_ids = {spec["id"] for spec in fleet_specs(scenario)}
         for i, (_, node_id, _) in enumerate(scenario.scripted_utilisation):
             if node_id not in node_ids:
                 raise ConfigError(f"scripted_utilisation[{i}]: unknown node {node_id!r}")

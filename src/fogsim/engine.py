@@ -157,7 +157,7 @@ FLEET_SPEC_KEYS = frozenset((
 
 
 def node_from_spec(spec: dict, scenario: Scenario) -> FogNode:
-    """The node an explicit fleet entry describes; ``id`` and ``cpu_capacity`` are required.
+    """The node a fleet entry describes; ``id`` and ``cpu_capacity`` are required.
 
     ``free_resource_fraction`` or ``native_utilisation`` alone sets the other to its complement.
     """
@@ -175,6 +175,35 @@ def node_from_spec(spec: dict, scenario: Scenario) -> FogNode:
                                         scenario.max_supported_distance),
         caf_score=spec.get("caf_score", 1.0),
     )
+
+
+def fleet_specs(sc: Scenario) -> list[dict]:
+    """The fleet as explicit fleet entries: ``explicit_fleet``, or the seeded generated fleet.
+
+    Each cluster's devices, then its fog servers, drawn from the ``fleet``
+    stream; a server draws only its distance.
+    """
+    if sc.explicit_fleet is not None:
+        return sc.explicit_fleet
+    rng = _stream(sc.seed, "fleet")
+    specs = []
+    for c in range(sc.clusters):
+        for d in range(sc.devices_per_cluster):
+            u0 = rng.uniform(*sc.initial_utilisation)
+            # the values are drawn in the order they are listed
+            specs.append({"id": f"c{c}d{d:02d}", "free_resource_fraction": 1.0 - u0,
+                          "native_utilisation": u0, "cpu_capacity": rng.uniform(*sc.device_mips),
+                          "battery_charge": rng.uniform(*sc.battery_range),
+                          "discharge_rates": [round(rng.uniform(*sc.discharge_range), 3)],
+                          "distance": rng.uniform(*sc.distance_range),
+                          "caf_score": rng.uniform(*sc.caf_range),
+                          "cluster": c, "bandwidth": sc.device_bandwidth})
+        for s in range(sc.servers_per_cluster):
+            specs.append({"id": f"c{c}s{s}", "tier": "fog_server", "cpu_capacity": sc.server_mips,
+                          "battery_charge": 100.0, "discharge_rates": [],
+                          "distance": rng.uniform(*sc.distance_range),
+                          "cluster": c, "bandwidth": sc.server_bandwidth})
+    return specs
 
 
 def next_fluctuation(available: float, band: tuple[float, float], rng: random.Random,
@@ -291,42 +320,9 @@ class Simulation:
 
     def _build_fleet(self) -> None:
         sc = self.sc
-        if sc.explicit_fleet is not None:
-            for spec in sc.explicit_fleet:
-                self._register(node_from_spec(spec, sc), spec.get("cluster", 0),
-                               spec.get("bandwidth", sc.device_bandwidth))
-            return
-        rng = _stream(sc.seed, "fleet")
-        for c in range(sc.clusters):
-            for d in range(sc.devices_per_cluster):
-                u0 = rng.uniform(*sc.initial_utilisation)
-                node = FogNode(
-                    id=f"c{c}d{d:02d}",
-                    tier=Tier.FOG_DEVICE,
-                    cpu_capacity=rng.uniform(*sc.device_mips),
-                    free_resource_fraction=1.0 - u0,
-                    native_utilisation=u0,
-                    battery_charge=rng.uniform(*sc.battery_range),
-                    discharge_rates=[round(rng.uniform(*sc.discharge_range), 3)],
-                    distance=rng.uniform(*sc.distance_range),
-                    max_supported_distance=sc.max_supported_distance,
-                    caf_score=rng.uniform(*sc.caf_range),
-                )
-                self._register(node, c, sc.device_bandwidth)
-            for s in range(sc.servers_per_cluster):
-                node = FogNode(
-                    id=f"c{c}s{s}",
-                    tier=Tier.FOG_SERVER,
-                    cpu_capacity=sc.server_mips,
-                    free_resource_fraction=1.0,
-                    native_utilisation=0.0,
-                    battery_charge=100.0,
-                    discharge_rates=[],
-                    distance=rng.uniform(*sc.distance_range),
-                    max_supported_distance=sc.max_supported_distance,
-                    caf_score=1.0,
-                )
-                self._register(node, c, sc.server_bandwidth)
+        for spec in fleet_specs(sc):
+            self._register(node_from_spec(spec, sc), spec.get("cluster", 0),
+                           spec.get("bandwidth", sc.device_bandwidth))
 
     def _register(self, node: FogNode, cluster: int, bandwidth: float) -> None:
         sc = self.sc

@@ -10,7 +10,8 @@ of ten.
 
 from __future__ import annotations
 
-from .model import FogNode, Task, Tier
+from .engine import Scenario, node_from_spec
+from .model import FogNode, Task
 
 # Per-device inputs: capacity (MIPS), free fraction, availability (minutes),
 # distance-throughput, fluctuation score, pairwise migration seconds.
@@ -45,26 +46,8 @@ MAX_SUPPORTED_DISTANCE = 40.0
 
 
 def fd_table_nodes() -> list[FogNode]:
-    """The five devices, with distances chosen so 1 - d/d_max hits each t_bd."""
-    nodes = []
-    for name, row in _FD_ROWS.items():
-        distance = (1.0 - row["t_bd"]) * MAX_SUPPORTED_DISTANCE
-        # battery/discharge pairs that land exactly on the availability column
-        drain = 2.0
-        battery = row["avail"] * drain
-        nodes.append(FogNode(
-            id=name,
-            tier=Tier.FOG_DEVICE,
-            cpu_capacity=row["capacity"],
-            free_resource_fraction=row["free"],
-            native_utilisation=1.0 - row["free"],
-            battery_charge=battery,
-            discharge_rates=[drain],
-            distance=distance,
-            max_supported_distance=MAX_SUPPORTED_DISTANCE,
-            caf_score=row["caf"],
-        ))
-    return nodes
+    """The five devices of :func:`fd_table_scenario_config`'s fleet."""
+    return [node_from_spec(spec, Scenario()) for spec in fd_table_scenario_config()["fleet"]]
 
 
 def fd_table_task(length: float = 1000.0, deadline: float = 5.0) -> Task:
@@ -82,21 +65,21 @@ def fd_table_scenario_config() -> dict:
     This is the embedded scenario the CLI exposes under the config path
     ``fixtures/fd-table``.
     """
-    fleet = []
-    for name, row in _FD_ROWS.items():
-        fleet.append({
-            "id": name,
-            "tier": "fog_device",
-            "cpu_capacity": row["capacity"],
-            "free_resource_fraction": row["free"],
-            "native_utilisation": 1.0 - row["free"],
-            "battery_charge": row["avail"] * 2.0,
-            "discharge_rates": [2.0],
-            "distance": (1.0 - row["t_bd"]) * MAX_SUPPORTED_DISTANCE,
-            "max_supported_distance": MAX_SUPPORTED_DISTANCE,
-            "caf_score": row["caf"],
-            "cluster": 0,
-        })
+    # battery over a 2 %/min drain lands on the availability column, and
+    # the distance makes 1 - d/d_max hit each t_bd
+    fleet = [{
+        "id": name,
+        "tier": "fog_device",
+        "cpu_capacity": row["capacity"],
+        "free_resource_fraction": row["free"],
+        "native_utilisation": 1.0 - row["free"],
+        "battery_charge": row["avail"] * 2.0,
+        "discharge_rates": [2.0],
+        "distance": (1.0 - row["t_bd"]) * MAX_SUPPORTED_DISTANCE,
+        "max_supported_distance": MAX_SUPPORTED_DISTANCE,
+        "caf_score": row["caf"],
+        "cluster": 0,
+    } for name, row in _FD_ROWS.items()]
     return {
         "scenario": {
             "seed": 1,

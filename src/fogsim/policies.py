@@ -53,13 +53,8 @@ def migration_order(rows: list[tuple[str, float, float, float]],
     the rest by completion time; nodes outside even the migration bound
     sink to the back. The first row is the target when it is in bound.
     """
-    feasible = [r for r in rows if r[1] < deadline]
-    rest = [r for r in rows if r[1] >= deadline]
-    feasible.sort(key=lambda r: (-r[2], r[0]))
-    rest.sort(key=lambda r: (r[1], r[0]))
-    ordered = feasible + rest
-    return ([r for r in ordered if migration_bound_ok(r, deadline)]
-            + [r for r in ordered if not migration_bound_ok(r, deadline)])
+    return sorted(rows, key=lambda r: (not migration_bound_ok(r, deadline), not r[1] < deadline,
+                                       -r[2] if r[1] < deadline else r[1], r[0]))
 
 
 def mc_allocate(task: Task, candidates: list[FogNode]) -> list[FogNode] | None:

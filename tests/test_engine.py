@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fogsim.config import load_config
+from fogsim.config import _check_fleet, load_config
 from fogsim.engine import (
     Scenario,
     Simulation,
     _minutes,
     _TaskRt,
     deadline_change_events,
+    fleet_specs,
     generate_workload,
     hash_cluster,
     next_fluctuation,
@@ -676,3 +677,35 @@ class TestCapacityCheckedAtRegistration:
         fleet = [dict(id="d0", cpu_capacity=4000.0), dict(id="d1", cpu_capacity=capacity)]
         with pytest.raises(InvalidNodeError, match="node d1 has non-positive capacity"):
             Simulation(Scenario(explicit_fleet=fleet, app_count=2)).run()
+
+
+FLEET_SCENARIOS = {
+    "default": Scenario(),
+    "acceptance": accept_scenario(),
+    "no-servers": Scenario(servers_per_cluster=0),
+    "one-cluster": Scenario(clusters=1),
+}
+
+
+class TestFleetSpecs:
+    """The generated fleet is the fleet ``fleet_specs`` lists, entry for entry."""
+
+    @pytest.mark.parametrize("name", FLEET_SCENARIOS)
+    def test_nodes_follow_the_specs(self, name):
+        sc = FLEET_SCENARIOS[name]
+        assert list(Simulation(sc).nodes) == [spec["id"] for spec in fleet_specs(sc)]
+
+    @pytest.mark.parametrize("name", FLEET_SCENARIOS)
+    def test_explicit_specs_run_like_the_generated_fleet(self, name):
+        sc = FLEET_SCENARIOS[name]
+        generated = run(sc)
+        explicit = run(dataclasses.replace(sc, explicit_fleet=fleet_specs(sc)))
+        assert generated.records and explicit.records == generated.records
+        assert explicit.ledger == generated.ledger
+
+    @pytest.mark.parametrize("name", FLEET_SCENARIOS)
+    def test_generated_entries_pass_the_config_fleet_checks(self, name):
+        sc = FLEET_SCENARIOS[name]
+        specs = fleet_specs(sc)
+        _check_fleet(dataclasses.replace(sc, explicit_fleet=specs))  # raises ConfigError
+        assert fleet_specs(dataclasses.replace(sc, explicit_fleet=specs)) is specs

@@ -4,6 +4,8 @@ import inspect
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fogsim.policies
 from fogsim.fixtures import fd_table_nodes, fd_table_task, migration_times_from
@@ -12,6 +14,8 @@ from fogsim.policies import (
     baseline_allocate,
     handle_deadline_change,
     mc_allocate,
+    migration_bound_ok,
+    migration_order,
     reserve,
 )
 from fogsim.scoring import execution_time, score_device
@@ -187,6 +191,33 @@ class TestMcAllocateMigration:
             fd_table_task(), candidates, 5.0,
             migration_times=migration_times_from("FD4"))
         assert decision.ranked[0] == "FD1"
+
+
+def two_stage_order(rows, deadline):
+    """The migration order as filters and sorts: feasible by ``-A_s``, the rest by ``C_t``,
+    then the rows outside the migration bound moved to the back."""
+    feasible = sorted((r for r in rows if r[1] < deadline), key=lambda r: (-r[2], r[0]))
+    rest = sorted((r for r in rows if r[1] >= deadline), key=lambda r: (r[1], r[0]))
+    ordered = feasible + rest
+    return ([r for r in ordered if migration_bound_ok(r, deadline)]
+            + [r for r in ordered if not migration_bound_ok(r, deadline)])
+
+
+# few distinct values, so equal C_t, A_s, M_t and deadlines on a C_t are common
+_VALUE = st.one_of(st.sampled_from([0.0, 1.0, 2.5, 5.0]),
+                   st.floats(min_value=0.0, max_value=20.0, allow_nan=False))
+_ROW = st.tuples(st.sampled_from("abcdef"), _VALUE, _VALUE, st.one_of(st.just(0.0), _VALUE))
+
+
+class TestMigrationOrder:
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(rows=st.lists(_ROW, max_size=8), deadline=_VALUE)
+    @example(rows=[], deadline=5.0)
+    @example(rows=[("b", 9.0, 1.0, 0.0), ("a", 7.0, 2.0, 1.0)], deadline=5.0)  # none in bound
+    @example(rows=[("b", 3.0, 2.0, 0.0), ("a", 3.0, 2.0, 0.0), ("c", 5.0, 2.0, 0.0),
+                   ("d", 4.9, 1.0, 0.0), ("e", 5.0, 9.0, 0.5)], deadline=5.0)  # M_t = 0, ties
+    def test_one_sort_equals_the_two_stage_order(self, rows, deadline):
+        assert migration_order(rows, deadline) == two_stage_order(rows, deadline)
 
 
 class TestBaseline:
