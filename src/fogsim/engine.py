@@ -16,7 +16,10 @@ fluctuation history feeds the *scoring* factor only.
 Rankings score candidates from the engine's own node state, every
 candidate in one pass. Each node keeps at most one pending completion
 event, for its earliest finisher when that falls by the next tick, and one
-tick event per fluctuation interval steps every device in fleet order.
+tick event per fluctuation interval steps every busy device in fleet order.
+An idle device's missed steps are applied when a decision next reads its
+load; each device draws from its own stream, so a late step is the step
+the tick would have drawn.
 """
 
 from __future__ import annotations
@@ -215,9 +218,11 @@ def next_fluctuation(available: float, band: tuple[float, float], rng: random.Ra
     bases are what produce the large relative fluctuation rates the scoring
     model expects.
     """
-    step = rng.uniform(*band)
-    sign = 1.0 if rng.random() < 0.5 else -1.0
-    return min(max(available + sign * step, floor), 0.98)
+    lo, hi = band
+    step = lo + (hi - lo) * rng.random()  # rng.uniform(lo, hi), without the method call
+    value = available + step if rng.random() < 0.5 else available - step
+    # min(max(value, floor), 0.98), without builtin calls
+    return floor if value < floor else 0.98 if value > 0.98 else value
 
 
 def deadline_change_events(app: Application, variation_pct: float,
@@ -271,6 +276,9 @@ class _NodeRt:
     window_count: int = 0
     window_last: float = 0.0
     rng: random.Random | None = None  # the device's fluctuation stream
+    index: int = -1  # position in the fleet's device order; servers have none
+    stepped: float = math.inf  # ticks applied to the load; a server's load never steps
+    n_own: int = 0  # running tasks homed to the node's own cluster
     steps: list[float] = field(default_factory=list)  # fluctuation_history's percent steps
     minutes: dict[int, float] = field(default_factory=dict)  # A_v by share count
 
@@ -310,8 +318,13 @@ class Simulation:
         self.remaining = 0
         self.max_load_ratio = 0.0
         self._next_tick = math.inf  # time of the pending fluctuation tick
+        self._ticks = 0  # fluctuation ticks started so far
+        self._cursor = math.inf  # index of the device the running tick has reached
         self._build_fleet()
         self._home_clusters = sorted({nrt.cluster for nrt in self._devices})
+        self._by_capacity = sorted(self._devices, key=lambda nrt: nrt.node.cpu_capacity,
+                                   reverse=True)
+        self._fresh_orders: dict[float, list[str]] = {}  # baseline fresh order by remaining work
         # the scenario constants of every device step, read once per run
         self._step_params = (scenario.utilisation_band, scenario.min_available,
                              scenario.history_window, *scenario.caf_range)
@@ -346,6 +359,7 @@ class Simulation:
                      yield_factor=node.caf_score)
         self.nodes[node.id] = rt
         if node.tier is Tier.FOG_DEVICE:
+            rt.index, rt.stepped = len(self._devices), 0
             self.device_ids.append(node.id)
             self._devices.append(rt)
             rt.rng = _stream(sc.seed, f"fluct:{node.id}")
@@ -380,6 +394,7 @@ class Simulation:
         A task whose last migration attempt found no target gets its search
         reopened when the new rate moves its finish past the deadline.
         """
+        self._catch_up(nrt)
         nrt.version += 1
         running = nrt.running
         n = len(running)
@@ -387,7 +402,7 @@ class Simulation:
             return
         now, cluster, capacity = self.now, nrt.cluster, nrt.node.cpu_capacity
         fog_free = capacity * nrt.available
-        n_own = sum(1 for t in running.values() if t.cluster == cluster)
+        n_own = nrt.n_own
         n_peer = n - n_own
         peer_weight = 1.0  # single-class nodes share evenly
         if self.sc.reservation and fog_free > 0 and n_own and n_peer:
@@ -440,8 +455,10 @@ class Simulation:
         """
         work, data = task.remaining_work, task.data_size
         hide = self.sc.reservation
+        catch_up = self._catch_up
         rows = []
         for nrt in nodes:
+            catch_up(nrt)
             node = nrt.node
             shares = len(nrt.running) + nrt.pending + extra or 1
             avail = nrt.available
@@ -460,14 +477,41 @@ class Simulation:
                 rows.append((c_t, node.id))
         return rows
 
-    def _ranking(self, trt: _TaskRt, nodes: list[_NodeRt]) -> list[str]:
-        """Node ids in the policy's fresh-request order for the task."""
+    def _ranking(self, trt: _TaskRt) -> list[str]:
+        """Device ids in the policy's fresh-request order for the task.
+
+        The baseline's cost, ``E_t`` plus the link round-trip, reads no load,
+        so its order is ranked once per run for each remaining-work value.
+        """
         task = trt.task
         if self.sc.policy == "baseline":
             work = task.remaining_work
-            return rank([(execution_seconds(work, nrt.node.cpu_capacity) + nrt.rtt, nrt.node.id)
-                         for nrt in nodes])
-        return rank(self._score_pass(task, trt.cluster, nodes))
+            order = self._fresh_orders.get(work)
+            if order is None:
+                order = self._fresh_orders[work] = rank([
+                    (execution_seconds(work, nrt.node.cpu_capacity) + nrt.rtt, nrt.node.id)
+                    for nrt in self._devices])
+            return order
+        return rank(self._score_pass(task, trt.cluster, self._devices))
+
+    def _baseline_target(self, trt: _TaskRt, current: _NodeRt) -> _NodeRt:
+        """The device other than ``current`` that comes first in the baseline's ``rank`` order.
+
+        Devices are visited by descending capacity, so ``E_t`` never falls;
+        the pass stops at the first device whose ``E_t`` alone exceeds the
+        best cost, since the round-trip is never negative. Ties go to the
+        lower id, as in ``rank``.
+        """
+        work = trt.task.remaining_work
+        best, best_id, target = math.inf, "", None
+        for nrt in self._by_capacity:
+            e_t = execution_seconds(work, nrt.node.cpu_capacity)
+            if e_t > best:
+                break
+            cost = e_t + nrt.rtt
+            if nrt is not current and (cost < best or cost == best and nrt.node.id < best_id):
+                best, best_id, target = cost, nrt.node.id, nrt
+        return target
 
     def _migration_search(self, trt: _TaskRt, current: _NodeRt, others: list[_NodeRt],
                           budget: float) -> list[tuple[str, float, float, float]] | None:
@@ -492,6 +536,7 @@ class Simulation:
         budget = trt.deadline_abs - self.now
         if budget <= 0:
             return False
+        self._catch_up(nrt)
         rate = _share_rate(nrt, len(nrt.running) + nrt.pending + 1)
         if rate <= 0:
             return False
@@ -509,7 +554,7 @@ class Simulation:
     # -- allocation -----------------------------------------------------------
 
     def _place_fresh(self, trt: _TaskRt) -> None:
-        order = [self.nodes[nid] for nid in self._ranking(trt, self._devices)]
+        order = [self.nodes[nid] for nid in self._ranking(trt)]
         chosen = None
         for nrt in order:
             transfer = self._uplink_time(nrt, trt.task.data_size)
@@ -538,10 +583,10 @@ class Simulation:
             trt.flagged = True
             trt.no_target = True
             return
-        others = [nrt for nrt in self._devices if nrt is not current]
         if self.sc.policy == "baseline":
-            target = self.nodes[self._ranking(trt, others)[0]]
+            target = self._baseline_target(trt, current)
         else:
+            others = [nrt for nrt in self._devices if nrt is not current]
             ordered = self._migration_search(trt, current, others, budget)
             if ordered is None:  # the current node still meets the deadline
                 trt.no_target = True
@@ -553,6 +598,7 @@ class Simulation:
                 trt.no_target = True
                 return
             target = self.nodes[ordered[0][0]]
+        self._catch_up(target)
         # moving must actually beat staying, transfer included
         move_time = trt.task.data_size / target.move_bw
         remaining = trt.task.length - trt.progress
@@ -564,6 +610,7 @@ class Simulation:
             return
         target.pending += 1
         del current.running[trt.task.id]
+        current.n_own -= trt.cluster == current.cluster
         trt.node_id = None
         trt.rate = 0.0
         trt.migrations += 1
@@ -602,6 +649,7 @@ class Simulation:
         self.remaining -= 1
         node = self.nodes[trt.node_id]
         del node.running[task.id]
+        node.n_own -= trt.cluster == node.cluster
         node.window_count += 1
         node.window_last = task.length
         self._replan(node)
@@ -637,22 +685,51 @@ class Simulation:
         if trt.start_time is None:
             trt.start_time = self.now
         nrt.running[trt.task.id] = trt
+        nrt.n_own += trt.cluster == nrt.cluster
         self._replan(nrt)
 
     def _on_tick(self) -> None:
-        """Step every device's load, in fleet order, then schedule the next tick.
+        """Step and recheck every busy device, in fleet order, then schedule the next tick.
 
-        The next tick's time is known before the steps, so their replans can
-        leave out completions that tick would replace.
+        An idle device is stepped when a decision next reads its load (see
+        ``_catch_up``). The next tick's time is known before the steps, so
+        their replans can leave out completions that tick would replace.
         """
         self._next_tick = self.now + self.sc.fluctuation_interval
-        fluctuate = self._fluctuate
+        self._ticks += 1
         for nrt in self._devices:
-            fluctuate(nrt)
+            if nrt.running:
+                self._cursor = nrt.index
+                self._recheck(nrt)
+        self._cursor = math.inf
         if self.remaining > 0:
             self._push(self._next_tick, "fluct")
 
+    def _catch_up(self, nrt: _NodeRt) -> None:
+        """Apply the load steps of the ticks the node has missed, one ``_fluctuate`` each.
+
+        Called before every read of a node's load or ``caf_score``. While a
+        tick runs, a device it has not reached yet misses only that tick's
+        step, so every read sees the load an eager tick would have left.
+        """
+        target = self._ticks - (nrt.index > self._cursor)
+        while nrt.stepped < target:
+            nrt.stepped += 1
+            self._fluctuate(nrt)
+
+    def _recheck(self, nrt: _NodeRt) -> None:
+        """Replan a busy device on a tick, then try to move the tasks that now finish late."""
+        self._replan(nrt)  # catches the device up to this tick's step first
+        choked = nrt.available < SPIKE_THRESHOLD
+        for tid in sorted(nrt.running):
+            trt = nrt.running[tid]
+            if choked:
+                trt.no_target = False  # a choke reopens the search
+            if not trt.no_target and self._projected_completion(trt) > trt.deadline_abs:
+                self._attempt_migration(trt)
+
     def _fluctuate(self, nrt: _NodeRt) -> None:
+        """One tick's load step for a device: its available fraction, history and ``caf_score``."""
         band, floor, window, lo, hi = self._step_params
         nrt.available = available = next_fluctuation(nrt.available, band, nrt.rng, floor)
         node = nrt.node
@@ -671,16 +748,6 @@ class Simulation:
                 caf = rate / 100.0  # min(max(caf, lo), hi), without builtin calls per device
                 caf = lo if caf < lo else caf
                 node.caf_score = hi if caf > hi else caf
-        if not nrt.running:  # an idle device has nothing to replan or migrate
-            return
-        self._replan(nrt)
-        choked = available < SPIKE_THRESHOLD
-        for tid in sorted(nrt.running):
-            trt = nrt.running[tid]
-            if choked:
-                trt.no_target = False  # a choke reopens the search
-            if not trt.no_target and self._projected_completion(trt) > trt.deadline_abs:
-                self._attempt_migration(trt)
 
     def _on_deadline(self, trt: _TaskRt, factor: float) -> None:
         if trt.done:
@@ -696,6 +763,7 @@ class Simulation:
 
     def _on_script(self, node_id: str, available: float) -> None:
         nrt = self.nodes[node_id]
+        self._catch_up(nrt)  # the steps before the script, so later ticks step from its value
         nrt.available = max(min(available, 0.98), 0.001)
         self._replan(nrt)
         for tid in sorted(nrt.running):

@@ -6,7 +6,7 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogsim.config import _check_fleet, load_config
@@ -34,8 +34,9 @@ from fogsim.policies import (
     migration_bound_ok,
 )
 from fogsim.scoring import (InvalidNodeError, availability_score, battery_minutes,
-                            completion_time, cpu_fluctuation_rate, execution_time,
-                            fluctuation_step, migration_time, throughput_by_distance)
+                            completion_time, cpu_fluctuation_rate, execution_seconds,
+                            execution_time, fluctuation_step, migration_time,
+                            throughput_by_distance)
 
 
 def small_scenario(**overrides):
@@ -177,6 +178,26 @@ class TestFluctuationProcess:
         for _ in range(500):
             value = next_fluctuation(value, (0.1, 0.9), rng, floor=0.02)
             assert 0.02 <= value <= 0.98
+
+    @pytest.mark.parametrize("band", [(0.0, 0.0), (0.1, 0.4), (0.1, 1.0), (0.5, 2.0)])
+    def test_step_equals_the_uniform_expression(self, band):
+        def reference(available, rng, floor):
+            step = rng.uniform(*band)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            return min(max(available + sign * step, floor), 0.98)
+
+        new, old = random.Random(f"pair:{band}"), random.Random(f"pair:{band}")
+        value = want = 0.5
+        clamped = Counter()
+        for _ in range(5000):
+            value = next_fluctuation(value, band, new, 0.02)
+            want = reference(want, old, 0.02)
+            assert value == want
+            if value in (0.02, 0.98):
+                clamped[value] += 1
+        assert new.getstate() == old.getstate()  # the same draws, in the same order
+        if band[1] >= 0.5:  # wide bands reflect at both ends
+            assert clamped[0.02] > 0 and clamped[0.98] > 0
 
     def test_wide_band_causes_more_migrations(self):
         # widest fluctuation grid cell versus the narrowest, paired seeds
@@ -324,19 +345,30 @@ class TestRankingFromEngineState:
             assert sim.nodes[nid].rtt == link_delay(link)
             assert sim.nodes[nid].move_bw == link_bandwidth(link) * sim.nodes[nid].t_bd
         checked = Counter()
-        ranking, search = sim._ranking, sim._migration_search
+        ranking, search, baseline_target = sim._ranking, sim._migration_search, sim._baseline_target
 
-        def checked_ranking(trt, nodes):
-            order = ranking(trt, nodes)
-            snaps = [_snapshot(sim, nrt, len(nrt.running) + nrt.pending + 1,
-                               nrt.cluster != trt.cluster) for nrt in nodes]
+        def snapshots(trt, nodes):
+            return [_snapshot(sim, nrt, len(nrt.running) + nrt.pending + 1,
+                              nrt.cluster != trt.cluster) for nrt in nodes]
+
+        def checked_ranking(trt):
+            order = ranking(trt)
+            snaps = snapshots(trt, sim._devices)
             if policy == "baseline":
                 want = baseline_allocate(trt.task, snaps, links=links)
             else:
                 want = mc_allocate(trt.task, snaps)
             assert order == [n.id for n in want]
-            checked["fresh" if len(nodes) == len(sim.device_ids) else "migration"] += 1
+            checked["fresh"] += 1
             return order
+
+        def checked_baseline_target(trt, current):
+            target = baseline_target(trt, current)
+            others = [nrt for nrt in sim._devices if nrt is not current]
+            want = baseline_allocate(trt.task, snapshots(trt, others), links=links)[0]
+            assert target.node.id == want.id
+            checked["migration"] += 1
+            return target
 
         def checked_search(trt, current, others, budget):
             ordered = search(trt, current, others, budget)
@@ -357,6 +389,7 @@ class TestRankingFromEngineState:
             return ordered
 
         sim._ranking, sim._migration_search = checked_ranking, checked_search
+        sim._baseline_target = checked_baseline_target
         sim.run()
         assert checked["fresh"] == 700 and checked["migration"] > 0
         if policy == "mc":
@@ -386,6 +419,30 @@ class TestRankingFromEngineState:
         assert ticks == expected
         last = max(r.completion_time for r in trace.records)
         assert ticks[-2] <= last <= ticks[-1]
+
+
+class TestBaselineTarget:
+    """The early-exit pass picks the other device that ``min`` over all rows picks."""
+
+    @settings(max_examples=500, derandomize=True, database=None, deadline=None)
+    @given(devices=st.lists(st.tuples(st.sampled_from([1000.0, 2000.0, 3000.0, 4000.0]),
+                                      st.sampled_from([0.0, 0.25, 0.5, 1.0, 1.5])),
+                            min_size=2, max_size=8),
+           work=st.sampled_from([0.0, 1000.0, 3000.0]), current=st.integers(0, 7))
+    # equal costs: d0 (E_t 1.0, rtt 0) ties d1 (E_t 0.5, rtt 0.5) and wins on id,
+    # so a pass that stops at E_t == best cost misses it
+    @example(devices=[(1000.0, 0.0), (2000.0, 0.5), (4000.0, 0.0)], work=1000.0, current=2)
+    def test_target_is_the_cheapest_row(self, devices, work, current):
+        fleet = [dict(id=f"d{i}", cpu_capacity=capacity) for i, (capacity, _) in enumerate(devices)]
+        sim = Simulation(Scenario(explicit_fleet=fleet, app_count=0))
+        for nrt, (_, rtt) in zip(sim._devices, devices):
+            nrt.rtt = rtt
+        here = sim._devices[current % len(devices)]
+        task = Task(id="t", app_id="a", length=work, data_size=0.0, deadline=10.0)
+        trt = _TaskRt(task=task, cluster=0, deadline_abs=10.0, cloud_bound=False)
+        _, want = min((execution_seconds(work, nrt.node.cpu_capacity) + nrt.rtt, nrt.node.id)
+                      for nrt in sim._devices if nrt is not here)
+        assert sim._baseline_target(trt, here).node.id == want
 
 
 class TestDistanceThroughput:
@@ -496,6 +553,91 @@ class TestCachedFluctuationSteps:
         sim.run()
         assert checked["full"] > 0
         assert (checked["filling"] > 0) == (scenario.history_window > 2)
+
+
+class EagerTicks(Simulation):
+    """The tick before lazy steps: every device stepped at its turn, nothing caught up on read."""
+
+    def _catch_up(self, nrt):
+        pass
+
+    def _on_tick(self):
+        self._next_tick = self.now + self.sc.fluctuation_interval
+        for nrt in self._devices:
+            self._fluctuate(nrt)
+            if nrt.running:
+                self._recheck(nrt)
+        if self.remaining > 0:
+            self._push(self._next_tick, "fluct")
+
+
+# tests/test_golden_outputs.py's collision scenario: scripted loads on exact tick times
+COLLISION = Scenario(app_count=24, deadline_variation_pct=80.0, deadline_changes_per_task=3,
+                     fluctuation_interval=1.0, reservation_period=1.0,
+                     scripted_utilisation=((2.0, "c0d03", 0.05), (8.0, "c1d07", 0.03),
+                                           (15.0, "c0d11", 0.9), (23.0, "c1d00", 0.04),
+                                           (31.0, "c0d00", 0.05), (40.0, "c1d12", 0.6)))
+
+
+def _recorded_steps(sim):
+    """Each device's load steps in the run to come: the load before, the load and score after."""
+    steps = {nid: [] for nid in sim.device_ids}
+    fluctuate = sim._fluctuate
+
+    def recording_fluctuate(nrt):
+        before = nrt.available
+        fluctuate(nrt)
+        steps[nrt.node.id].append((before, nrt.available, nrt.node.caf_score))
+
+    sim._fluctuate = recording_fluctuate
+    return steps
+
+
+class TestLazySteps:
+    """Stepping idle devices only when read runs exactly like stepping every device each tick."""
+
+    @pytest.mark.parametrize("policy", ["mc", "baseline"])
+    @pytest.mark.parametrize("scenario", [accept_scenario(), storm_scenario(), COLLISION],
+                             ids=["accept", "storm", "collision"])
+    def test_runs_equal_the_eager_tick(self, scenario, policy):
+        scenario = dataclasses.replace(scenario, policy=policy)
+        lazy_sim, eager_sim = Simulation(scenario), EagerTicks(scenario)
+        lazy_steps, eager_steps = _recorded_steps(lazy_sim), _recorded_steps(eager_sim)
+        lazy, eager = lazy_sim.run(), eager_sim.run()
+        assert lazy.records and lazy.records == eager.records
+        assert lazy.ledger == eager.ledger
+        # an idle device's load is as of its last read; caught up, it took the eager steps
+        for nrt in lazy_sim._devices:
+            assert nrt.stepped <= lazy_sim._ticks
+            lazy_sim._catch_up(nrt)
+        assert lazy_steps == eager_steps
+
+    def test_baseline_storm_skips_steps(self):
+        sim = Simulation(storm_scenario(policy="baseline"))
+        sim.run()
+        stepped = sum(nrt.stepped for nrt in sim._devices)
+        assert 0 < stepped < sim._ticks * len(sim._devices)
+
+
+class TestOwnClusterCount:
+    @pytest.mark.parametrize("scenario", [accept_scenario(), storm_scenario(),
+                                          storm_scenario(policy="baseline")],
+                             ids=["accept", "storm", "storm-baseline"])
+    def test_stored_count_equals_the_recount(self, scenario):
+        sim = Simulation(scenario)
+        replan = sim._replan
+        checked = Counter()
+
+        def checked_replan(nrt):
+            own = sum(1 for trt in nrt.running.values() if trt.cluster == nrt.cluster)
+            assert nrt.n_own == own
+            checked["own" if own else "none"] += 1
+            checked["peer"] += own < len(nrt.running)
+            replan(nrt)
+
+        sim._replan = checked_replan
+        sim.run()
+        assert checked["own"] > 0 and checked["none"] > 0 and checked["peer"] > 0
 
 
 class TestCompletionEvents:
