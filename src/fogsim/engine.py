@@ -11,7 +11,9 @@ fixed per-device yield factor (its configured fluctuation score, so the
 worked example's arithmetic holds: a factor above 1 speeds progress up).
 Physical shares never exceed free capacity, so utilisation plus
 allocation stays within the device budget at every event. The live
-fluctuation history feeds the *scoring* factor only.
+fluctuation score feeds the *scoring* factor only; it lives with the rest
+of a node's live state in the engine's node record, and no run writes a
+``FogNode``.
 
 Rankings score candidates from the engine's own node state, every
 candidate in one pass. Each node keeps at most one pending completion
@@ -27,11 +29,10 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .metrics import RunTrace, account
-from .model import Application, FogNode, NetworkLink, Task, Tier
+from .model import Application, FogNode, NetworkLink, ReservationState, Task, Tier
 from .network import link_bandwidth, link_delay, processing_delay
 from .policies import migration_bound_ok, migration_order, rank, reserve
 from .scoring import (availability_score, battery_minutes, checked_capacity, completion_time,
@@ -270,6 +271,8 @@ class _NodeRt:
     base_drain: float
     available: float
     yield_factor: float = 1.0  # fixed fraction of free cycles usable for fog work
+    caf: float = 1.0  # the live fluctuation score that rankings read
+    reservation: ReservationState = field(default_factory=ReservationState)
     running: dict[str, _TaskRt] = field(default_factory=dict)
     pending: int = 0  # placements/migrations already bound for this node
     version: int = 0  # bumped by every replan; only the latest ``done`` event is live
@@ -279,7 +282,8 @@ class _NodeRt:
     index: int = -1  # position in the fleet's device order; servers have none
     stepped: float = math.inf  # ticks applied to the load; a server's load never steps
     n_own: int = 0  # running tasks homed to the node's own cluster
-    steps: list[float] = field(default_factory=list)  # fluctuation_history's percent steps
+    last_sample: float | None = None  # the last available-CPU percentage, none before a step
+    steps: list[float] = field(default_factory=list)  # percent steps of the window's samples
     minutes: dict[int, float] = field(default_factory=dict)  # A_v by share count
 
 
@@ -356,7 +360,7 @@ class Simulation:
         rt = _NodeRt(node=node, cluster=cluster, rtt=link_delay(link),
                      move_bw=link_bandwidth(link) * t_bd, t_bd=t_bd,
                      base_drain=drain, available=1.0 - node.native_utilisation,
-                     yield_factor=node.caf_score)
+                     yield_factor=node.caf_score, caf=node.caf_score)
         self.nodes[node.id] = rt
         if node.tier is Tier.FOG_DEVICE:
             rt.index, rt.stepped = len(self._devices), 0
@@ -406,7 +410,7 @@ class Simulation:
         n_peer = n - n_own
         peer_weight = 1.0  # single-class nodes share evenly
         if self.sc.reservation and fog_free > 0 and n_own and n_peer:
-            reserved = min(nrt.node.reservation.reserved_value, fog_free)
+            reserved = min(nrt.reservation.reserved_value, fog_free)
             peer_weight = max((fog_free - reserved) / fog_free, 0.5)
         weight_sum = n_own + peer_weight * n_peer
         allocated = fog_free / weight_sum * weight_sum  # capacity handed out over all shares
@@ -463,13 +467,13 @@ class Simulation:
             shares = len(nrt.running) + nrt.pending + extra or 1
             avail = nrt.available
             if hide and nrt.cluster != cluster:
-                avail -= node.reservation.reserved_value / node.cpu_capacity
+                avail -= nrt.reservation.reserved_value / node.cpu_capacity
                 avail = 0.0 if avail < 0.0 else avail
             # max(min(avail / shares, 1.0), 1e-6), without builtin calls per node
             free = avail / shares
             free = 1.0 if free > 1.0 else 1e-6 if free < 1e-6 else free
             c_t = completion_time(execution_seconds(work, node.cpu_capacity), free,
-                                  node.caf_score, nrt.t_bd)
+                                  nrt.caf, nrt.t_bd)
             if migration:
                 rows.append((node.id, c_t, availability_score(_minutes(nrt, shares), c_t),
                              data / nrt.move_bw))
@@ -544,7 +548,7 @@ class Simulation:
         if transfer + remaining / rate > budget * self.sc.admission_optimism:
             return False
         if peer and self.sc.reservation:
-            usable = nrt.node.cpu_capacity * nrt.available - nrt.node.reservation.reserved_value
+            usable = nrt.node.cpu_capacity * nrt.available - nrt.reservation.reserved_value
             need_physical = remaining / max(budget - transfer, 1e-9)
             need_physical /= (nrt.yield_factor * nrt.t_bd)
             if usable < need_physical:
@@ -592,7 +596,7 @@ class Simulation:
                 trt.no_target = True
                 return
             # the paper reserves on every migration search
-            self._refresh_reservations(row[0] for row in ordered)
+            self._refresh_reservations([self.nodes[row[0]] for row in ordered])
             if not migration_bound_ok(ordered[0], budget):
                 trt.flagged = True
                 trt.no_target = True
@@ -623,21 +627,19 @@ class Simulation:
     def _rotate_reservation(self) -> None:
         for nrt in self._devices:
             if nrt.window_count > 0:  # quiet windows keep the last known demand
-                nrt.node.reservation.total_apps_processed = nrt.window_count
-                nrt.node.reservation.last_app_request = nrt.window_last
+                nrt.reservation.total_apps_processed = nrt.window_count
+                nrt.reservation.last_app_request = nrt.window_last
                 nrt.window_count = 0
-                nrt.window_last = 0.0
-        self._refresh_reservations(self.device_ids)
+        self._refresh_reservations(self._devices)
 
-    def _refresh_reservations(self, node_ids: Iterable[str]) -> None:
+    def _refresh_reservations(self, nodes: list[_NodeRt]) -> None:
         """Hold back each node's required reservation, capped at a share of its capacity.
 
         The only writer of ``reserved_value``.
         """
         cap = self.sc.reservation_cap_fraction
-        nodes = [self.nodes[nid].node for nid in node_ids]
-        for node, required in zip(nodes, reserve(nodes)):
-            node.reservation.reserved_value = min(required, cap * node.cpu_capacity)
+        for nrt, required in zip(nodes, reserve([nrt.reservation for nrt in nodes])):
+            nrt.reservation.reserved_value = min(required, cap * nrt.node.cpu_capacity)
 
     # -- completion ------------------------------------------------------------
 
@@ -708,7 +710,7 @@ class Simulation:
     def _catch_up(self, nrt: _NodeRt) -> None:
         """Apply the load steps of the ticks the node has missed, one ``_fluctuate`` each.
 
-        Called before every read of a node's load or ``caf_score``. While a
+        Called before every read of a node's load or ``caf``. While a
         tick runs, a device it has not reached yet misses only that tick's
         step, so every read sees the load an eager tick would have left.
         """
@@ -729,25 +731,22 @@ class Simulation:
                 self._attempt_migration(trt)
 
     def _fluctuate(self, nrt: _NodeRt) -> None:
-        """One tick's load step for a device: its available fraction, history and ``caf_score``."""
+        """One tick's load step for a device: its available fraction, step window and ``caf``."""
         band, floor, window, lo, hi = self._step_params
         nrt.available = available = next_fluctuation(nrt.available, band, nrt.rng, floor)
-        node = nrt.node
-        history, steps = node.fluctuation_history, nrt.steps
-        sample = available * 100.0
-        if history:
-            steps.append(fluctuation_step(history[-1], sample))
-        history.append(sample)
-        if len(history) > window:
-            del history[0]
-            del steps[:1]  # the oldest sample's step, if it had a successor
+        steps, sample = nrt.steps, available * 100.0
+        if nrt.last_sample is not None:
+            steps.append(fluctuation_step(nrt.last_sample, sample))
+            if len(steps) >= window:
+                del steps[0]
+        nrt.last_sample = sample
         if steps:
-            # cpu_fluctuation_rate(history), summed over the same steps in the same order
+            # cpu_fluctuation_rate over the window's samples, summed in the same order
             rate = sum(steps) / len(steps)
             if rate > 0:  # a flat history keeps the configured score
                 caf = rate / 100.0  # min(max(caf, lo), hi), without builtin calls per device
                 caf = lo if caf < lo else caf
-                node.caf_score = hi if caf > hi else caf
+                nrt.caf = hi if caf > hi else caf
 
     def _on_deadline(self, trt: _TaskRt, factor: float) -> None:
         if trt.done:

@@ -1,8 +1,8 @@
 """Domain types shared by the whole simulator.
 
-Everything here is a plain value type. Nodes and tasks are mutated only by
-the single-threaded simulation engine; the scoring, policy, pricing and
-metrics modules treat them as read-only snapshots.
+Everything here is a plain value type. Tasks are mutated only by the
+single-threaded simulation engine, nodes never: the engine keeps a node's
+live state in its own records. Every other module treats both as read-only.
 """
 
 from __future__ import annotations
@@ -37,12 +37,11 @@ class ReservationState:
 class FogNode:
     """A compute node: fog device, fog server, or cloud endpoint.
 
-    ``free_resource_fraction`` and ``discharge_rates`` are the scoring
-    inputs of a node snapshot. The engine never writes them: it takes a
-    base drain from ``discharge_rates`` and the starting load from
-    ``native_utilisation`` when it builds its fleet, and then tracks the
-    live load itself. It keeps ``caf_score`` up to date from
-    ``fluctuation_history``, the per-interval available-CPU percentages.
+    A fleet entry, and the input of a scoring snapshot. The engine never
+    writes one: it takes a base drain from ``discharge_rates``, the starting
+    load from ``native_utilisation`` and the starting score from
+    ``caf_score`` when it builds its fleet, and then tracks the live load,
+    fluctuation score and reservation itself.
     """
 
     id: str
@@ -56,7 +55,6 @@ class FogNode:
     max_supported_distance: float = 100.0
     fluctuation_history: list[float] = field(default_factory=list)
     caf_score: float = 1.0
-    reservation: ReservationState = field(default_factory=ReservationState)
 
 
 def validate(node: FogNode) -> list[str]:

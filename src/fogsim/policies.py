@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import FogNode, NetworkLink, Task
+from .model import FogNode, NetworkLink, ReservationState, Task
 from .network import link_delay
 from .scoring import execution_time, score_device
 
@@ -71,7 +71,7 @@ def mc_allocate(task: Task, candidates: list[FogNode]) -> list[FogNode] | None:
                                     for n in candidates])]
 
 
-def reserve(devices: list[FogNode]) -> list[float]:
+def reserve(states: list[ReservationState]) -> list[float]:
     """Each device's required reservation from its recent request history.
 
     ``Req_res = (R_v + L_AR) / T_AP``: the reserved value plus the last
@@ -79,8 +79,7 @@ def reserve(devices: list[FogNode]) -> list[float]:
     processed nothing requires no reservation.
     """
     required = []
-    for node in devices:
-        state = node.reservation
+    for state in states:
         if state.total_apps_processed > 0:
             required.append((state.reserved_value + state.last_app_request)
                             / state.total_apps_processed)

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import heapq
 import json
@@ -112,7 +113,7 @@ class TestFixtureRun:
         """The fixture fleet with reservation history and task t0 running on FD4."""
         sim = Simulation(load_config("fixtures/fd-table").scenario)
         for i, nid in enumerate(sim.device_ids):
-            sim.nodes[nid].node.reservation = ReservationState(
+            sim.nodes[nid].reservation = ReservationState(
                 reserved_value=100.0 * i, last_app_request=600.0, total_apps_processed=2)
         trt = _TaskRt(task=fd_table_task(), cluster=0, deadline_abs=deadline,
                       cloud_bound=False)
@@ -125,17 +126,17 @@ class TestFixtureRun:
         sim._attempt_migration(trt)
         cap = sim.sc.reservation_cap_fraction
         for i, nid in enumerate(sim.device_ids):
-            node = sim.nodes[nid].node
+            nrt = sim.nodes[nid]
             if nid == "FD4":  # not a candidate: keeps its reservation
-                assert node.reservation.reserved_value == 100.0 * i
+                assert nrt.reservation.reserved_value == 100.0 * i
             else:  # min((R_v + L_AR) / T_AP, cap * CPU_s)
-                assert node.reservation.reserved_value == min(
-                    (100.0 * i + 600.0) / 2, cap * node.cpu_capacity)
+                assert nrt.reservation.reserved_value == min(
+                    (100.0 * i + 600.0) / 2, cap * nrt.node.cpu_capacity)
 
     def test_no_migration_search_keeps_reservations(self):
         sim, trt = self._fd4_with_history(deadline=50.0)  # FD4 still fits
         sim._attempt_migration(trt)
-        assert [sim.nodes[nid].node.reservation.reserved_value
+        assert [sim.nodes[nid].reservation.reserved_value
                 for nid in sim.device_ids] == [100.0 * i for i in range(5)]
 
     def test_empty_workload_all_zero(self):
@@ -314,14 +315,14 @@ def _snapshot(sim, nrt, n_next, peer):
 
     The free fraction is the available fraction per share, with reserved
     capacity hidden from a peer-cluster requester; each share adds one base
-    drain. A copy, so the engine's nodes stay untouched.
+    drain; the score is the live one. A copy, so the engine's nodes stay untouched.
     """
     avail = nrt.available
     if peer and sim.sc.reservation:
-        avail = max(avail - nrt.node.reservation.reserved_value / nrt.node.cpu_capacity, 0.0)
+        avail = max(avail - nrt.reservation.reserved_value / nrt.node.cpu_capacity, 0.0)
     n = max(n_next, 1)
     return dataclasses.replace(nrt.node, free_resource_fraction=max(min(avail / n, 1.0), 1e-6),
-                               discharge_rates=[nrt.base_drain] * n)
+                               discharge_rates=[nrt.base_drain] * n, caf_score=nrt.caf)
 
 
 def _device_link(sim, nrt):
@@ -531,22 +532,24 @@ class TestCachedFluctuationSteps:
         sim = Simulation(scenario)
         fluctuate = sim._fluctuate
         lo, hi = scenario.caf_range
+        windows = {nid: [] for nid in sim.device_ids}  # each device's last samples
         checked = Counter()
 
         def checked_fluctuate(nrt):
-            caf_before = nrt.node.caf_score
+            caf_before = nrt.caf
             fluctuate(nrt)
-            history = nrt.node.fluctuation_history
-            assert len(history) <= scenario.history_window
+            history = windows[nrt.node.id]
+            history.append(nrt.available * 100.0)
+            del history[:-scenario.history_window]
             assert nrt.steps == [fluctuation_step(prev, cur)
                                  for prev, cur in zip(history, history[1:])]
             if len(history) < 2:
-                assert nrt.node.caf_score == caf_before
+                assert nrt.caf == caf_before
                 return
             rate = cpu_fluctuation_rate(history)
             assert sum(nrt.steps) / len(nrt.steps) == rate
             want = min(max(rate / 100.0, lo), hi) if rate > 0 else caf_before
-            assert nrt.node.caf_score == want
+            assert nrt.caf == want
             checked["full" if len(history) == scenario.history_window else "filling"] += 1
 
         sim._fluctuate = checked_fluctuate
@@ -587,7 +590,7 @@ def _recorded_steps(sim):
     def recording_fluctuate(nrt):
         before = nrt.available
         fluctuate(nrt)
-        steps[nrt.node.id].append((before, nrt.available, nrt.node.caf_score))
+        steps[nrt.node.id].append((before, nrt.available, nrt.caf))
 
     sim._fluctuate = recording_fluctuate
     return steps
@@ -617,6 +620,24 @@ class TestLazySteps:
         sim.run()
         stepped = sum(nrt.stepped for nrt in sim._devices)
         assert 0 < stepped < sim._ticks * len(sim._devices)
+
+
+class TestRunWritesNoFogNode:
+    """A run keeps each node's live state in its node record and leaves its ``FogNode`` as built."""
+
+    @pytest.mark.parametrize("policy", ["mc", "baseline"])
+    @pytest.mark.parametrize("scenario", [accept_scenario(), storm_scenario(), COLLISION],
+                             ids=["accept", "storm", "collision"])
+    def test_nodes_equal_their_fleet_entries(self, scenario, policy):
+        sim = Simulation(dataclasses.replace(scenario, policy=policy))
+        built = {nid: copy.deepcopy(nrt.node) for nid, nrt in sim.nodes.items()}
+        start = {nid: (nrt.caf, nrt.reservation.reserved_value) for nid, nrt in sim.nodes.items()}
+        sim.run()
+        assert {nid: nrt.node for nid, nrt in sim.nodes.items()} == built
+        # the live state did move, so the nodes stayed put for a reason
+        assert any(nrt.caf != start[nid][0] for nid, nrt in sim.nodes.items())
+        assert any(nrt.reservation.reserved_value != start[nid][1]
+                   for nid, nrt in sim.nodes.items())
 
 
 class TestOwnClusterCount:
@@ -741,8 +762,8 @@ class TestScorePass:
         for nrt, c in zip(nodes, candidates):
             nrt.available, nrt.pending, nrt.t_bd = c["available"], c["pending"], c["t_bd"]
             nrt.running = {f"r{k}": None for k in range(c["running"])}
-            nrt.node.caf_score = c["caf"]
-            nrt.node.reservation.reserved_value = c["reserved"] * c["capacity"]
+            nrt.caf = c["caf"]
+            nrt.reservation.reserved_value = c["reserved"] * c["capacity"]
         task = Task(id="t", app_id="a", length=length, data_size=data_size, deadline=10.0,
                     completed_work=length * done)
         fresh = sim._score_pass(task, requester, nodes, extra)
@@ -753,9 +774,9 @@ class TestScorePass:
             shares = max(len(nrt.running) + nrt.pending + extra, 1)
             avail = nrt.available
             if reservation and nrt.cluster != requester:
-                avail = max(avail - node.reservation.reserved_value / node.cpu_capacity, 0.0)
+                avail = max(avail - nrt.reservation.reserved_value / node.cpu_capacity, 0.0)
             free = max(min(avail / shares, 1.0), 1e-6)
-            want = completion_time(execution_time(task, node), free, node.caf_score, nrt.t_bd)
+            want = completion_time(execution_time(task, node), free, nrt.caf, nrt.t_bd)
             assert fresh_id == node_id == node.id
             assert c_fresh == c_t == want
             a_v = battery_minutes(node.battery_charge, [nrt.base_drain] * shares)

@@ -80,28 +80,16 @@ class TestMcAllocateFresh:
 
 class TestReserve:
     def test_required_reservation_formula(self):
-        node = fd_table_nodes()[0]
-        node.reservation = ReservationState(reserved_value=100.0, last_app_request=50.0,
-                                            total_apps_processed=3)
-        assert reserve([node]) == [pytest.approx(50.0)]  # (100 + 50) / 3
-        assert node.reservation.reserved_value == 100.0  # the engine applies it
+        state = ReservationState(reserved_value=100.0, last_app_request=50.0,
+                                 total_apps_processed=3)
+        assert reserve([state]) == [pytest.approx(50.0)]  # (100 + 50) / 3
+        assert state.reserved_value == 100.0  # the engine applies it
 
     def test_no_history_reserves_nothing(self):
-        node = fd_table_nodes()[0]
-        node.reservation = ReservationState(reserved_value=100.0)
-        assert reserve([node]) == [0.0]
+        assert reserve([ReservationState(reserved_value=100.0)]) == [0.0]
 
     def test_empty_device_list_requires_nothing(self):
         assert reserve([]) == []
-
-
-def history_fleet():
-    """The reference fleet, every node with a reservation history."""
-    nodes = fd_table_nodes()
-    for i, node in enumerate(nodes):
-        node.reservation = ReservationState(reserved_value=10.0 * i, last_app_request=30.0,
-                                            total_apps_processed=i + 1)
-    return nodes
 
 
 class TestPurity:
@@ -109,18 +97,20 @@ class TestPurity:
 
     @pytest.mark.parametrize("deadline", [1.0, 5.0, 50.0])
     def test_queries_leave_nodes_and_task_unchanged(self, deadline):
-        nodes = history_fleet()
+        nodes = fd_table_nodes()
+        states = [ReservationState(reserved_value=10.0 * i, last_app_request=30.0,
+                                   total_apps_processed=i + 1) for i in range(len(nodes))]
         nodes[3].free_resource_fraction = 0.01  # FD4 chokes: a migration search runs
         task = fd_table_task()
-        before = copy.deepcopy((nodes, task))
+        before = copy.deepcopy((nodes, states, task))
         mc_allocate(task, nodes)
         baseline_allocate(task, nodes)
-        reserve(nodes)
+        reserve(states)
         handle_deadline_change(task, nodes, deadline, current=nodes[3],
                                migration_times=migration_times_from("FD4"))
         handle_deadline_change(task, nodes, deadline,
                                migration_times=migration_times_from("FD4"))
-        assert (nodes, task) == before
+        assert (nodes, states, task) == before
 
     def test_no_attribute_assignment_in_module(self):
         tree = ast.parse(inspect.getsource(fogsim.policies))
