@@ -16,9 +16,13 @@ of a node's live state in the engine's node record, and no run writes a
 ``FogNode``.
 
 Rankings score candidates from the engine's own node state, every
-candidate in one pass. Each node keeps at most one pending completion
-event, for its earliest finisher when that falls by the next tick, and one
-tick event per fluctuation interval steps every busy device in fleet order.
+candidate in one pass. A multi-criteria fresh ranking keeps its rows in
+order between placements and rescores only the devices marked since:
+every change of a row input marks the device. A migration search takes
+its target as the minimum row by ``migration_key``, without sorting.
+Each node keeps at most one pending completion event, for its earliest
+finisher when that falls by the next tick, and one tick event per
+fluctuation interval steps every busy device in fleet order.
 An idle device's missed steps are applied when a decision next reads its
 load; each device draws from its own stream, so a late step is the step
 the tick would have drawn.
@@ -29,12 +33,13 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .metrics import RunTrace, account
 from .model import Application, FogNode, NetworkLink, ReservationState, Task, Tier
 from .network import link_bandwidth, link_delay, processing_delay
-from .policies import migration_bound_ok, migration_order, rank, reserve
+from .policies import migration_bound_ok, migration_key, rank, reserve
 from .scoring import (availability_score, battery_minutes, checked_capacity, completion_time,
                       execution_seconds, fluctuation_step, throughput_by_distance)
 from .scoring import cpu_fluctuation_rate  # noqa: F401 -- the rate _fluctuate caches, re-exported
@@ -282,6 +287,7 @@ class _NodeRt:
     index: int = -1  # position in the fleet's device order; servers have none
     stepped: float = math.inf  # ticks applied to the load; a server's load never steps
     n_own: int = 0  # running tasks homed to the node's own cluster
+    marks: int = 0  # changes to the inputs of the node's fresh-ranking rows so far
     last_sample: float | None = None  # the last available-CPU percentage, none before a step
     steps: list[float] = field(default_factory=list)  # percent steps of the window's samples
     minutes: dict[int, float] = field(default_factory=dict)  # A_v by share count
@@ -309,6 +315,8 @@ class Simulation:
     """Single-threaded deterministic event loop over one scenario."""
 
     def __init__(self, scenario: Scenario):
+        if not scenario.min_available > 0:  # a device at 0 would run its shares at rate 0
+            raise ValueError(f"min_available must be above 0, got {scenario.min_available}")
         self.sc = scenario
         self.now = 0.0
         self._seq = 0
@@ -328,7 +336,10 @@ class Simulation:
         self._home_clusters = sorted({nrt.cluster for nrt in self._devices})
         self._by_capacity = sorted(self._devices, key=lambda nrt: nrt.node.cpu_capacity,
                                    reverse=True)
-        self._fresh_orders: dict[float, list[str]] = {}  # baseline fresh order by remaining work
+        self._fresh_orders: dict[float, list[tuple]] = {}  # baseline fresh rows by remaining work
+        # mc fresh rows by (home cluster, remaining work), with each device's row and its marks
+        self._indexes: dict[tuple[int, float], tuple[list[tuple], list, list[int]]] = {}
+        self._min_rtt: float | None = None  # the smallest device round-trip, taken on first use
         # the scenario constants of every device step, read once per run
         self._step_params = (scenario.utilisation_band, scenario.min_available,
                              scenario.history_window, *scenario.caf_range)
@@ -449,20 +460,23 @@ class Simulation:
     # -- scoring ------------------------------------------------------------
 
     def _score_pass(self, task: Task, cluster: int, nodes: list[_NodeRt], extra: int = 1,
-                    migration: bool = False) -> list[tuple]:
+                    budget: float | None = None) -> list[tuple]:
         """Score every node for the task in one pass, each over ``extra`` more shares.
 
-        Rows are ``(C_t, id)``, or ``(id, C_t, A_s, M_t)`` for a migration
-        search. The free fraction is the available fraction per share (at
-        least one share); reserved capacity is not advertised to a requester
-        from a cluster other than ``cluster``.
+        Rows are ``(C_t, id, node record)``, or ``(id, C_t, A_s, M_t)`` for a
+        migration search within ``budget``; ``A_s`` is computed only for a
+        row that meets the budget and is ``None`` elsewhere, where the
+        migration order never reads it. The free fraction is the available
+        fraction per share (at least one share); reserved capacity is not
+        advertised to a requester from a cluster other than ``cluster``.
         """
         work, data = task.remaining_work, task.data_size
         hide = self.sc.reservation
-        catch_up = self._catch_up
+        ticks, catch_up = self._ticks, self._catch_up
         rows = []
         for nrt in nodes:
-            catch_up(nrt)
+            if nrt.stepped < ticks:  # a node stepped for every tick started is caught up
+                catch_up(nrt)
             node = nrt.node
             shares = len(nrt.running) + nrt.pending + extra or 1
             avail = nrt.available
@@ -474,43 +488,68 @@ class Simulation:
             free = 1.0 if free > 1.0 else 1e-6 if free < 1e-6 else free
             c_t = completion_time(execution_seconds(work, node.cpu_capacity), free,
                                   nrt.caf, nrt.t_bd)
-            if migration:
-                rows.append((node.id, c_t, availability_score(_minutes(nrt, shares), c_t),
-                             data / nrt.move_bw))
+            if budget is None:
+                rows.append((c_t, node.id, nrt))
             else:
-                rows.append((c_t, node.id))
+                a_s = availability_score(_minutes(nrt, shares), c_t) if c_t < budget else None
+                rows.append((node.id, c_t, a_s, data / nrt.move_bw))
         return rows
 
-    def _ranking(self, trt: _TaskRt) -> list[str]:
-        """Device ids in the policy's fresh-request order for the task.
+    def _ranking(self, trt: _TaskRt) -> list[tuple]:
+        """The devices' ``(cost, id, node record)`` rows in ``rank`` order for a fresh request.
 
         The baseline's cost, ``E_t`` plus the link round-trip, reads no load,
-        so its order is ranked once per run for each remaining-work value.
+        so its rows are ranked once per run for each remaining-work value.
+        The multi-criteria rows are kept in order for each (home cluster,
+        remaining work): a ranking catches every device up, rescores only the
+        devices marked since that order's last ranking, and moves their rows
+        into place. Every change of a row input (load, ``caf``, share count,
+        reserved value) bumps the device's ``marks``.
         """
         task = trt.task
+        work = task.remaining_work
         if self.sc.policy == "baseline":
-            work = task.remaining_work
-            order = self._fresh_orders.get(work)
-            if order is None:
-                order = self._fresh_orders[work] = rank([
-                    (execution_seconds(work, nrt.node.cpu_capacity) + nrt.rtt, nrt.node.id)
+            rows = self._fresh_orders.get(work)
+            if rows is None:
+                rows = self._fresh_orders[work] = rank([
+                    (execution_seconds(work, nrt.node.cpu_capacity) + nrt.rtt, nrt.node.id, nrt)
                     for nrt in self._devices])
-            return order
-        return rank(self._score_pass(task, trt.cluster, self._devices))
+            return rows
+        index = self._indexes.get((trt.cluster, work))
+        if index is None:
+            n = len(self._devices)
+            index = self._indexes[trt.cluster, work] = ([], [None] * n, [-1] * n)
+        rows, held, marks = index
+        ticks, catch_up = self._ticks, self._catch_up
+        marked = []
+        for nrt in self._devices:
+            if nrt.stepped < ticks:  # every device, so the marks include the steps
+                catch_up(nrt)
+            if nrt.marks != marks[nrt.index]:
+                marked.append(nrt)
+        for nrt, row in zip(marked, self._score_pass(task, trt.cluster, marked)):
+            i = nrt.index
+            if held[i] is not None:
+                del rows[bisect_left(rows, held[i])]
+            insort(rows, row)
+            held[i], marks[i] = row, nrt.marks
+        return rows
 
     def _baseline_target(self, trt: _TaskRt, current: _NodeRt) -> _NodeRt:
         """The device other than ``current`` that comes first in the baseline's ``rank`` order.
 
         Devices are visited by descending capacity, so ``E_t`` never falls;
-        the pass stops at the first device whose ``E_t`` alone exceeds the
-        best cost, since the round-trip is never negative. Ties go to the
-        lower id, as in ``rank``.
+        the pass stops at the first device whose ``E_t`` plus the smallest
+        round-trip exceeds the best cost, as no later device can beat it.
+        Ties go to the lower id, as in ``rank``.
         """
-        work = trt.task.remaining_work
+        if self._min_rtt is None:
+            self._min_rtt = min(nrt.rtt for nrt in self._devices)
+        work, min_rtt = trt.task.remaining_work, self._min_rtt
         best, best_id, target = math.inf, "", None
         for nrt in self._by_capacity:
             e_t = execution_seconds(work, nrt.node.cpu_capacity)
-            if e_t > best:
+            if e_t + min_rtt > best:
                 break
             cost = e_t + nrt.rtt
             if nrt is not current and (cost < best or cost == best and nrt.node.id < best_id):
@@ -518,17 +557,19 @@ class Simulation:
         return target
 
     def _migration_search(self, trt: _TaskRt, current: _NodeRt, others: list[_NodeRt],
-                          budget: float) -> list[tuple[str, float, float, float]] | None:
-        """The other nodes' ``(id, C_t, A_s, M_t)`` rows in migration order.
+                          budget: float) -> tuple[tuple, list[tuple]] | None:
+        """The other nodes' ``(id, C_t, A_s, M_t)`` row first in migration order, and all rows.
 
-        ``None`` when the current node still meets the deadline.
+        The rows are in ``others`` order, and the first is their minimum by
+        ``migration_key``. ``None`` when the current node still meets the
+        deadline.
         """
         task = trt.task
         # the current node over the shares it runs, none of them held back from its task
         if self._score_pass(task, current.cluster, [current], extra=0)[0][0] < budget:
             return None
-        return migration_order(self._score_pass(task, trt.cluster, others, migration=True),
-                               budget)
+        rows = self._score_pass(task, trt.cluster, others, budget=budget)
+        return min(rows, key=migration_key(budget)), rows
 
     def _uplink_time(self, nrt: _NodeRt, data_bits: float) -> float:
         # transfers contend with other in-flight transfers, not with executing tasks
@@ -558,20 +599,22 @@ class Simulation:
     # -- allocation -----------------------------------------------------------
 
     def _place_fresh(self, trt: _TaskRt) -> None:
-        order = [self.nodes[nid] for nid in self._ranking(trt)]
+        rows = self._ranking(trt)
         chosen = None
-        for nrt in order:
+        for _, _, nrt in rows:
             transfer = self._uplink_time(nrt, trt.task.data_size)
             if self._admits(nrt, trt, peer=nrt.cluster != trt.cluster, transfer=transfer):
                 chosen = nrt
                 break
         if chosen is None:  # nothing meets the deadline: spread the overload at home
+            order = [row[2] for row in rows]
             own = [nrt for nrt in order if nrt.cluster == trt.cluster]
             chosen = min(own or order,
                          key=lambda nrt: (len(nrt.running) + nrt.pending, nrt.node.id))
             transfer = self._uplink_time(chosen, trt.task.data_size)
         trt.uplink = transfer
         chosen.pending += 1
+        chosen.marks += 1
         self._push(self.now + transfer, "arrive", trt.task.id, (chosen.node.id,))
 
     def _attempt_migration(self, trt: _TaskRt) -> None:
@@ -591,17 +634,17 @@ class Simulation:
             target = self._baseline_target(trt, current)
         else:
             others = [nrt for nrt in self._devices if nrt is not current]
-            ordered = self._migration_search(trt, current, others, budget)
-            if ordered is None:  # the current node still meets the deadline
+            found = self._migration_search(trt, current, others, budget)
+            if found is None:  # the current node still meets the deadline
                 trt.no_target = True
                 return
-            # the paper reserves on every migration search
-            self._refresh_reservations([self.nodes[row[0]] for row in ordered])
-            if not migration_bound_ok(ordered[0], budget):
+            first = found[0]
+            self._refresh_reservations(others)  # the paper reserves on every migration search
+            if not migration_bound_ok(first, budget):
                 trt.flagged = True
                 trt.no_target = True
                 return
-            target = self.nodes[ordered[0][0]]
+            target = self.nodes[first[0]]
         self._catch_up(target)
         # moving must actually beat staying, transfer included
         move_time = trt.task.data_size / target.move_bw
@@ -613,8 +656,10 @@ class Simulation:
             trt.no_target = True
             return
         target.pending += 1
+        target.marks += 1
         del current.running[trt.task.id]
         current.n_own -= trt.cluster == current.cluster
+        current.marks += 1
         trt.node_id = None
         trt.rate = 0.0
         trt.migrations += 1
@@ -635,11 +680,15 @@ class Simulation:
     def _refresh_reservations(self, nodes: list[_NodeRt]) -> None:
         """Hold back each node's required reservation, capped at a share of its capacity.
 
-        The only writer of ``reserved_value``.
+        The only writer of ``reserved_value``; a node whose value changes is marked.
         """
         cap = self.sc.reservation_cap_fraction
         for nrt, required in zip(nodes, reserve([nrt.reservation for nrt in nodes])):
-            nrt.reservation.reserved_value = min(required, cap * nrt.node.cpu_capacity)
+            limit = cap * nrt.node.cpu_capacity
+            held = limit if limit < required else required  # min(required, limit), inline
+            if held != nrt.reservation.reserved_value:
+                nrt.reservation.reserved_value = held
+                nrt.marks += 1
 
     # -- completion ------------------------------------------------------------
 
@@ -652,6 +701,7 @@ class Simulation:
         node = self.nodes[trt.node_id]
         del node.running[task.id]
         node.n_own -= trt.cluster == node.cluster
+        node.marks += 1
         node.window_count += 1
         node.window_last = task.length
         self._replan(node)
@@ -680,7 +730,7 @@ class Simulation:
 
     def _on_arrive(self, trt: _TaskRt, node_id: str) -> None:
         nrt = self.nodes[node_id]
-        nrt.pending = max(nrt.pending - 1, 0)
+        nrt.pending -= 1  # the share moves from pending to running: rankings see no change
         trt.node_id = node_id
         trt.nodes_visited.append(node_id)
         trt.last_update = self.now
@@ -723,16 +773,29 @@ class Simulation:
         """Replan a busy device on a tick, then try to move the tasks that now finish late."""
         self._replan(nrt)  # catches the device up to this tick's step first
         choked = nrt.available < SPIKE_THRESHOLD
-        for tid in sorted(nrt.running):
-            trt = nrt.running[tid]
+        for trt in self._movable(nrt):
             if choked:
                 trt.no_target = False  # a choke reopens the search
             if not trt.no_target and self._projected_completion(trt) > trt.deadline_abs:
                 self._attempt_migration(trt)
 
+    def _movable(self, nrt: _NodeRt) -> list[_TaskRt]:
+        """The node's running tasks that a migration attempt may still move, in task-id order.
+
+        A task at its migration limit or past its deadline never moves again,
+        and its attempt writes nothing an output reads, so it is left out.
+        """
+        limit, now = self.sc.max_migrations_per_task, self.now
+        tasks = [trt for trt in nrt.running.values()
+                 if trt.migrations < limit and trt.deadline_abs > now]
+        if len(tasks) > 1:
+            tasks.sort(key=lambda trt: trt.task.id)
+        return tasks
+
     def _fluctuate(self, nrt: _NodeRt) -> None:
         """One tick's load step for a device: its available fraction, step window and ``caf``."""
         band, floor, window, lo, hi = self._step_params
+        nrt.marks += 1
         nrt.available = available = next_fluctuation(nrt.available, band, nrt.rng, floor)
         steps, sample = nrt.steps, available * 100.0
         if nrt.last_sample is not None:
@@ -764,9 +827,9 @@ class Simulation:
         nrt = self.nodes[node_id]
         self._catch_up(nrt)  # the steps before the script, so later ticks step from its value
         nrt.available = max(min(available, 0.98), 0.001)
+        nrt.marks += 1
         self._replan(nrt)
-        for tid in sorted(nrt.running):
-            trt = nrt.running[tid]
+        for trt in self._movable(nrt):
             if self._projected_completion(trt) > trt.deadline_abs:
                 self._attempt_migration(trt)
 

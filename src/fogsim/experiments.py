@@ -17,7 +17,6 @@ import functools
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from . import engine, metrics
@@ -125,6 +124,8 @@ def _finished_cells(jobs: list, workers: int):
     if workers <= 1:
         yield from map(_cell_worker, jobs)
         return
+    from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays its import
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_cell_worker, jobs)
 

@@ -9,13 +9,14 @@ round-trip only, ignoring every other device characteristic.
 
 Every function here is a pure query: it reads nodes and tasks and writes
 nothing. The engine applies the decisions, reservations included. It
-scores candidates from its own state and orders them with the row-based
-functions (:func:`rank`, :func:`migration_order`); the ``FogNode``
-functions score node snapshots and order them with the same ones.
+scores candidates from its own state and orders them by the row-based
+rules (:func:`rank`, :func:`migration_key`); the ``FogNode`` functions
+score node snapshots and order them by the same ones.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .model import FogNode, NetworkLink, ReservationState, Task
@@ -31,13 +32,14 @@ class MigrationDecision:
     violation_flagged: bool  # no node can meet the deadline
 
 
-def rank(rows: list[tuple[float, str]]) -> list[str]:
-    """Node ids of ``(cost, node id)`` rows, ascending by cost, ties broken on node id.
+def rank(rows: list[tuple]) -> list[tuple]:
+    """``(cost, node id, ...)`` rows ascending by cost, ties broken on node id.
 
     The fresh-request order: cost is ``C_t`` for the multi-criteria policy
-    and ``E_t`` plus the link round-trip for the baseline.
+    and ``E_t`` plus the link round-trip for the baseline. Node ids are
+    unique, so fields after the id never decide the order.
     """
-    return [node_id for _, node_id in sorted(rows)]
+    return sorted(rows)
 
 
 def migration_bound_ok(row: tuple[str, float, float, float], deadline: float) -> bool:
@@ -45,16 +47,24 @@ def migration_bound_ok(row: tuple[str, float, float, float], deadline: float) ->
     return row[1] < deadline + row[3]
 
 
-def migration_order(rows: list[tuple[str, float, float, float]],
-                    deadline: float) -> list[tuple[str, float, float, float]]:
-    """``(node id, C_t, A_s, M_t)`` rows in migration order.
+def migration_key(deadline: float) -> Callable[[tuple], tuple]:
+    """The sort key of a ``(node id, C_t, A_s, M_t)`` row in migration order.
 
     Deadline-feasible nodes come first (highest availability score), then
     the rest by completion time; nodes outside even the migration bound
-    sink to the back. The first row is the target when it is in bound.
+    sink to the back. ``A_s`` is read only for deadline-feasible rows.
     """
-    return sorted(rows, key=lambda r: (not migration_bound_ok(r, deadline), not r[1] < deadline,
-                                       -r[2] if r[1] < deadline else r[1], r[0]))
+    return lambda r: (not migration_bound_ok(r, deadline), not r[1] < deadline,
+                      -r[2] if r[1] < deadline else r[1], r[0])
+
+
+def migration_order(rows: list[tuple[str, float, float, float]],
+                    deadline: float) -> list[tuple[str, float, float, float]]:
+    """``(node id, C_t, A_s, M_t)`` rows sorted by :func:`migration_key`.
+
+    The first row is the target when it is in bound.
+    """
+    return sorted(rows, key=migration_key(deadline))
 
 
 def mc_allocate(task: Task, candidates: list[FogNode]) -> list[FogNode] | None:
@@ -67,8 +77,8 @@ def mc_allocate(task: Task, candidates: list[FogNode]) -> list[FogNode] | None:
     if not candidates:
         return None
     by_id = {n.id: n for n in candidates}
-    return [by_id[i] for i in rank([(score_device(task, n).completion_time, n.id)
-                                    for n in candidates])]
+    return [by_id[row[1]] for row in rank([(score_device(task, n).completion_time, n.id)
+                                          for n in candidates])]
 
 
 def reserve(states: list[ReservationState]) -> list[float]:
@@ -139,4 +149,4 @@ def baseline_allocate(
         return execution_time(task, node) + delay
 
     by_id = {n.id: n for n in candidates}
-    return [by_id[i] for i in rank([(cost(n), n.id) for n in candidates])]
+    return [by_id[row[1]] for row in rank([(cost(n), n.id) for n in candidates])]

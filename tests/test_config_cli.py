@@ -2,6 +2,9 @@ import dataclasses
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -650,3 +653,12 @@ class TestConfigFuzz:
         elif code == 2:
             assert err.startswith(f"config error: {where}"), err
             assert field in err or field.replace("_", " ") in err, err
+
+
+class TestLazyPoolImport:
+    def test_importing_experiments_leaves_the_process_pool_unloaded(self):
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        code = "import sys, fogsim.experiments; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True, env={"PYTHONPATH": src})
+        assert out.stdout.strip() == "False"

@@ -33,6 +33,8 @@ from fogsim.policies import (
     handle_deadline_change,
     mc_allocate,
     migration_bound_ok,
+    migration_order,
+    rank,
 )
 from fogsim.scoring import (InvalidNodeError, availability_score, battery_minutes,
                             completion_time, cpu_fluctuation_rate, execution_seconds,
@@ -353,15 +355,16 @@ class TestRankingFromEngineState:
                               nrt.cluster != trt.cluster) for nrt in nodes]
 
         def checked_ranking(trt):
-            order = ranking(trt)
+            rows = ranking(trt)
             snaps = snapshots(trt, sim._devices)
             if policy == "baseline":
                 want = baseline_allocate(trt.task, snaps, links=links)
             else:
                 want = mc_allocate(trt.task, snaps)
-            assert order == [n.id for n in want]
+            assert [row[1] for row in rows] == [n.id for n in want]
+            assert all(nrt is sim.nodes[nid] for _, nid, nrt in rows)
             checked["fresh"] += 1
-            return order
+            return rows
 
         def checked_baseline_target(trt, current):
             target = baseline_target(trt, current)
@@ -372,22 +375,26 @@ class TestRankingFromEngineState:
             return target
 
         def checked_search(trt, current, others, budget):
-            ordered = search(trt, current, others, budget)
+            found = search(trt, current, others, budget)
             snaps = [_snapshot(sim, nrt, len(nrt.running) + nrt.pending + 1,
                                nrt.cluster != trt.cluster) for nrt in others]
             decision = handle_deadline_change(
                 trt.task, snaps, budget,
                 current=_snapshot(sim, current, len(current.running) + current.pending, False),
                 migration_times={n.id: migration_time(trt.task, links[n.id]) for n in snaps})
-            if ordered is None:
+            if found is None:
                 assert decision == MigrationDecision(None, (), (), False)
                 checked["stay"] += 1
-                return ordered
-            target = ordered[0][0] if migration_bound_ok(ordered[0], budget) else None
+                return found
+            first, rows = found
+            assert [row[0] for row in rows] == [nrt.node.id for nrt in others]
+            ordered = migration_order(rows, budget)  # the engine takes the first row unsorted
+            assert first is ordered[0]
+            target = first[0] if migration_bound_ok(first, budget) else None
             assert decision.ranked == tuple(row[0] for row in ordered)
             assert (decision.target_id, decision.violation_flagged) == (target, target is None)
             checked["migration"] += 1
-            return ordered
+            return found
 
         sim._ranking, sim._migration_search = checked_ranking, checked_search
         sim._baseline_target = checked_baseline_target
@@ -640,6 +647,59 @@ class TestRunWritesNoFogNode:
                    for nid, nrt in sim.nodes.items())
 
 
+class TestFreshIndex:
+    """The kept multi-criteria order equals the fresh-request order scored from scratch."""
+
+    @pytest.mark.parametrize("scenario", [
+        accept_scenario(), accept_scenario(reservation=False), storm_scenario(), COLLISION,
+        # scripts and rotations between ticks, so no tick step marks their devices first
+        dataclasses.replace(COLLISION, reservation_period=1.5, scripted_utilisation=tuple(
+            (when + 0.5, nid, load) for when, nid, load in COLLISION.scripted_utilisation))],
+        ids=["accept", "accept-res-off", "storm", "collision", "collision-off-tick"])
+    def test_every_placement_sees_the_full_ranking(self, scenario):
+        sim = Simulation(scenario)
+        ranking = sim._ranking
+        checked = Counter()
+
+        def checked_ranking(trt):
+            rows = ranking(trt)
+            want = rank(sim._score_pass(trt.task, trt.cluster, sim._devices))
+            assert [(c_t, nid) for c_t, nid, _ in rows] == [(c_t, nid) for c_t, nid, _ in want]
+            assert all(nrt is sim.nodes[nid] for _, nid, nrt in rows)
+            checked["placements"] += 1
+            return rows
+
+        sim._ranking = checked_ranking
+        trace = sim.run()
+        assert checked["placements"] == len(trace.records)
+
+
+class TestMovableTasks:
+    """Tick rechecks try only the tasks a migration attempt could still move, by task id."""
+
+    def test_limit_and_passed_deadline_are_left_out(self):
+        sim = Simulation(small_scenario(max_migrations_per_task=1))
+        sim.now = 5.0
+        nrt = sim._devices[0]
+        task = dict(app_id="a", length=100.0, data_size=0.0, deadline=1.0)
+        for tid, deadline_abs, migrations in [("t3", 9.0, 0), ("t1", 9.0, 0), ("t2", 9.0, 1),
+                                              ("t0", 5.0, 0), ("t4", 4.0, 0)]:
+            nrt.running[tid] = _TaskRt(task=Task(id=tid, **task), cluster=0,
+                                       deadline_abs=deadline_abs, cloud_bound=False,
+                                       migrations=migrations)
+        assert [trt.task.id for trt in sim._movable(nrt)] == ["t1", "t3"]
+
+
+class TestMinAvailable:
+    """A device whose load may reach all of its capacity is refused before the run."""
+
+    @pytest.mark.parametrize("value", [0.0, -0.1])
+    def test_non_positive_floor_is_refused(self, value):
+        with pytest.raises(ValueError, match="min_available"):
+            run(Scenario(app_count=4, min_available=value, utilisation_band=(0.5, 0.9),
+                         initial_utilisation=(0.6, 0.9)))
+
+
 class TestOwnClusterCount:
     @pytest.mark.parametrize("scenario", [accept_scenario(), storm_scenario(),
                                           storm_scenario(policy="baseline")],
@@ -751,9 +811,10 @@ class TestScorePass:
     @settings(max_examples=300, derandomize=True, database=None, deadline=None)
     @given(candidates=st.lists(CANDIDATE, min_size=1, max_size=6), reservation=st.booleans(),
            requester=st.sampled_from([0, 1]), extra=st.sampled_from([0, 1]),
-           length=_floats(1.0, 1e5), done=_floats(0.0, 0.99), data_size=_floats(0.0, 1e7))
+           length=_floats(1.0, 1e5), done=_floats(0.0, 0.99), data_size=_floats(0.0, 1e7),
+           cut=st.integers(0, 6))
     def test_rows_equal_the_scoring_formulas(self, candidates, reservation, requester, extra,
-                                             length, done, data_size):
+                                             length, done, data_size, cut):
         fleet = [dict(id=f"d{i}", cpu_capacity=c["capacity"], native_utilisation=0.0,
                       battery_charge=c["charge"], discharge_rates=[c["drain"]],
                       cluster=c["cluster"]) for i, c in enumerate(candidates)]
@@ -767,9 +828,13 @@ class TestScorePass:
         task = Task(id="t", app_id="a", length=length, data_size=data_size, deadline=10.0,
                     completed_work=length * done)
         fresh = sim._score_pass(task, requester, nodes, extra)
-        moving = sim._score_pass(task, requester, nodes, extra, migration=True)
+        # a budget at one row's C_t, or above them all: rows below it meet it, that row does not
+        c_ts = sorted(row[0] for row in fresh)
+        budget = c_ts[cut] if cut < len(c_ts) else math.inf
+        moving = sim._score_pass(task, requester, nodes, extra, budget=budget)
         assert len(fresh) == len(moving) == len(nodes)
-        for nrt, (c_fresh, fresh_id), (node_id, c_t, a_s, m_t) in zip(nodes, fresh, moving):
+        for nrt, (c_fresh, fresh_id, fresh_nrt), (node_id, c_t, a_s, m_t) in zip(nodes, fresh,
+                                                                                 moving):
             node = nrt.node
             shares = max(len(nrt.running) + nrt.pending + extra, 1)
             avail = nrt.available
@@ -777,11 +842,14 @@ class TestScorePass:
                 avail = max(avail - nrt.reservation.reserved_value / node.cpu_capacity, 0.0)
             free = max(min(avail / shares, 1.0), 1e-6)
             want = completion_time(execution_time(task, node), free, nrt.caf, nrt.t_bd)
-            assert fresh_id == node_id == node.id
+            assert fresh_id == node_id == node.id and fresh_nrt is nrt
             assert c_fresh == c_t == want
-            a_v = battery_minutes(node.battery_charge, [nrt.base_drain] * shares)
-            assert a_s == availability_score(a_v, want)
-            assert nrt.minutes[shares] == a_v
+            if want < budget:  # A_s only where the deadline can be met
+                a_v = battery_minutes(node.battery_charge, [nrt.base_drain] * shares)
+                assert a_s == availability_score(a_v, want)
+                assert nrt.minutes[shares] == a_v
+            else:
+                assert a_s is None
             assert m_t == task.data_size / nrt.move_bw
 
     @settings(max_examples=100, derandomize=True, database=None, deadline=None)
