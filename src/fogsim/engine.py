@@ -16,9 +16,10 @@ of a node's live state in the engine's node record, and no run writes a
 ``FogNode``.
 
 Rankings score candidates from the engine's own node state, every
-candidate in one pass. A multi-criteria fresh ranking keeps its rows in
-order between placements and rescores only the devices marked since:
-every change of a row input marks the device. A migration search takes
+candidate in one pass. A multi-criteria fresh ranking keeps each home
+cluster's rows in order between placements of the same remaining work and
+rescores only the devices marked since: every change of a row input marks
+the device. A migration search takes
 its target as the minimum row by ``migration_key``, without sorting.
 Each node keeps at most one pending completion event, for its earliest
 finisher when that falls by the next tick, and one tick event per
@@ -337,8 +338,9 @@ class Simulation:
         self._by_capacity = sorted(self._devices, key=lambda nrt: nrt.node.cpu_capacity,
                                    reverse=True)
         self._fresh_orders: dict[float, list[tuple]] = {}  # baseline fresh rows by remaining work
-        # mc fresh rows by (home cluster, remaining work), with each device's row and its marks
-        self._indexes: dict[tuple[int, float], tuple[list[tuple], list, list[int]]] = {}
+        # mc fresh rows by home cluster, for its latest remaining work only: the
+        # work, the rows in order, each device's row and the marks it was scored at
+        self._indexes: dict[int, tuple[float, list[tuple], list[tuple], list[int]]] = {}
         self._min_rtt: float | None = None  # the smallest device round-trip, taken on first use
         # the scenario constants of every device step, read once per run
         self._step_params = (scenario.utilisation_band, scenario.min_available,
@@ -500,11 +502,12 @@ class Simulation:
 
         The baseline's cost, ``E_t`` plus the link round-trip, reads no load,
         so its rows are ranked once per run for each remaining-work value.
-        The multi-criteria rows are kept in order for each (home cluster,
-        remaining work): a ranking catches every device up, rescores only the
-        devices marked since that order's last ranking, and moves their rows
-        into place. Every change of a row input (load, ``caf``, share count,
-        reserved value) bumps the device's ``marks``.
+        The multi-criteria rows are kept in order for each home cluster's
+        latest remaining work: a ranking for that work catches every device
+        up, rescores only the devices marked since the last ranking, and moves
+        their rows into place. Any other work value ranks every device afresh
+        and replaces the cluster's rows. Every change of a row input (load,
+        ``caf``, share count, reserved value) bumps the device's ``marks``.
         """
         task = trt.task
         work = task.remaining_work
@@ -515,11 +518,13 @@ class Simulation:
                     (execution_seconds(work, nrt.node.cpu_capacity) + nrt.rtt, nrt.node.id, nrt)
                     for nrt in self._devices])
             return rows
-        index = self._indexes.get((trt.cluster, work))
-        if index is None:
-            n = len(self._devices)
-            index = self._indexes[trt.cluster, work] = ([], [None] * n, [-1] * n)
-        rows, held, marks = index
+        index = self._indexes.get(trt.cluster)
+        if index is None or index[0] != work:
+            held = self._score_pass(task, trt.cluster, self._devices)  # in device order
+            rows = rank(held)
+            self._indexes[trt.cluster] = (work, rows, held, [nrt.marks for nrt in self._devices])
+            return rows
+        _, rows, held, marks = index
         ticks, catch_up = self._ticks, self._catch_up
         marked = []
         for nrt in self._devices:
@@ -529,8 +534,7 @@ class Simulation:
                 marked.append(nrt)
         for nrt, row in zip(marked, self._score_pass(task, trt.cluster, marked)):
             i = nrt.index
-            if held[i] is not None:
-                del rows[bisect_left(rows, held[i])]
+            del rows[bisect_left(rows, held[i])]
             insort(rows, row)
             held[i], marks[i] = row, nrt.marks
         return rows
@@ -557,19 +561,18 @@ class Simulation:
         return target
 
     def _migration_search(self, trt: _TaskRt, current: _NodeRt, others: list[_NodeRt],
-                          budget: float) -> tuple[tuple, list[tuple]] | None:
-        """The other nodes' ``(id, C_t, A_s, M_t)`` row first in migration order, and all rows.
+                          budget: float) -> tuple[str, float, float, float] | None:
+        """The other nodes' ``(id, C_t, A_s, M_t)`` row that comes first in migration order.
 
-        The rows are in ``others`` order, and the first is their minimum by
-        ``migration_key``. ``None`` when the current node still meets the
-        deadline.
+        The row is the minimum by ``migration_key``, found without sorting.
+        ``None`` when the current node still meets the deadline.
         """
         task = trt.task
         # the current node over the shares it runs, none of them held back from its task
         if self._score_pass(task, current.cluster, [current], extra=0)[0][0] < budget:
             return None
-        rows = self._score_pass(task, trt.cluster, others, budget=budget)
-        return min(rows, key=migration_key(budget)), rows
+        return min(self._score_pass(task, trt.cluster, others, budget=budget),
+                   key=migration_key(budget))
 
     def _uplink_time(self, nrt: _NodeRt, data_bits: float) -> float:
         # transfers contend with other in-flight transfers, not with executing tasks
@@ -634,11 +637,10 @@ class Simulation:
             target = self._baseline_target(trt, current)
         else:
             others = [nrt for nrt in self._devices if nrt is not current]
-            found = self._migration_search(trt, current, others, budget)
-            if found is None:  # the current node still meets the deadline
+            first = self._migration_search(trt, current, others, budget)
+            if first is None:  # the current node still meets the deadline
                 trt.no_target = True
                 return
-            first = found[0]
             self._refresh_reservations(others)  # the paper reserves on every migration search
             if not migration_bound_ok(first, budget):
                 trt.flagged = True

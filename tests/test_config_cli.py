@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -660,5 +661,5 @@ class TestLazyPoolImport:
         src = str(Path(experiments.__file__).resolve().parents[1])
         code = "import sys, fogsim.experiments; print('concurrent.futures' in sys.modules)"
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             check=True, env={"PYTHONPATH": src})
+                             check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"

@@ -375,26 +375,26 @@ class TestRankingFromEngineState:
             return target
 
         def checked_search(trt, current, others, budget):
-            found = search(trt, current, others, budget)
+            first = search(trt, current, others, budget)
             snaps = [_snapshot(sim, nrt, len(nrt.running) + nrt.pending + 1,
                                nrt.cluster != trt.cluster) for nrt in others]
             decision = handle_deadline_change(
                 trt.task, snaps, budget,
                 current=_snapshot(sim, current, len(current.running) + current.pending, False),
                 migration_times={n.id: migration_time(trt.task, links[n.id]) for n in snaps})
-            if found is None:
+            if first is None:
                 assert decision == MigrationDecision(None, (), (), False)
                 checked["stay"] += 1
-                return found
-            first, rows = found
-            assert [row[0] for row in rows] == [nrt.node.id for nrt in others]
-            ordered = migration_order(rows, budget)  # the engine takes the first row unsorted
-            assert first is ordered[0]
+                return first
+            # the engine takes the first row unsorted; sort the same rows for the full order
+            ordered = migration_order(sim._score_pass(trt.task, trt.cluster, others,
+                                                      budget=budget), budget)
+            assert first == ordered[0]
             target = first[0] if migration_bound_ok(first, budget) else None
             assert decision.ranked == tuple(row[0] for row in ordered)
             assert (decision.target_id, decision.violation_flagged) == (target, target is None)
             checked["migration"] += 1
-            return found
+            return first
 
         sim._ranking, sim._migration_search = checked_ranking, checked_search
         sim._baseline_target = checked_baseline_target
@@ -647,6 +647,15 @@ class TestRunWritesNoFogNode:
                    for nid, nrt in sim.nodes.items())
 
 
+def varied_lengths(scenario, lengths=(2000.0, 3000.0, 4500.0)):
+    """The scenario's generated workload made explicit, each task's length drawn from ``lengths``."""
+    rng = random.Random("varied-lengths")
+    workload = [dict(id=app.id, user_id=app.user_id, tasks=[
+        dict(id=t.id, length=rng.choice(lengths), data_size=t.data_size, deadline=t.deadline,
+             submit_time=t.submit_time) for t in app.tasks]) for app in generate_workload(scenario)]
+    return dataclasses.replace(scenario, explicit_workload=workload)
+
+
 class TestFreshIndex:
     """The kept multi-criteria order equals the fresh-request order scored from scratch."""
 
@@ -654,24 +663,30 @@ class TestFreshIndex:
         accept_scenario(), accept_scenario(reservation=False), storm_scenario(), COLLISION,
         # scripts and rotations between ticks, so no tick step marks their devices first
         dataclasses.replace(COLLISION, reservation_period=1.5, scripted_utilisation=tuple(
-            (when + 0.5, nid, load) for when, nid, load in COLLISION.scripted_utilisation))],
-        ids=["accept", "accept-res-off", "storm", "collision", "collision-off-tick"])
+            (when + 0.5, nid, load) for when, nid, load in COLLISION.scripted_utilisation)),
+        # the remaining work changes between a cluster's placements
+        varied_lengths(storm_scenario())],
+        ids=["accept", "accept-res-off", "storm", "collision", "collision-off-tick",
+             "storm-varied-lengths"])
     def test_every_placement_sees_the_full_ranking(self, scenario):
         sim = Simulation(scenario)
         ranking = sim._ranking
         checked = Counter()
 
         def checked_ranking(trt):
+            kept = sim._indexes.get(trt.cluster)
+            checked["kept" if kept and kept[0] == trt.task.remaining_work else "afresh"] += 1
             rows = ranking(trt)
             want = rank(sim._score_pass(trt.task, trt.cluster, sim._devices))
             assert [(c_t, nid) for c_t, nid, _ in rows] == [(c_t, nid) for c_t, nid, _ in want]
             assert all(nrt is sim.nodes[nid] for _, nid, nrt in rows)
-            checked["placements"] += 1
+            assert len(sim._indexes) <= len(sim._home_clusters)  # one kept order per cluster
             return rows
 
         sim._ranking = checked_ranking
         trace = sim.run()
-        assert checked["placements"] == len(trace.records)
+        assert checked["kept"] + checked["afresh"] == len(trace.records)
+        assert checked["kept"] > 0 and checked["afresh"] > 0
 
 
 class TestMovableTasks:
