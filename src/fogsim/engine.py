@@ -12,8 +12,9 @@ worked example's arithmetic holds: a factor above 1 speeds progress up).
 Physical shares never exceed free capacity, so utilisation plus
 allocation stays within the device budget at every event. The live
 fluctuation score feeds the *scoring* factor only; it lives with the rest
-of a node's live state in the engine's node record, and no run writes a
-``FogNode``.
+of a node's live state in the engine's node record. A task's work done
+lives in its task record, and the work left, clamped at 0, is read from
+there. A run writes neither a ``FogNode`` nor a ``Task``.
 
 Rankings score candidates from the engine's own node state, every
 candidate in one pass. A multi-criteria fresh ranking keeps each home
@@ -38,7 +39,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 
 from .metrics import RunTrace, account
-from .model import Application, FogNode, NetworkLink, ReservationState, Task, Tier
+from .model import Application, FogNode, NetworkLink, ReservationState, Task, Tier, fold_sum
 from .network import link_bandwidth, link_delay, processing_delay
 from .policies import migration_bound_ok, migration_key, rank, reserve
 from .scoring import (availability_score, battery_minutes, checked_capacity, completion_time,
@@ -303,6 +304,11 @@ def _minutes(nrt: _NodeRt, shares: int) -> float:
     return a_v
 
 
+def _work_left(trt: _TaskRt) -> float:
+    """The task's work not yet done, from the progress integrated so far, clamped at 0."""
+    return max(trt.task.length - trt.progress, 0.0)
+
+
 def _share_rate(nrt: _NodeRt, weight: float) -> float:
     """Progress rate (MI/s) of one share when free capacity is split ``weight`` ways.
 
@@ -369,7 +375,7 @@ class Simulation:
             frame_length=sc.frame_bits,
             transmission_rate=bandwidth,
         )
-        drain = sum(node.discharge_rates) or 0.2
+        drain = fold_sum(node.discharge_rates) or 0.2
         rt = _NodeRt(node=node, cluster=cluster, rtt=link_delay(link),
                      move_bw=link_bandwidth(link) * t_bd, t_bd=t_bd,
                      base_drain=drain, available=1.0 - node.native_utilisation,
@@ -456,14 +462,15 @@ class Simulation:
     def _projected_completion(self, trt: _TaskRt) -> float:
         if trt.node_id is None or trt.rate <= 0:
             return math.inf
-        remaining = trt.task.length - trt.progress
-        return self.now + max(remaining, 0.0) / trt.rate
+        return self.now + _work_left(trt) / trt.rate
 
     # -- scoring ------------------------------------------------------------
 
-    def _score_pass(self, task: Task, cluster: int, nodes: list[_NodeRt], extra: int = 1,
-                    budget: float | None = None) -> list[tuple]:
-        """Score every node for the task in one pass, each over ``extra`` more shares.
+    def _score_pass(self, work: float, data: float, cluster: int, nodes: list[_NodeRt],
+                    extra: int = 1, budget: float | None = None) -> list[tuple]:
+        """Score every node for a task with ``work`` MI left and ``data`` bits, all in one pass.
+
+        Each node is scored over ``extra`` more shares.
 
         Rows are ``(C_t, id, node record)``, or ``(id, C_t, A_s, M_t)`` for a
         migration search within ``budget``; ``A_s`` is computed only for a
@@ -472,7 +479,6 @@ class Simulation:
         fraction per share (at least one share); reserved capacity is not
         advertised to a requester from a cluster other than ``cluster``.
         """
-        work, data = task.remaining_work, task.data_size
         hide = self.sc.reservation
         ticks, catch_up = self._ticks, self._catch_up
         rows = []
@@ -510,7 +516,7 @@ class Simulation:
         ``caf``, share count, reserved value) bumps the device's ``marks``.
         """
         task = trt.task
-        work = task.remaining_work
+        work = task.length  # a task that has not run has done no work
         if self.sc.policy == "baseline":
             rows = self._fresh_orders.get(work)
             if rows is None:
@@ -520,7 +526,8 @@ class Simulation:
             return rows
         index = self._indexes.get(trt.cluster)
         if index is None or index[0] != work:
-            held = self._score_pass(task, trt.cluster, self._devices)  # in device order
+            # in device order
+            held = self._score_pass(work, task.data_size, trt.cluster, self._devices)
             rows = rank(held)
             self._indexes[trt.cluster] = (work, rows, held, [nrt.marks for nrt in self._devices])
             return rows
@@ -532,15 +539,15 @@ class Simulation:
                 catch_up(nrt)
             if nrt.marks != marks[nrt.index]:
                 marked.append(nrt)
-        for nrt, row in zip(marked, self._score_pass(task, trt.cluster, marked)):
+        for nrt, row in zip(marked, self._score_pass(work, task.data_size, trt.cluster, marked)):
             i = nrt.index
             del rows[bisect_left(rows, held[i])]
             insort(rows, row)
             held[i], marks[i] = row, nrt.marks
         return rows
 
-    def _baseline_target(self, trt: _TaskRt, current: _NodeRt) -> _NodeRt:
-        """The device other than ``current`` that comes first in the baseline's ``rank`` order.
+    def _baseline_target(self, work: float, current: _NodeRt) -> _NodeRt:
+        """The device other than ``current`` first in the baseline's ``rank`` order for ``work`` MI.
 
         Devices are visited by descending capacity, so ``E_t`` never falls;
         the pass stops at the first device whose ``E_t`` plus the smallest
@@ -549,7 +556,7 @@ class Simulation:
         """
         if self._min_rtt is None:
             self._min_rtt = min(nrt.rtt for nrt in self._devices)
-        work, min_rtt = trt.task.remaining_work, self._min_rtt
+        min_rtt = self._min_rtt
         best, best_id, target = math.inf, "", None
         for nrt in self._by_capacity:
             e_t = execution_seconds(work, nrt.node.cpu_capacity)
@@ -560,18 +567,19 @@ class Simulation:
                 best, best_id, target = cost, nrt.node.id, nrt
         return target
 
-    def _migration_search(self, trt: _TaskRt, current: _NodeRt, others: list[_NodeRt],
-                          budget: float) -> tuple[str, float, float, float] | None:
-        """The other nodes' ``(id, C_t, A_s, M_t)`` row that comes first in migration order.
+    def _migration_search(self, trt: _TaskRt, work: float, current: _NodeRt,
+                          others: list[_NodeRt], budget: float
+                          ) -> tuple[str, float, float, float] | None:
+        """The other nodes' ``(id, C_t, A_s, M_t)`` row first in migration order, ``work`` MI left.
 
         The row is the minimum by ``migration_key``, found without sorting.
         ``None`` when the current node still meets the deadline.
         """
-        task = trt.task
+        data = trt.task.data_size
         # the current node over the shares it runs, none of them held back from its task
-        if self._score_pass(task, current.cluster, [current], extra=0)[0][0] < budget:
+        if self._score_pass(work, data, current.cluster, [current], extra=0)[0][0] < budget:
             return None
-        return min(self._score_pass(task, trt.cluster, others, budget=budget),
+        return min(self._score_pass(work, data, trt.cluster, others, budget=budget),
                    key=migration_key(budget))
 
     def _uplink_time(self, nrt: _NodeRt, data_bits: float) -> float:
@@ -627,17 +635,17 @@ class Simulation:
             return
         current = self.nodes[trt.node_id]
         self._progress(trt)
-        trt.task.completed_work = min(trt.progress, trt.task.length)
+        work = _work_left(trt)
         budget = trt.deadline_abs - self.now
         if budget <= 0 or len(self.device_ids) < 2:  # too late, or nowhere else to go
             trt.flagged = True
             trt.no_target = True
             return
         if self.sc.policy == "baseline":
-            target = self._baseline_target(trt, current)
+            target = self._baseline_target(work, current)
         else:
             others = [nrt for nrt in self._devices if nrt is not current]
-            first = self._migration_search(trt, current, others, budget)
+            first = self._migration_search(trt, work, current, others, budget)
             if first is None:  # the current node still meets the deadline
                 trt.no_target = True
                 return
@@ -650,9 +658,8 @@ class Simulation:
         self._catch_up(target)
         # moving must actually beat staying, transfer included
         move_time = trt.task.data_size / target.move_bw
-        remaining = trt.task.length - trt.progress
         prospective = _share_rate(target, len(target.running) + target.pending + 1)
-        move_total = move_time + remaining / max(prospective, 1e-9)
+        move_total = move_time + work / max(prospective, 1e-9)
         stay = self._projected_completion(trt) - self.now
         if move_total >= stay:
             trt.no_target = True
@@ -698,7 +705,6 @@ class Simulation:
         """Release a finished task's node, then hand its completion facts to ``account``."""
         task = trt.task
         trt.done = True
-        trt.task.completed_work = task.length
         self.remaining -= 1
         node = self.nodes[trt.node_id]
         del node.running[task.id]
@@ -807,7 +813,7 @@ class Simulation:
         nrt.last_sample = sample
         if steps:
             # cpu_fluctuation_rate over the window's samples, summed in the same order
-            rate = sum(steps) / len(steps)
+            rate = fold_sum(steps) / len(steps)
             if rate > 0:  # a flat history keeps the configured score
                 caf = rate / 100.0  # min(max(caf, lo), hi), without builtin calls per device
                 caf = lo if caf < lo else caf

@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import engine, metrics
 from .config import ConfigError, RunConfig
-from .model import MetricsReport, PriceBook, SlaTerms
+from .model import MetricsReport, PriceBook, SlaTerms, fold_sum
 
 CSV_COLUMNS = [
     "scenario_id", "axis_value", "policy", "reservation", "seed",
@@ -30,6 +30,9 @@ CSV_COLUMNS = [
 ]
 
 AXES = ("apps", "deadline_variation", "free_resource", "battery", "fluctuation")
+# The scenario field an axis sets, and the config section whose entries replace it
+# (an explicit workload fixes the applications, an explicit fleet the batteries).
+OVERRIDDEN_BY = {"apps": ("app_count", "workload"), "battery": ("battery_range", "fleet")}
 
 # Band grids for the variation studies. Free-resource variation widens in
 # 10-point steps; battery availability moves up in 15-point windows; the
@@ -94,7 +97,7 @@ def _mean_row(rows: list[dict], axis_value: str, policy: str, reservation: str) 
     }
     for col in numeric:
         values = [float(r[col]) for r in rows]
-        out[col] = f"{sum(values) / len(values):.6f}" if values else "0.000000"
+        out[col] = f"{fold_sum(values) / len(values):.6f}" if values else "0.000000"
     return out
 
 
@@ -142,8 +145,15 @@ def sweep(
     """Run the full grid for one axis and write the aggregated CSV.
 
     Returns the CSV path. Rows cover every (cell, policy, reservation,
-    seed) plus one mean row per (cell, policy, reservation).
+    seed) plus one mean row per (cell, policy, reservation). An axis whose
+    field the config's ``fleet`` or ``workload`` section overrides would
+    write the same row under every value, so it is refused before any cell runs.
     """
+    if axis in OVERRIDDEN_BY:
+        field, section = OVERRIDDEN_BY[axis]
+        if getattr(cfg.scenario, f"explicit_{section}") is not None:
+            raise ConfigError(f"axis: {axis!r} sets {field}, which the config's {section!r} "
+                              f"section overrides, so every cell would run the same scenario")
     policies = policies or cfg.policy_set
     reservations = reservations if reservations is not None else cfg.reservation_set
     cells_dir = Path(out_dir) / "cells"

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from .model import MetricsReport, PriceBook, SlaTerms, Task, UsageLedger
+from .model import MetricsReport, PriceBook, SlaTerms, Task, UsageLedger, fold_sum
 from .network import processing_delay
 from .pricing import total_app_cost
 
@@ -100,13 +100,13 @@ def account(trace: RunTrace, scenario: Scenario, task: Task, completion_time: fl
 
 def delay_totals(records: list[RequestRecord]) -> tuple[float, float]:
     """Total and per-request delay (0 average for no requests)."""
-    total = sum(r.delay for r in records)
+    total = fold_sum(r.delay for r in records)
     return total, (total / len(records) if records else 0.0)
 
 
 def internal_delay_totals(records: list[RequestRecord]) -> tuple[float, float]:
     """Total and per-message internal delay (0 average for no messages)."""
-    total = sum(r.internal_delay for r in records)
+    total = fold_sum(r.internal_delay for r in records)
     messages = sum(r.internal_messages for r in records)
     return total, (total / messages if messages else 0.0)
 
@@ -137,7 +137,7 @@ def completion_metrics(records: list[RequestRecord]) -> CompletionMetrics:
         per_request.append(full)
         cta[r.app_id] = cta.get(r.app_id, 0.0) + full
         total_proc += r.processing_time
-    avg = sum(per_request) / len(records)
+    avg = fold_sum(per_request) / len(records)
     return CompletionMetrics(avg, cta, avg, total_proc, False)
 
 
@@ -152,7 +152,7 @@ def cost_metrics(records: list[RequestRecord], app_cost: float) -> tuple[list[fl
         fog_side = (r.delay + r.internal_delay + r.processing_time) * app_cost
         cloud_side = r.cloud_legs_time * app_cost
         per_request.append(fog_side + cloud_side)
-    return per_request, sum(per_request)
+    return per_request, fold_sum(per_request)
 
 
 def sla_penalty(terms: SlaTerms) -> float:

@@ -1,14 +1,27 @@
 """Domain types shared by the whole simulator.
 
-Everything here is a plain value type. Tasks are mutated only by the
-single-threaded simulation engine, nodes never: the engine keeps a node's
-live state in its own records. Every other module treats both as read-only.
+Everything here is a plain value type, and nothing mutates a task or a
+node: the engine keeps their live state in its own records. ``fold_sum`` is
+the one float sum every output goes through.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+
+
+def fold_sum(values: Iterable[float]) -> float:
+    """Sum left to right from the integer 0, as ``sum`` did before Python 3.12.
+
+    From 3.12 ``sum`` compensates float rounding, so a total could move by an
+    ulp with the interpreter. An empty sum is the integer 0, as with ``sum``.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
 
 
 class Tier(str, Enum):

@@ -6,7 +6,7 @@ seconds.
 
 from __future__ import annotations
 
-from .model import NetworkLink, NetworkPath
+from .model import NetworkLink, NetworkPath, fold_sum
 
 
 class InvalidLinkError(ValueError):
@@ -55,7 +55,7 @@ def link_delay(link: NetworkLink) -> float:
     )
     if any(c < 0 for c in components):
         raise InvalidLinkError("delay components must be >= 0")
-    return 2.0 * sum(components)
+    return 2.0 * fold_sum(components)
 
 
 def processing_delay(frame_length: float, transmission_rate: float) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .model import PriceBook, UsageLedger
+from .model import PriceBook, UsageLedger, fold_sum
 
 
 def _ceil_units(sizes_kb: list[float], unit_kb: float) -> float:
@@ -21,9 +21,9 @@ def _ceil_units(sizes_kb: list[float], unit_kb: float) -> float:
 def connectivity_cost(ledger: UsageLedger, prices: PriceBook) -> float:
     """Connection-minute charges across the three tiers."""
     units = (
-        sum(ledger.cloud_connect_minutes)
-        + sum(ledger.server_connect_minutes) / prices.server_divisor
-        + sum(ledger.device_connect_minutes) / prices.device_divisor
+        fold_sum(ledger.cloud_connect_minutes)
+        + fold_sum(ledger.server_connect_minutes) / prices.server_divisor
+        + fold_sum(ledger.device_connect_minutes) / prices.device_divisor
     )
     return prices.connectivity_unit * units * 1e-6
 

@@ -10,7 +10,7 @@ speed suggests; see the worked five-device example in the fixtures module.
 
 from __future__ import annotations
 
-from .model import FogNode, NetworkLink, ScoreCard, Task, Tier
+from .model import FogNode, NetworkLink, ScoreCard, Task, Tier, fold_sum
 from .network import link_bandwidth
 
 # Availability (minutes) assumed for nodes on mains power.
@@ -74,7 +74,7 @@ def availability(node: FogNode) -> float:
 
 def battery_minutes(charge: float, drains: list[float]) -> float:
     """Minutes until a battery at ``charge`` percent runs out under the summed drains."""
-    total_drain = sum(drains)
+    total_drain = fold_sum(drains)
     if total_drain <= 0:
         raise UndefinedAvailabilityError("battery node has no discharge rates")
     return charge / total_drain
@@ -99,7 +99,7 @@ def cpu_fluctuation_rate(history: list[float]) -> float:
     if len(history) < 2:
         raise InsufficientHistoryError("need at least two samples")
     steps = [fluctuation_step(prev, cur) for prev, cur in zip(history, history[1:])]
-    return sum(steps) / len(steps)
+    return fold_sum(steps) / len(steps)
 
 
 def completion_time(execution: float, free_fraction: float, caf: float, throughput: float) -> float:

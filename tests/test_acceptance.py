@@ -282,7 +282,7 @@ def test_criterion_8_invariant_suites():
         sim = Simulation(scenario)
         sim.run()
         submitted = scenario.app_count * scenario.tasks_per_app * scenario.task_length
-        completed = sum(t.task.completed_work for t in sim.tasks.values())
+        completed = sum(t.progress for t in sim.tasks.values())
         assert completed == pytest.approx(submitted), scenario
         assert sim.max_load_ratio <= 1.0 + 1e-9, scenario
         conserved += 1

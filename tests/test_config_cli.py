@@ -456,6 +456,27 @@ class TestSweepCommand:
         experiments.sweep(cfg, "battery", 1, str(out), policies=["mc"], reservations=[True])
         assert len(list((out / "cells").iterdir())) == 6
 
+    @pytest.mark.parametrize("axis,field,section", [("apps", "app_count", "workload"),
+                                                    ("battery", "battery_range", "fleet")])
+    def test_axis_a_section_overrides_is_refused(self, tmp_path, capsys, axis, field, section):
+        path = (workload_config(tmp_path, [one_task_app()]) if section == "workload"
+                else fleet_config(tmp_path))
+        out = tmp_path / "sweep"
+        assert main(["sweep", path, "--axis", axis, "--seeds", "1", "--out", str(out)]) == 2
+        assert (f"config error: axis: {axis!r} sets {field}, which the config's {section!r} "
+                "section overrides") in capsys.readouterr().err
+        assert not out.exists()  # refused before any cell runs
+
+    @pytest.mark.parametrize("axis,section", [("deadline_variation", "workload"),
+                                              ("free_resource", "fleet")])
+    def test_axis_a_section_leaves_alone_runs(self, tmp_path, axis, section):
+        path = (workload_config(tmp_path, [one_task_app()]) if section == "workload"
+                else fleet_config(tmp_path))
+        out = tmp_path / "sweep"
+        assert main(["sweep", path, "--axis", axis, "--seeds", "1", "--out", str(out),
+                     "--policy", "mc", "--reservation", "on"]) == 0
+        assert len(list((out / "cells").iterdir())) == len(axis_cells(axis))
+
     def test_rows_sorted_and_labelled(self, tmp_path):
         path = small_config(tmp_path, app_count=3, devices_per_cluster=2)
         out = tmp_path / "sweep2"

@@ -25,7 +25,7 @@ from fogsim.engine import (
 )
 from fogsim.fixtures import fd_table_task
 from fogsim.metrics import build_report
-from fogsim.model import NetworkLink, PriceBook, ReservationState, SlaTerms, Task
+from fogsim.model import NetworkLink, PriceBook, ReservationState, SlaTerms, Task, fold_sum
 from fogsim.network import link_bandwidth, link_delay, processing_delay
 from fogsim.policies import (
     MigrationDecision,
@@ -270,7 +270,7 @@ class TestDeterminismAndConservation:
         sim = Simulation(scenario)
         trace = sim.run()
         submitted = sum(len(a.tasks) for a in generate_workload(scenario)) * 3000.0
-        completed = sum(t.task.completed_work for t in sim.tasks.values())
+        completed = sum(t.progress for t in sim.tasks.values())
         assert completed == pytest.approx(submitted)
         assert len(trace.records) == int(submitted / 3000.0)
         assert sim.max_load_ratio <= 1.0 + 1e-9
@@ -303,7 +303,7 @@ class TestWorkConservation:
     @pytest.mark.parametrize("policy,reservation",
                              [("mc", True), ("baseline", True), ("mc", False)])
     def test_integrated_progress_matches_length(self, policy, reservation):
-        # the progress the engine integrates, not the completed_work _finish sets
+        # the progress the engine integrates, task by task
         sim = Simulation(accept_scenario(policy=policy, reservation=reservation))
         sim.run()
         assert len(sim.tasks) == 700
@@ -349,6 +349,17 @@ class TestRankingFromEngineState:
             assert sim.nodes[nid].move_bw == link_bandwidth(link) * sim.nodes[nid].t_bd
         checked = Counter()
         ranking, search, baseline_target = sim._ranking, sim._migration_search, sim._baseline_target
+        attempt, moving = sim._attempt_migration, []
+
+        def tracked_attempt(trt):
+            moving.append(trt)
+            attempt(trt)
+
+        def done_so_far(trt, work):
+            """The task as the ``FogNode`` policies take it: its work done so far as ``t_j``."""
+            task = dataclasses.replace(trt.task, completed_work=min(trt.progress, trt.task.length))
+            assert task.remaining_work == work
+            return task
 
         def snapshots(trt, nodes):
             return [_snapshot(sim, nrt, len(nrt.running) + nrt.pending + 1,
@@ -366,20 +377,23 @@ class TestRankingFromEngineState:
             checked["fresh"] += 1
             return rows
 
-        def checked_baseline_target(trt, current):
-            target = baseline_target(trt, current)
+        def checked_baseline_target(work, current):
+            target = baseline_target(work, current)
+            trt = moving[-1]
             others = [nrt for nrt in sim._devices if nrt is not current]
-            want = baseline_allocate(trt.task, snapshots(trt, others), links=links)[0]
+            want = baseline_allocate(done_so_far(trt, work), snapshots(trt, others),
+                                     links=links)[0]
             assert target.node.id == want.id
             checked["migration"] += 1
             return target
 
-        def checked_search(trt, current, others, budget):
-            first = search(trt, current, others, budget)
+        def checked_search(trt, work, current, others, budget):
+            first = search(trt, work, current, others, budget)
+            assert trt is moving[-1]
             snaps = [_snapshot(sim, nrt, len(nrt.running) + nrt.pending + 1,
                                nrt.cluster != trt.cluster) for nrt in others]
             decision = handle_deadline_change(
-                trt.task, snaps, budget,
+                done_so_far(trt, work), snaps, budget,
                 current=_snapshot(sim, current, len(current.running) + current.pending, False),
                 migration_times={n.id: migration_time(trt.task, links[n.id]) for n in snaps})
             if first is None:
@@ -387,8 +401,8 @@ class TestRankingFromEngineState:
                 checked["stay"] += 1
                 return first
             # the engine takes the first row unsorted; sort the same rows for the full order
-            ordered = migration_order(sim._score_pass(trt.task, trt.cluster, others,
-                                                      budget=budget), budget)
+            ordered = migration_order(sim._score_pass(work, trt.task.data_size, trt.cluster,
+                                                      others, budget=budget), budget)
             assert first == ordered[0]
             target = first[0] if migration_bound_ok(first, budget) else None
             assert decision.ranked == tuple(row[0] for row in ordered)
@@ -397,7 +411,7 @@ class TestRankingFromEngineState:
             return first
 
         sim._ranking, sim._migration_search = checked_ranking, checked_search
-        sim._baseline_target = checked_baseline_target
+        sim._baseline_target, sim._attempt_migration = checked_baseline_target, tracked_attempt
         sim.run()
         assert checked["fresh"] == 700 and checked["migration"] > 0
         if policy == "mc":
@@ -446,11 +460,9 @@ class TestBaselineTarget:
         for nrt, (_, rtt) in zip(sim._devices, devices):
             nrt.rtt = rtt
         here = sim._devices[current % len(devices)]
-        task = Task(id="t", app_id="a", length=work, data_size=0.0, deadline=10.0)
-        trt = _TaskRt(task=task, cluster=0, deadline_abs=10.0, cloud_bound=False)
         _, want = min((execution_seconds(work, nrt.node.cpu_capacity) + nrt.rtt, nrt.node.id)
                       for nrt in sim._devices if nrt is not here)
-        assert sim._baseline_target(trt, here).node.id == want
+        assert sim._baseline_target(work, here).node.id == want
 
 
 class TestDistanceThroughput:
@@ -500,7 +512,7 @@ class TestInvariantSweep:
             sim = Simulation(scenario)
             sim.run()
             submitted = scenario.app_count * scenario.tasks_per_app * scenario.task_length
-            completed = sum(t.task.completed_work for t in sim.tasks.values())
+            completed = sum(t.progress for t in sim.tasks.values())
             assert completed == pytest.approx(submitted), scenario
             assert sim.max_load_ratio <= 1.0 + 1e-9, scenario
 
@@ -554,7 +566,7 @@ class TestCachedFluctuationSteps:
                 assert nrt.caf == caf_before
                 return
             rate = cpu_fluctuation_rate(history)
-            assert sum(nrt.steps) / len(nrt.steps) == rate
+            assert fold_sum(nrt.steps) / len(nrt.steps) == rate
             want = min(max(rate / 100.0, lo), hi) if rate > 0 else caf_before
             assert nrt.caf == want
             checked["full" if len(history) == scenario.history_window else "filling"] += 1
@@ -647,6 +659,23 @@ class TestRunWritesNoFogNode:
                    for nid, nrt in sim.nodes.items())
 
 
+class TestRunWritesNoTask:
+    """A run keeps each task's work done in its task record and leaves its ``Task`` as generated."""
+
+    @pytest.mark.parametrize("policy", ["mc", "baseline"])
+    @pytest.mark.parametrize("scenario", [accept_scenario(), storm_scenario(), COLLISION],
+                             ids=["accept", "storm", "collision"])
+    def test_tasks_equal_their_workload_entries(self, scenario, policy):
+        scenario = dataclasses.replace(scenario, policy=policy)
+        sim = Simulation(scenario)
+        sim.run()
+        fresh = {t.id: t for app in generate_workload(scenario) for t in app.tasks}
+        assert {tid: trt.task for tid, trt in sim.tasks.items()} == fresh
+        # tasks did run and move, so they stayed put for a reason
+        assert all(trt.done and trt.progress > 0 for trt in sim.tasks.values())
+        assert any(trt.migrations for trt in sim.tasks.values())
+
+
 def varied_lengths(scenario, lengths=(2000.0, 3000.0, 4500.0)):
     """The scenario's generated workload made explicit, each task's length drawn from ``lengths``."""
     rng = random.Random("varied-lengths")
@@ -675,9 +704,10 @@ class TestFreshIndex:
 
         def checked_ranking(trt):
             kept = sim._indexes.get(trt.cluster)
-            checked["kept" if kept and kept[0] == trt.task.remaining_work else "afresh"] += 1
+            checked["kept" if kept and kept[0] == trt.task.length else "afresh"] += 1
             rows = ranking(trt)
-            want = rank(sim._score_pass(trt.task, trt.cluster, sim._devices))
+            want = rank(sim._score_pass(trt.task.length, trt.task.data_size, trt.cluster,
+                                        sim._devices))
             assert [(c_t, nid) for c_t, nid, _ in rows] == [(c_t, nid) for c_t, nid, _ in want]
             assert all(nrt is sim.nodes[nid] for _, nid, nrt in rows)
             assert len(sim._indexes) <= len(sim._home_clusters)  # one kept order per cluster
@@ -842,11 +872,12 @@ class TestScorePass:
             nrt.reservation.reserved_value = c["reserved"] * c["capacity"]
         task = Task(id="t", app_id="a", length=length, data_size=data_size, deadline=10.0,
                     completed_work=length * done)
-        fresh = sim._score_pass(task, requester, nodes, extra)
+        work = task.remaining_work
+        fresh = sim._score_pass(work, task.data_size, requester, nodes, extra)
         # a budget at one row's C_t, or above them all: rows below it meet it, that row does not
         c_ts = sorted(row[0] for row in fresh)
         budget = c_ts[cut] if cut < len(c_ts) else math.inf
-        moving = sim._score_pass(task, requester, nodes, extra, budget=budget)
+        moving = sim._score_pass(work, task.data_size, requester, nodes, extra, budget=budget)
         assert len(fresh) == len(moving) == len(nodes)
         for nrt, (c_fresh, fresh_id, fresh_nrt), (node_id, c_t, a_s, m_t) in zip(nodes, fresh,
                                                                                  moving):

@@ -18,7 +18,7 @@ from fogsim.metrics import (
     sla_violation_rate,
     total_penalty,
 )
-from fogsim.model import PriceBook, SlaTerms, Task, UsageLedger
+from fogsim.model import PriceBook, SlaTerms, Task, UsageLedger, fold_sum
 
 
 def record(task="t0", app="a0", delay=1.0, internal=0.5, proc=0.25, cloud=0.0,
@@ -109,7 +109,7 @@ class TestCompletionMetrics:
                    for i in range(200)]
         got = completion_metrics(records)
         per_request = [r.delay + r.internal_delay + r.processing_time for r in records]
-        assert got.ctu_avg == got.cta_avg == sum(per_request) / len(records)
+        assert got.ctu_avg == got.cta_avg == fold_sum(per_request) / len(records)
 
     def test_empty_flagged(self):
         got = completion_metrics([])

@@ -1,6 +1,11 @@
 import copy
+import functools
+import operator
 
-from fogsim.model import FogNode, ReservationState, Tier, validate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fogsim.model import FogNode, ReservationState, Tier, fold_sum, validate
 
 
 def in_range_node(**overrides):
@@ -117,3 +122,21 @@ def test_notation_maps_to_unique_existing_fields():
         assert field_name in cls.__dataclass_fields__, (symbol, type_name, field_name)
         assert homes.setdefault(symbol, (type_name, field_name)) == (type_name, field_name)
     assert len(homes) == len(NOTATION)
+
+
+
+def test_fold_sum_adds_left_to_right_without_compensation():
+    # a compensated sum (Python 3.12's ``sum``) gives 1.0
+    assert fold_sum([1e16, 1.0, -1e16]) == 0.0
+
+
+def test_fold_sum_of_nothing_is_the_integer_zero():
+    total = fold_sum([])
+    assert total == 0 and type(total) is int  # so an empty run prints 0, not 0.0
+
+
+@settings(derandomize=True, database=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+def test_fold_sum_equals_the_plain_fold(values):
+    assert fold_sum(values) == functools.reduce(operator.add, values, 0)
+    assert fold_sum(iter(values)) == fold_sum(values)
