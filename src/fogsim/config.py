@@ -276,11 +276,14 @@ def load_config(path: str) -> RunConfig:
     if path == "fixtures/fd-table":
         data = fd_table_scenario_config()
     else:
-        file = Path(path)
-        if not file.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
-            data = json.loads(file.read_text())
+            text = Path(path).read_text()
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        except OSError as exc:  # a directory, say, or no permission to read
+            raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
+        try:
+            data = json.loads(text)
         except ValueError as exc:  # also undecodable bytes and over-long integers
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

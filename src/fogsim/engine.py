@@ -18,9 +18,10 @@ there. A run writes neither a ``FogNode`` nor a ``Task``.
 
 Rankings score candidates from the engine's own node state, every
 candidate in one pass. A multi-criteria fresh ranking keeps each home
-cluster's rows in order between placements of the same remaining work and
-rescores only the devices marked since: every change of a row input marks
-the device. A migration search takes
+cluster's rows in order between placements of the same remaining work,
+with the inputs each row was scored from, and rescores only the devices
+whose inputs differ now; no writer of a row input knows of the kept
+order. A migration search takes
 its target as the minimum row by ``migration_key``, without sorting.
 Each node keeps at most one pending completion event, for its earliest
 finisher when that falls by the next tick, and one tick event per
@@ -270,6 +271,8 @@ class _TaskRt:
 
 @dataclass
 class _NodeRt:
+    """A node's live state; ``Simulation._ranking`` keeps the fields its fresh rows read."""
+
     node: FogNode
     cluster: int
     rtt: float  # link round-trip, seconds
@@ -289,7 +292,6 @@ class _NodeRt:
     index: int = -1  # position in the fleet's device order; servers have none
     stepped: float = math.inf  # ticks applied to the load; a server's load never steps
     n_own: int = 0  # running tasks homed to the node's own cluster
-    marks: int = 0  # changes to the inputs of the node's fresh-ranking rows so far
     last_sample: float | None = None  # the last available-CPU percentage, none before a step
     steps: list[float] = field(default_factory=list)  # percent steps of the window's samples
     minutes: dict[int, float] = field(default_factory=dict)  # A_v by share count
@@ -343,10 +345,10 @@ class Simulation:
         self._home_clusters = sorted({nrt.cluster for nrt in self._devices})
         self._by_capacity = sorted(self._devices, key=lambda nrt: nrt.node.cpu_capacity,
                                    reverse=True)
-        self._fresh_orders: dict[float, list[tuple]] = {}  # baseline fresh rows by remaining work
+        self._baseline_order: tuple[float, list[tuple]] | None = None  # (latest work, rows)
         # mc fresh rows by home cluster, for its latest remaining work only: the
-        # work, the rows in order, each device's row and the marks it was scored at
-        self._indexes: dict[int, tuple[float, list[tuple], list[tuple], list[int]]] = {}
+        # work, the rows in order, each device's row and the inputs it was scored from
+        self._indexes: dict[int, tuple[float, list[tuple], list[tuple], list[tuple]]] = {}
         self._min_rtt: float | None = None  # the smallest device round-trip, taken on first use
         # the scenario constants of every device step, read once per run
         self._step_params = (scenario.utilisation_band, scenario.min_available,
@@ -507,43 +509,46 @@ class Simulation:
         """The devices' ``(cost, id, node record)`` rows in ``rank`` order for a fresh request.
 
         The baseline's cost, ``E_t`` plus the link round-trip, reads no load,
-        so its rows are ranked once per run for each remaining-work value.
-        The multi-criteria rows are kept in order for each home cluster's
-        latest remaining work: a ranking for that work catches every device
-        up, rescores only the devices marked since the last ranking, and moves
-        their rows into place. Any other work value ranks every device afresh
-        and replaces the cluster's rows. Every change of a row input (load,
-        ``caf``, share count, reserved value) bumps the device's ``marks``.
+        so its rows are kept for the latest remaining work and ranked afresh
+        for any other. The multi-criteria rows are kept in order for each
+        home cluster's latest remaining work, with the inputs each device's
+        row was scored from: its load, ``caf``, share count and reserved
+        value. A row is a pure function of those, the work, the requester's
+        cluster and fixed node fields, so a ranking for the kept work catches
+        every device up, rescores only the devices whose inputs differ, and
+        moves their rows into place. Any other work value replaces the
+        cluster's order with an empty one, which every device's row enters.
         """
         task = trt.task
         work = task.length  # a task that has not run has done no work
         if self.sc.policy == "baseline":
-            rows = self._fresh_orders.get(work)
-            if rows is None:
-                rows = self._fresh_orders[work] = rank([
+            if self._baseline_order is None or self._baseline_order[0] != work:
+                self._baseline_order = (work, rank([
                     (execution_seconds(work, nrt.node.cpu_capacity) + nrt.rtt, nrt.node.id, nrt)
-                    for nrt in self._devices])
-            return rows
+                    for nrt in self._devices]))
+            return self._baseline_order[1]
         index = self._indexes.get(trt.cluster)
-        if index is None or index[0] != work:
-            # in device order
-            held = self._score_pass(work, task.data_size, trt.cluster, self._devices)
-            rows = rank(held)
-            self._indexes[trt.cluster] = (work, rows, held, [nrt.marks for nrt in self._devices])
-            return rows
-        _, rows, held, marks = index
+        if index is None or index[0] != work:  # nothing kept: every device's inputs differ
+            n = len(self._devices)
+            index = self._indexes[trt.cluster] = (work, [], [None] * n, [None] * n)
+        _, rows, held, inputs = index
         ticks, catch_up = self._ticks, self._catch_up
-        marked = []
+        changed = []
         for nrt in self._devices:
-            if nrt.stepped < ticks:  # every device, so the marks include the steps
+            if nrt.stepped < ticks:  # the inputs include the load steps
                 catch_up(nrt)
-            if nrt.marks != marks[nrt.index]:
-                marked.append(nrt)
-        for nrt, row in zip(marked, self._score_pass(work, task.data_size, trt.cluster, marked)):
+            key = (nrt.available, nrt.caf, len(nrt.running) + nrt.pending,
+                   nrt.reservation.reserved_value)
+            if key != inputs[nrt.index]:
+                inputs[nrt.index] = key
+                changed.append(nrt)
+        # node ids are unique, so inserting rows one by one gives rank's order
+        for nrt, row in zip(changed, self._score_pass(work, task.data_size, trt.cluster, changed)):
             i = nrt.index
-            del rows[bisect_left(rows, held[i])]
+            if held[i] is not None:
+                del rows[bisect_left(rows, held[i])]
             insort(rows, row)
-            held[i], marks[i] = row, nrt.marks
+            held[i] = row
         return rows
 
     def _baseline_target(self, work: float, current: _NodeRt) -> _NodeRt:
@@ -625,11 +630,10 @@ class Simulation:
             transfer = self._uplink_time(chosen, trt.task.data_size)
         trt.uplink = transfer
         chosen.pending += 1
-        chosen.marks += 1
         self._push(self.now + transfer, "arrive", trt.task.id, (chosen.node.id,))
 
     def _attempt_migration(self, trt: _TaskRt) -> None:
-        if trt.migrations >= self.sc.max_migrations_per_task or trt.done:
+        if trt.migrations >= self.sc.max_migrations_per_task:
             return
         if trt.node_id is None:  # already in transit
             return
@@ -665,10 +669,8 @@ class Simulation:
             trt.no_target = True
             return
         target.pending += 1
-        target.marks += 1
         del current.running[trt.task.id]
         current.n_own -= trt.cluster == current.cluster
-        current.marks += 1
         trt.node_id = None
         trt.rate = 0.0
         trt.migrations += 1
@@ -689,15 +691,13 @@ class Simulation:
     def _refresh_reservations(self, nodes: list[_NodeRt]) -> None:
         """Hold back each node's required reservation, capped at a share of its capacity.
 
-        The only writer of ``reserved_value``; a node whose value changes is marked.
+        The only writer of ``reserved_value``.
         """
         cap = self.sc.reservation_cap_fraction
         for nrt, required in zip(nodes, reserve([nrt.reservation for nrt in nodes])):
             limit = cap * nrt.node.cpu_capacity
-            held = limit if limit < required else required  # min(required, limit), inline
-            if held != nrt.reservation.reserved_value:
-                nrt.reservation.reserved_value = held
-                nrt.marks += 1
+            # min(required, limit), inline
+            nrt.reservation.reserved_value = limit if limit < required else required
 
     # -- completion ------------------------------------------------------------
 
@@ -709,7 +709,6 @@ class Simulation:
         node = self.nodes[trt.node_id]
         del node.running[task.id]
         node.n_own -= trt.cluster == node.cluster
-        node.marks += 1
         node.window_count += 1
         node.window_last = task.length
         self._replan(node)
@@ -803,7 +802,6 @@ class Simulation:
     def _fluctuate(self, nrt: _NodeRt) -> None:
         """One tick's load step for a device: its available fraction, step window and ``caf``."""
         band, floor, window, lo, hi = self._step_params
-        nrt.marks += 1
         nrt.available = available = next_fluctuation(nrt.available, band, nrt.rng, floor)
         steps, sample = nrt.steps, available * 100.0
         if nrt.last_sample is not None:
@@ -835,7 +833,6 @@ class Simulation:
         nrt = self.nodes[node_id]
         self._catch_up(nrt)  # the steps before the script, so later ticks step from its value
         nrt.available = max(min(available, 0.98), 0.001)
-        nrt.marks += 1
         self._replan(nrt)
         for trt in self._movable(nrt):
             if self._projected_completion(trt) > trt.deadline_abs:
@@ -887,10 +884,8 @@ class Simulation:
                 self._on_arrive(self.tasks[key], payload[0])
             elif kind == "fluct":
                 self._on_tick()
-            elif kind == "deadline":
-                trt = self.tasks.get(key)
-                if trt is not None:
-                    self._on_deadline(trt, payload[0])
+            elif kind == "deadline":  # its app's event, never later, was pushed first
+                self._on_deadline(self.tasks[key], payload[0])
             elif kind == "migrate":
                 self._on_arrive(self.tasks[key], payload[0])
             elif kind == "rotate":

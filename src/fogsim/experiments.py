@@ -195,7 +195,6 @@ def sweep(
 
 
 def write_csv(path: Path, rows: list[dict]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
@@ -206,8 +205,11 @@ def write_csv(path: Path, rows: list[dict]) -> None:
 def run_scenario(cfg: RunConfig, out_dir: str) -> tuple[Path, Path]:
     """Execute one configured scenario for every policy x reservation cell.
 
-    Writes one CSV (a row per cell) and one JSON file with the full reports.
+    Writes one CSV (a row per cell) and one JSON file with the full reports,
+    into ``out_dir``, which is created before any cell runs.
     """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
     rows = []
     reports = {}
     for policy in cfg.policy_set:
@@ -220,7 +222,6 @@ def run_scenario(cfg: RunConfig, out_dir: str) -> tuple[Path, Path]:
             rows.append(report_row(sid, str(cfg.scenario.app_count), report))
             reports[sid] = _report_json(report)
     rows.sort(key=lambda r: r["scenario_id"])
-    out = Path(out_dir)
     csv_path = out / "run.csv"
     write_csv(csv_path, rows)
     json_path = out / "run.json"

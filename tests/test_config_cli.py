@@ -367,6 +367,23 @@ class TestRunCommand:
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert "max_sim_time=3.0" in capsys.readouterr().err
 
+    def test_directory_config_exit_code(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: cannot read config {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize("command", [
+        ["run"], ["sweep", "--axis", "deadline_variation", "--seeds", "1"]], ids=["run", "sweep"])
+    def test_bad_out_exit_code_before_any_run(self, tmp_path, capsys, monkeypatch, command):
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran with an unusable --out")
+
+        monkeypatch.setattr(experiments, "run_cell", no_run)
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "x"
+        assert main([command[0], "fixtures/fd-table", *command[1:], "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"output error: --out {out}: Not a directory\n"
+
     def test_byte_identical_reruns(self, tmp_path):
         path = small_config(tmp_path)
         out_a = tmp_path / "a"

@@ -690,7 +690,7 @@ class TestFreshIndex:
 
     @pytest.mark.parametrize("scenario", [
         accept_scenario(), accept_scenario(reservation=False), storm_scenario(), COLLISION,
-        # scripts and rotations between ticks, so no tick step marks their devices first
+        # scripts and rotations between ticks: inputs that change with no tick step first
         dataclasses.replace(COLLISION, reservation_period=1.5, scripted_utilisation=tuple(
             (when + 0.5, nid, load) for when, nid, load in COLLISION.scripted_utilisation)),
         # the remaining work changes between a cluster's placements
@@ -711,6 +711,32 @@ class TestFreshIndex:
             assert [(c_t, nid) for c_t, nid, _ in rows] == [(c_t, nid) for c_t, nid, _ in want]
             assert all(nrt is sim.nodes[nid] for _, nid, nrt in rows)
             assert len(sim._indexes) <= len(sim._home_clusters)  # one kept order per cluster
+            return rows
+
+        sim._ranking = checked_ranking
+        trace = sim.run()
+        assert checked["kept"] + checked["afresh"] == len(trace.records)
+        assert checked["kept"] > 0 and checked["afresh"] > 0
+
+
+class TestBaselineMemo:
+    """The baseline's kept order equals its fresh-request order ranked from scratch."""
+
+    def test_every_placement_sees_the_full_ranking_from_one_order(self):
+        sim = Simulation(varied_lengths(storm_scenario(policy="baseline")))
+        ranking = sim._ranking
+        checked = Counter()
+
+        def checked_ranking(trt):
+            work = trt.task.length
+            kept = sim._baseline_order
+            checked["kept" if kept and kept[0] == work else "afresh"] += 1
+            rows = ranking(trt)
+            want = rank([(execution_seconds(work, nrt.node.cpu_capacity) + nrt.rtt,
+                          nrt.node.id, nrt) for nrt in sim._devices])
+            assert [(cost, nid) for cost, nid, _ in rows] == [(cost, nid) for cost, nid, _ in want]
+            assert all(nrt is sim.nodes[nid] for _, nid, nrt in rows)
+            assert sim._baseline_order == (work, rows)  # the one order held, for this work
             return rows
 
         sim._ranking = checked_ranking
