@@ -83,9 +83,9 @@ def main(argv: list[str] | None = None) -> int:
     except SimTimeExceeded as exc:
         print(f"run error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:  # load_config reports its own read errors as ConfigError;
-        # run and sweep create the output directory before any cell runs
-        print(f"output error: --out {out_dir}: {exc.strerror or exc}", file=sys.stderr)
+    except OSError as exc:  # load_config reports its own read errors as ConfigError
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"i/o error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

@@ -277,13 +277,11 @@ def load_config(path: str) -> RunConfig:
         data = fd_table_scenario_config()
     else:
         try:
-            text = Path(path).read_text()
+            data = json.loads(Path(path).read_text())
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except OSError as exc:  # a directory, say, or no permission to read
             raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from None
-        try:
-            data = json.loads(text)
         except ValueError as exc:  # also undecodable bytes and over-long integers
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -372,9 +373,19 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err == f"config error: cannot read config {tmp_path}: Is a directory\n"
 
-    @pytest.mark.parametrize("command", [
-        ["run"], ["sweep", "--axis", "deadline_variation", "--seeds", "1"]], ids=["run", "sweep"])
-    def test_bad_out_exit_code_before_any_run(self, tmp_path, capsys, monkeypatch, command):
+    def test_undecodable_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xff")
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, made", [
+        (["run"], ""), (["sweep", "--axis", "deadline_variation", "--seeds", "1"], "/cells")],
+        ids=["run", "sweep"])
+    def test_bad_out_exit_code_before_any_run(self, tmp_path, capsys, monkeypatch, command,
+                                              made):
         def no_run(*args, **kwargs):
             raise AssertionError("ran with an unusable --out")
 
@@ -382,7 +393,15 @@ class TestRunCommand:
         (tmp_path / "file").write_text("")
         out = tmp_path / "file" / "x"
         assert main([command[0], "fixtures/fd-table", *command[1:], "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"output error: --out {out}: Not a directory\n"
+        assert capsys.readouterr().err == f"i/o error: {out}{made}: Not a directory\n"
+
+    def test_os_error_without_a_file_names_no_file(self, tmp_path, capsys, monkeypatch):
+        def no_process(*args, **kwargs):
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(experiments, "run_cell", no_process)
+        assert main(["run", "fixtures/fd-table", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "i/o error: Resource temporarily unavailable\n"
 
     def test_byte_identical_reruns(self, tmp_path):
         path = small_config(tmp_path)
