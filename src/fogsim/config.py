@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .engine import (APP_SPEC_KEYS, FLEET_SPEC_KEYS, TASK_SPEC_KEYS, Scenario, fleet_specs,
-                     node_from_spec)
+                     node_from_spec, stalled_period)
 from .fixtures import fd_table_scenario_config
 from .model import PriceBook, SlaTerms, Tier, validate
 
@@ -165,6 +165,8 @@ def build_scenario(fields: dict, fleet: list | None = None,
     elif scenario.distance_range[1] >= scenario.max_supported_distance:
         raise ConfigError(f"distance_range: upper bound {scenario.distance_range[1]} must be "
                           f"below max_supported_distance {scenario.max_supported_distance}")
+    if problem := stalled_period(scenario):
+        raise ConfigError(problem)
     if workload is not None:
         _check_workload(workload)
     if scenario.scripted_utilisation:

@@ -38,6 +38,7 @@ import math
 import random
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .metrics import RunTrace, account
 from .model import Application, FogNode, NetworkLink, ReservationState, Task, Tier, fold_sum
@@ -113,6 +114,20 @@ class Scenario:
 
 class SimTimeExceeded(RuntimeError):
     """The run passed ``Scenario.max_sim_time`` with tasks still unfinished."""
+
+
+def stalled_period(sc: Scenario) -> str | None:
+    """Why a periodic event could not move the clock at ``max_sim_time``, or None.
+
+    Such a tick or rotation would reschedule itself at the same time for ever,
+    so the runaway guard could never fire.
+    """
+    for name in ("fluctuation_interval", "reservation_period"):
+        period = getattr(sc, name)
+        if sc.max_sim_time + period == sc.max_sim_time:
+            return (f"{name}: {period} is too small to move the clock at "
+                    f"max_sim_time={sc.max_sim_time}")
+    return None
 
 
 def _stream(seed: int, name: str) -> random.Random:
@@ -248,7 +263,7 @@ def deadline_change_events(app: Application, variation_pct: float,
     return events
 
 
-@dataclass
+@dataclass(slots=True)
 class _TaskRt:
     task: Task
     cluster: int
@@ -326,6 +341,8 @@ class Simulation:
     def __init__(self, scenario: Scenario):
         if not scenario.min_available > 0:  # a device at 0 would run its shares at rate 0
             raise ValueError(f"min_available must be above 0, got {scenario.min_available}")
+        if problem := stalled_period(scenario):
+            raise ValueError(problem)
         self.sc = scenario
         self.now = 0.0
         self._seq = 0
@@ -842,14 +859,14 @@ class Simulation:
 
     def run(self) -> RunTrace:
         sc = self.sc
-        apps = generate_workload(sc)
-        self.remaining = sum(len(a.tasks) for a in apps)
-        self._apps = {a.id: a for a in apps}
-        for app in apps:
+        # each app leaves this map at its event, so the run does not keep them all
+        self._apps = {a.id: a for a in generate_workload(sc)}
+        self.remaining = sum(len(a.tasks) for a in self._apps.values())
+        for app in self._apps.values():
             submit = min((t.submit_time for t in app.tasks), default=0.0)
             self._push(submit, "app", app.id)
         deadline_rng = _stream(sc.seed, "deadline")
-        for app in apps:
+        for app in self._apps.values():
             for _ in range(sc.deadline_changes_per_task):
                 for when, task_id, factor in deadline_change_events(
                         app, sc.deadline_variation_pct, deadline_rng):
@@ -877,7 +894,7 @@ class Simulation:
                 self._progress(trt)
                 self._finish(trt)
             elif kind == "app":
-                self._on_app(self._apps[key])
+                self._on_app(self._apps.pop(key))
             elif kind == "place":
                 self._place_fresh(self.tasks[key])
             elif kind == "arrive":
@@ -894,7 +911,10 @@ class Simulation:
                     self._push(self.now + sc.reservation_period, "rotate")
             elif kind == "script":
                 self._on_script(key, payload[0])
-        self.trace.records.sort(key=lambda r: (r.completion_time, r.task_id))
+        # by (completion_time, task_id) through two stable passes: no key tuple per record
+        records = self.trace.records
+        records.sort(key=attrgetter("task_id"))
+        records.sort(key=attrgetter("completion_time"))
         return self.trace
 
 

@@ -123,7 +123,11 @@ def _cell_worker(args) -> tuple[Path, dict]:
 
 
 def _finished_cells(jobs: list, workers: int):
-    """(path, row) of every job, in job order, each as soon as it is done."""
+    """(path, row) of every job, in job order, each as soon as it is done.
+
+    The pool never has more processes than jobs: a forked pool starts them all at once.
+    """
+    workers = min(workers, len(jobs))
     if workers <= 1:
         yield from map(_cell_worker, jobs)
         return

@@ -24,7 +24,7 @@ MESSAGE_KB = 5.0  # size of one internal message
 CLOUD_LATENCY = 0.1  # seconds one way
 
 
-@dataclass
+@dataclass(slots=True)
 class RequestRecord:
     """Per-request slice of a run trace."""
 

@@ -104,7 +104,7 @@ def validate(node: FogNode) -> list[str]:
     return problems
 
 
-@dataclass
+@dataclass(slots=True)
 class Task:
     """A unit of work: ``length`` MIPS-seconds of compute with a relative deadline."""
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import errno
 import json
@@ -179,6 +180,18 @@ class TestConfigLoading:
     def test_non_positive_intervals_rejected(self, tmp_path, field, value):
         with pytest.raises(ConfigError, match=f"^{field}: must be > 0"):
             load_config(small_config(tmp_path, **{field: value}))
+
+    @pytest.mark.parametrize("field", ["fluctuation_interval", "reservation_period"])
+    def test_period_that_cannot_move_the_clock_rejected(self, tmp_path, field):
+        with pytest.raises(ConfigError, match=f"^{field}: 1e-300 is too small to move the clock"):
+            load_config(small_config(tmp_path, **{field: 1e-300}))
+
+    @pytest.mark.parametrize("field", ["fluctuation_interval", "reservation_period"])
+    def test_period_of_one_ulp_accepted(self, tmp_path, field):
+        # slow to run, a step of one ulp at a time, but the clock can reach the guard
+        period = math.ulp(1e6)
+        cfg = load_config(small_config(tmp_path, max_sim_time=1e6, **{field: period}))
+        assert getattr(cfg.scenario, field) == period
 
     def test_unknown_sla_field_named(self, tmp_path):
         path = tmp_path / "sla.json"
@@ -367,6 +380,17 @@ class TestRunCommand:
         path = small_config(tmp_path, max_sim_time=3.0)
         assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
         assert "max_sim_time=3.0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", ["fluctuation_interval", "reservation_period"])
+    def test_stalled_period_exit_code(self, tmp_path, capsys, monkeypatch, field):
+        def no_run(*args, **kwargs):  # the run would never end
+            raise AssertionError("ran a config whose clock cannot reach max_sim_time")
+
+        monkeypatch.setattr(experiments, "run_cell", no_run)
+        path = small_config(tmp_path, app_count=2, **{field: 1e-300})
+        assert main(["run", path, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (f"config error: {field}: 1e-300 is too small to "
+                                           "move the clock at max_sim_time=1000000.0\n")
 
     def test_directory_config_exit_code(self, tmp_path, capsys):
         assert main(["run", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
@@ -653,6 +677,53 @@ class TestSweepFlags:
         assert exc.value.code == 2
         assert f"argument {flag}: must be an integer >= 1" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def in_process_pool(sizes: list):
+    """A ``ProcessPoolExecutor`` stand-in that records its size and maps in this process."""
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    return InProcessPool
+
+
+class TestSweepPool:
+    """A parallel sweep never has more processes than cells to compute."""
+
+    ARGS = ["--axis", "battery", "--seeds", "1", "--policy", "mc", "--reservation", "on"]
+
+    def test_pool_capped_at_the_cells(self, tmp_path, monkeypatch):
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_pool(sizes))
+        out = tmp_path / "sweep"
+        path = small_config(tmp_path, app_count=3, devices_per_cluster=2)
+        assert main(["sweep", path, "--out", str(out), "--workers", "64"] + self.ARGS) == 0
+        assert sizes == [6]
+        assert len(list((out / "cells").iterdir())) == 6
+
+    @pytest.mark.parametrize("left", [0, 1])
+    def test_one_cell_or_none_left_runs_without_a_pool(self, tmp_path, monkeypatch, left):
+        path = small_config(tmp_path, app_count=3, devices_per_cluster=2)
+        out = tmp_path / "sweep"
+        assert main(["sweep", path, "--out", str(out)] + self.ARGS) == 0
+        for cell in sorted((out / "cells").iterdir())[:left]:
+            cell.unlink()
+        sizes = []
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_pool(sizes))
+        assert main(["sweep", path, "--out", str(out), "--workers", "4"] + self.ARGS) == 0
+        assert sizes == []
+        assert len(list((out / "cells").iterdir())) == 6
 
 
 class TestSimTimeGuard:

@@ -24,7 +24,7 @@ from fogsim.engine import (
     run,
 )
 from fogsim.fixtures import fd_table_task
-from fogsim.metrics import build_report
+from fogsim.metrics import account, build_report
 from fogsim.model import NetworkLink, PriceBook, ReservationState, SlaTerms, Task, fold_sum
 from fogsim.network import link_bandwidth, link_delay, processing_delay
 from fogsim.policies import (
@@ -769,6 +769,58 @@ class TestMinAvailable:
         with pytest.raises(ValueError, match="min_available"):
             run(Scenario(app_count=4, min_available=value, utilisation_band=(0.5, 0.9),
                          initial_utilisation=(0.6, 0.9)))
+
+
+class TestStalledPeriod:
+    """A period too small to move the clock is refused before a run that could never end."""
+
+    @pytest.mark.parametrize("field", ["fluctuation_interval", "reservation_period"])
+    @pytest.mark.parametrize("period", [1e-300, math.ulp(1e6) / 2])
+    def test_refused_at_construction(self, field, period):
+        with pytest.raises(ValueError, match=f"^{field}: .* too small to move the clock"):
+            Simulation(small_scenario(max_sim_time=1e6, **{field: period}))
+
+    @pytest.mark.parametrize("field", ["fluctuation_interval", "reservation_period"])
+    def test_one_ulp_is_accepted(self, field):
+        Simulation(small_scenario(max_sim_time=1e6, **{field: math.ulp(1e6)}))
+
+
+class TestPerTaskLayout:
+    """Per-task objects are slotted, a run lets go of each app, and records sort by time, id."""
+
+    def test_per_task_objects_have_no_instance_dict(self):
+        sim = Simulation(small_scenario())
+        trace = sim.run()
+        trts = list(sim.tasks.values())
+        for name, objs in [("Task", [trt.task for trt in trts]), ("_TaskRt", trts),
+                           ("RequestRecord", trace.records)]:
+            assert objs and not any(hasattr(obj, "__dict__") for obj in objs), name
+        assert sim._apps == {}  # each app left the map at its event
+
+    def test_tied_completions_come_out_by_task_id(self, monkeypatch):
+        device = dict(tier="fog_device", cluster=0, cpu_capacity=4000.0, native_utilisation=0.3,
+                      battery_charge=80.0, discharge_rates=[0.2], distance=10.0, caf_score=1.0)
+        task = dict(length=3000.0, data_size=40960.0, deadline=8.0, submit_time=1.0)
+        scenario = Scenario(
+            clusters=1, utilisation_band=(0.0, 0.0), cloud_fraction=0.0,
+            deadline_changes_per_task=0,
+            explicit_fleet=[dict(device, id="d0"), dict(device, id="d1")],
+            # t1 is listed first, and s0 sorts first by id but finishes last
+            explicit_workload=[
+                {"id": "a0", "user_id": "u0", "tasks": [dict(task, id="t1"), dict(task, id="t0")]},
+                {"id": "a1", "user_id": "u1", "tasks": [dict(task, id="s0", submit_time=5.0)]}])
+        accounted = []
+
+        def spy(trace, sc, done, *args):
+            accounted.append(done.id)
+            account(trace, sc, done, *args)
+
+        monkeypatch.setattr("fogsim.engine.account", spy)
+        records = Simulation(scenario).run().records
+        assert accounted == ["t1", "t0", "s0"]  # so the order below is the sort's
+        assert [r.task_id for r in records] == ["t0", "t1", "s0"]
+        assert records[0].completion_time == records[1].completion_time
+        assert records[1].completion_time < records[2].completion_time
 
 
 class TestOwnClusterCount:
