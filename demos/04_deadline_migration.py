@@ -30,10 +30,8 @@ cfg = load_config("fixtures/fd-table")
 scenario = dataclasses.replace(cfg.scenario, scripted_utilisation=((1.05, "FD4", 0.002),))
 sim = Simulation(scenario)
 trace = sim.run()
-journey = sim.tasks["t0"].nodes_visited
 record = trace.records[0]
 print("engine replay with a scripted native-load spike at t=1.05s:")
-print(f"  node journey   : {' -> '.join(journey)}")
 print(f"  migrations     : {record.migrations}")
 print(f"  completed at   : {record.completion_time:.2f}s (deadline {record.deadline:.2f}s)")
 print(f"  sla violated   : {record.violated}")

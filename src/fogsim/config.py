@@ -302,8 +302,9 @@ def load_config(path: str) -> RunConfig:
                    {"policy", "reservation", "scripted_utilisation"})
     policy_set = expand_policy(fields.pop("policy", "mc"))
     reservation_set = expand_reservation(fields.pop("reservation", True))
-    if workload is not None:
-        fields.setdefault("app_count", len(workload))
+    if workload is not None and fields.setdefault("app_count", len(workload)) != len(workload):
+        raise ConfigError(f"app_count: {fields['app_count']} does not match the workload "
+                          f"section's length {len(workload)}")
     return RunConfig(scenario=build_scenario(fields, fleet, workload),
                      prices=PriceBook(**_read("prices", data.get("prices", {}), PRICE_RULES)),
                      sla=SlaTerms(**_read("sla", data.get("sla", {}), SLA_RULES)),

@@ -273,13 +273,10 @@ class _TaskRt:
     rate: float = 0.0
     progress: float = 0.0
     last_update: float = 0.0
-    start_time: float | None = None
     active_time: float = 0.0
     uplink: float = 0.0
     migrations: int = 0
     migration_time_total: float = 0.0
-    nodes_visited: list[str] = field(default_factory=list)
-    flagged: bool = False
     no_target: bool = False  # last migration attempt found nowhere better
     done: bool = False
 
@@ -359,6 +356,8 @@ class Simulation:
         self._ticks = 0  # fluctuation ticks started so far
         self._cursor = math.inf  # index of the device the running tick has reached
         self._build_fleet()
+        if not self._devices:  # tasks run on fog devices only
+            raise ValueError("the fleet has no fog device to place tasks on")
         self._home_clusters = sorted({nrt.cluster for nrt in self._devices})
         self._by_capacity = sorted(self._devices, key=lambda nrt: nrt.node.cpu_capacity,
                                    reverse=True)
@@ -659,7 +658,6 @@ class Simulation:
         work = _work_left(trt)
         budget = trt.deadline_abs - self.now
         if budget <= 0 or len(self.device_ids) < 2:  # too late, or nowhere else to go
-            trt.flagged = True
             trt.no_target = True
             return
         if self.sc.policy == "baseline":
@@ -672,7 +670,6 @@ class Simulation:
                 return
             self._refresh_reservations(others)  # the paper reserves on every migration search
             if not migration_bound_ok(first, budget):
-                trt.flagged = True
                 trt.no_target = True
                 return
             target = self.nodes[first[0]]
@@ -756,10 +753,7 @@ class Simulation:
         nrt = self.nodes[node_id]
         nrt.pending -= 1  # the share moves from pending to running: rankings see no change
         trt.node_id = node_id
-        trt.nodes_visited.append(node_id)
         trt.last_update = self.now
-        if trt.start_time is None:
-            trt.start_time = self.now
         nrt.running[trt.task.id] = trt
         nrt.n_own += trt.cluster == nrt.cluster
         self._replan(nrt)

@@ -42,6 +42,11 @@ class RequestRecord:
     migrations: int = 0
     internal_messages: int = 0  # subtask messages + migrations + cloud hand-off
 
+    @property
+    def full_completion(self) -> float:
+        """The request's completion: ``delay + internal_delay + processing_time``."""
+        return self.delay + self.internal_delay + self.processing_time
+
 
 @dataclass
 class RunTrace:
@@ -123,9 +128,8 @@ class CompletionMetrics:
 def completion_metrics(records: list[RequestRecord]) -> CompletionMetrics:
     """Per-application completion totals and the mean completion over requests.
 
-    A request's completion is ``delay + internal_delay + processing_time``;
-    its mean over requests is summed once and reported as both ``ctu_avg``
-    and ``cta_avg``.
+    A request's completion is its ``full_completion``; its mean over
+    requests is summed once and reported as both ``ctu_avg`` and ``cta_avg``.
     """
     if not records:
         return CompletionMetrics(0.0, {}, 0.0, 0.0, True)
@@ -133,7 +137,7 @@ def completion_metrics(records: list[RequestRecord]) -> CompletionMetrics:
     cta: dict[str, float] = {}
     total_proc = 0.0
     for r in records:
-        full = r.delay + r.internal_delay + r.processing_time
+        full = r.full_completion
         per_request.append(full)
         cta[r.app_id] = cta.get(r.app_id, 0.0) + full
         total_proc += r.processing_time
@@ -149,7 +153,7 @@ def cost_metrics(records: list[RequestRecord], app_cost: float) -> tuple[list[fl
     """
     per_request = []
     for r in records:
-        fog_side = (r.delay + r.internal_delay + r.processing_time) * app_cost
+        fog_side = r.full_completion * app_cost
         cloud_side = r.cloud_legs_time * app_cost
         per_request.append(fog_side + cloud_side)
     return per_request, fold_sum(per_request)

@@ -22,6 +22,8 @@ from fogsim.engine import (FLEET_SPEC_KEYS, TASK_SPEC_KEYS, Scenario, generate_w
 from fogsim.model import PriceBook, SlaTerms
 from fogsim.experiments import CSV_COLUMNS, axis_cells, scenario_id
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def small_config(tmp_path, **scenario_overrides):
     scenario = {
@@ -211,6 +213,21 @@ class TestConfigLoading:
         assert cfg.scenario.app_count == 2
         assert [a["id"] for a in cfg.scenario.explicit_workload] == ["a0", "a1"]
 
+    @pytest.mark.parametrize("app_count", [0, 1, 5])
+    def test_app_count_disagreeing_with_workload_named(self, tmp_path, app_count):
+        path = tmp_path / "apps.json"
+        path.write_text(json.dumps({"scenario": {"app_count": app_count, "clusters": 1},
+                                    "workload": [one_task_app(), one_task_app("a1", "t1")]}))
+        with pytest.raises(ConfigError, match=rf"^app_count: {app_count} does not match the "
+                                              r"workload section's length 2$"):
+            load_config(str(path))
+
+    def test_app_count_agreeing_with_workload_accepted(self, tmp_path):
+        path = tmp_path / "apps.json"
+        path.write_text(json.dumps({"scenario": {"app_count": 1, "clusters": 1},
+                                    "workload": [one_task_app()]}))
+        assert load_config(str(path)).scenario.app_count == 1
+
     @pytest.mark.parametrize("workload,message", BAD_WORKLOADS)
     def test_bad_workload_entry_named(self, tmp_path, workload, message):
         with pytest.raises(ConfigError, match=message):
@@ -297,6 +314,14 @@ class TestRunCommand:
         assert len(lines) == 3  # two policy cells, one reservation value
         report = json.loads((out / "run.json").read_text())
         assert len(report) == 2
+
+    def test_app_count_disagreeing_with_workload_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"scenario": {"app_count": 5, "clusters": 1},
+                                       "workload": [one_task_app()]})
+        out = tmp_path / "o"
+        assert main(["run", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: app_count: 5 does not match")
+        assert not out.exists()
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         path = small_config(tmp_path, battery_range=[20.0, 120.0])
@@ -770,6 +795,7 @@ class TestConfigFuzz:
                              dict(FUZZ_DEVICE, **{field: value})]
             where = "fleet[1]"
         else:
+            del data["scenario"]["app_count"]  # taken from the workload's one app
             data["workload"] = [{"id": "a0", "tasks": [dict(FUZZ_TASK, **{field: value})]}]
             where = "workload[0].tasks[0]"
         (tmp_path / "config.json").write_text(json.dumps(data))
@@ -791,3 +817,27 @@ class TestLazyPoolImport:
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              check=True, env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "False"
+
+
+class TestEntryPoint:
+    """``python -m fogsim`` in its own interpreter, from a scratch working directory."""
+
+    def test_module_runs_and_refuses_a_missing_config(self, tmp_path):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+
+        def fogsim(*args):
+            return subprocess.run([sys.executable, "-m", "fogsim", *args], cwd=tmp_path,
+                                  env=env, capture_output=True, text=True, timeout=120)
+
+        out = tmp_path / "out"
+        done = fogsim("run", "fixtures/fd-table", "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == f"wrote {out / 'run.csv'} and {out / 'run.json'}\n"
+        assert (out / "run.csv").stat().st_size and (out / "run.json").stat().st_size
+        missing = tmp_path / "missing.json"
+        done = fogsim("run", str(missing), "--out", str(tmp_path / "none"))
+        assert done.returncode == 2
+        assert done.stderr == f"config error: config file not found: {missing}\n"
+        assert not (tmp_path / "none").exists()

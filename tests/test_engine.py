@@ -89,15 +89,28 @@ class TestWorkload:
                 assert task.deadline >= 4.0
 
 
+def logged_arrivals(sim):
+    """(time, node id) of each arrival ``sim`` handles, logged from outside the engine."""
+    arrivals = []
+    on_arrive = sim._on_arrive
+
+    def logging_arrive(trt, node_id):
+        arrivals.append((sim.now, node_id))
+        on_arrive(trt, node_id)
+
+    sim._on_arrive = logging_arrive
+    return arrivals
+
+
 class TestFixtureRun:
     def test_single_task_runs_on_fd4(self):
         cfg = load_config("fixtures/fd-table")
         sim = Simulation(cfg.scenario)
+        arrivals = logged_arrivals(sim)
         trace = sim.run()
         assert len(trace.records) == 1
-        trt = sim.tasks["t0"]
-        assert trt.nodes_visited == ["FD4"]
-        span = trace.records[0].completion_time - trt.start_time
+        assert [node_id for _, node_id in arrivals] == ["FD4"]
+        span = trace.records[0].completion_time - arrivals[0][0]
         assert span == pytest.approx(1.37, abs=0.01)
 
     def test_utilisation_spike_migrates_to_fd1(self):
@@ -105,10 +118,9 @@ class TestFixtureRun:
         scenario = dataclasses.replace(
             cfg.scenario, scripted_utilisation=((1.05, "FD4", 0.002),))
         sim = Simulation(scenario)
+        arrivals = logged_arrivals(sim)
         trace = sim.run()
-        trt = sim.tasks["t0"]
-        assert trt.nodes_visited[0] == "FD4"
-        assert trt.nodes_visited[1] == "FD1"
+        assert [node_id for _, node_id in arrivals][:2] == ["FD4", "FD1"]
         assert trace.records[0].migrations >= 1
 
     def _fd4_with_history(self, deadline):
@@ -255,7 +267,9 @@ class TestDeadlineChangeProcess:
         trt.no_target = False
         before = trt.migrations
         sim._attempt_migration(trt)
-        assert trt.migrations > before or trt.flagged
+        # 0.1 s is too little for any device: the task stays, with no target
+        assert trt.migrations == before
+        assert trt.no_target
 
 
 class TestDeterminismAndConservation:
@@ -771,6 +785,16 @@ class TestMinAvailable:
                          initial_utilisation=(0.6, 0.9)))
 
 
+class TestNoFogDevice:
+    """A fleet with no fog device to place tasks on is refused before the run."""
+
+    @pytest.mark.parametrize("fleet", [
+        None, [{"id": "s0", "cpu_capacity": 8000.0, "tier": "fog_server"}]])
+    def test_refused_at_construction(self, fleet):
+        with pytest.raises(ValueError, match="^the fleet has no fog device"):
+            Simulation(Scenario(app_count=2, devices_per_cluster=0, explicit_fleet=fleet))
+
+
 class TestStalledPeriod:
     """A period too small to move the clock is refused before a run that could never end."""
 
@@ -796,6 +820,16 @@ class TestPerTaskLayout:
                            ("RequestRecord", trace.records)]:
             assert objs and not any(hasattr(obj, "__dict__") for obj in objs), name
         assert sim._apps == {}  # each app left the map at its event
+
+    def test_task_record_holds_only_values_and_its_task(self):
+        """So a shallow copy of a running task's record shares nothing it could write."""
+        sim = Simulation(small_scenario(deadline_variation_pct=40.0))
+        sim.run()
+        for trt in sim.tasks.values():
+            for f in dataclasses.fields(trt):
+                value = getattr(trt, f.name)
+                assert (value is trt.task if f.name == "task"
+                        else isinstance(value, (bool, int, float, str, type(None)))), f.name
 
     def test_tied_completions_come_out_by_task_id(self, monkeypatch):
         device = dict(tier="fog_device", cluster=0, cpu_capacity=4000.0, native_utilisation=0.3,
