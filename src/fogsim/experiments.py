@@ -6,7 +6,8 @@ scenario-id order so the output never depends on scheduling. Each cell is
 cached atomically under ``<out>/cells`` as soon as it finishes, named by its
 scenario id plus a hash of its scenario, prices, SLA terms and the package
 source, so a re-run skips exactly the cells whose inputs and code are
-unchanged.
+unchanged. A cached cell that is not a whole row (say, one cut short by a
+crash) is computed again.
 """
 
 from __future__ import annotations
@@ -116,6 +117,15 @@ def _cell_path(cells_dir: Path, sid: str, scenario: engine.Scenario, prices: Pri
     return cells_dir / f"{sid}-{hashlib.sha256(inputs.encode()).hexdigest()[:12]}.json"
 
 
+def _cached_row(path: Path) -> dict | None:
+    """The row cached at ``path``, or None when it is missing or not a whole row."""
+    try:
+        row = json.loads(path.read_text())
+    except (FileNotFoundError, ValueError):  # ValueError: not JSON, or not UTF-8
+        return None
+    return row if isinstance(row, dict) and sorted(row) == sorted(CSV_COLUMNS) else None
+
+
 def _cell_worker(args) -> tuple[Path, dict]:
     path, sid, axis_value, scenario, prices, sla = args
     report = run_cell(scenario, prices, sla)
@@ -165,6 +175,7 @@ def sweep(
 
     jobs = []
     cells = []
+    found: dict[Path, dict] = {}  # cell path -> row, cached or computed
     for value, overrides in axis_cells(axis):
         for policy in policies:
             for reservation in reservations:
@@ -175,17 +186,21 @@ def sweep(
                         reservation=reservation, label=sid, **overrides)
                     path = _cell_path(cells_dir, sid, scenario, cfg.prices, cfg.sla)
                     cells.append((path, value, policy, reservation))
-                    if not path.exists():
+                    row = _cached_row(path)
+                    if row is None:
                         jobs.append((path, sid, value, scenario, cfg.prices, cfg.sla))
+                    else:
+                        found[path] = row
     for path, row in _finished_cells(jobs, workers):
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         tmp.write_text(json.dumps(row, sort_keys=True))
         os.replace(tmp, path)  # a reader sees the whole cell or none of it
+        found[path] = row
 
     rows = []
     grouped: dict[tuple[str, str, str], list[dict]] = {}
     for path, value, policy, reservation in cells:
-        row = json.loads(path.read_text())
+        row = found[path]
         rows.append(row)
         grouped.setdefault((value, policy, "on" if reservation else "off"), []).append(row)
     for (value, policy, res), group in sorted(grouped.items()):

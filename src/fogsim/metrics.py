@@ -74,11 +74,11 @@ def account(trace: RunTrace, scenario: Scenario, task: Task, completion_time: fl
 
     ledger = trace.ledger
     nominal_minutes = task.length / 1000.0 / 60.0
-    ledger.device_connect_minutes.append(nominal_minutes)
-    ledger.server_connect_minutes.append(nominal_minutes / 2.0)
-    ledger.device_messages_kb.extend([data_kb, data_kb])
-    ledger.device_processing_kb.extend([MESSAGE_KB] * n_sub)
-    ledger.server_messages_kb.extend([MESSAGE_KB] * n_sub)
+    ledger.device_connect_minutes += nominal_minutes
+    ledger.server_connect_minutes += nominal_minutes / 2.0
+    ledger.device_messages_kb[data_kb] += 2
+    ledger.device_processing_kb[MESSAGE_KB] += n_sub
+    ledger.server_messages_kb[MESSAGE_KB] += n_sub
 
     delay = uplink
     internal = n_sub * fog_leg * 2.0 + migration_time
@@ -90,8 +90,8 @@ def account(trace: RunTrace, scenario: Scenario, task: Task, completion_time: fl
         delay += cloud_fwd + 2.0 * cloud_fwd  # forward + twice-counted response
         internal += 2.0 * cloud_internal_leg
         cloud_legs = 3.0 * cloud_fwd + 2.0 * cloud_internal_leg + cloud_proc
-        ledger.cloud_connect_minutes.append(2.0 * CLOUD_LATENCY / 60.0)
-        ledger.cloud_messages_kb.append(data_kb)
+        ledger.cloud_connect_minutes += 2.0 * CLOUD_LATENCY / 60.0
+        ledger.cloud_messages_kb[data_kb] += 1
     else:
         delay += uplink  # the fog response mirrors the uplink
     trace.records.append(RequestRecord(

@@ -2,11 +2,13 @@
 
 Everything here is a plain value type, and nothing mutates a task or a
 node: the engine keeps their live state in its own records. ``fold_sum`` is
-the one float sum every output goes through.
+the one float sum every output goes through; the usage ledger's minute
+totals are the same fold, kept as requests finish.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
@@ -184,21 +186,23 @@ class PriceBook:
 
 @dataclass
 class UsageLedger:
-    """Raw usage counters per tier, in the units the pricing formulas expect.
+    """Usage per tier, tallied as requests finish, in the units pricing expects.
 
-    Connectivity is minutes, messaging/processing entries are per-request
-    sizes in KB.
+    Connectivity is a running total of minutes, added left to right from 0
+    as ``fold_sum`` adds. Messaging and processing are counts of messages
+    by size in KB, so the ledger grows with the distinct sizes, not with
+    the messages.
     """
 
-    cloud_connect_minutes: list[float] = field(default_factory=list)
-    server_connect_minutes: list[float] = field(default_factory=list)
-    device_connect_minutes: list[float] = field(default_factory=list)
-    cloud_messages_kb: list[float] = field(default_factory=list)
-    server_messages_kb: list[float] = field(default_factory=list)
-    device_messages_kb: list[float] = field(default_factory=list)
-    cloud_processing_kb: list[float] = field(default_factory=list)
-    server_processing_kb: list[float] = field(default_factory=list)
-    device_processing_kb: list[float] = field(default_factory=list)
+    cloud_connect_minutes: float = 0.0
+    server_connect_minutes: float = 0.0
+    device_connect_minutes: float = 0.0
+    cloud_messages_kb: Counter[float] = field(default_factory=Counter)
+    server_messages_kb: Counter[float] = field(default_factory=Counter)
+    device_messages_kb: Counter[float] = field(default_factory=Counter)
+    cloud_processing_kb: Counter[float] = field(default_factory=Counter)
+    server_processing_kb: Counter[float] = field(default_factory=Counter)
+    device_processing_kb: Counter[float] = field(default_factory=Counter)
 
 
 @dataclass

@@ -8,22 +8,24 @@ per million billing units, hence the 1e-6 scaling.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
-from .model import PriceBook, UsageLedger, fold_sum
+from .model import PriceBook, UsageLedger
 
 
-def _ceil_units(sizes_kb: list[float], unit_kb: float) -> float:
+def _ceil_units(sizes_kb: Counter[float], unit_kb: float) -> float:
+    """Billing units of messages counted by size: ceil(size/unit) each, an exact integer sum."""
     if unit_kb <= 0:
         raise ValueError("data_unit must be > 0")
-    return float(sum(math.ceil(kb / unit_kb) for kb in sizes_kb))
+    return float(sum(math.ceil(kb / unit_kb) * n for kb, n in sizes_kb.items()))
 
 
 def connectivity_cost(ledger: UsageLedger, prices: PriceBook) -> float:
     """Connection-minute charges across the three tiers."""
     units = (
-        fold_sum(ledger.cloud_connect_minutes)
-        + fold_sum(ledger.server_connect_minutes) / prices.server_divisor
-        + fold_sum(ledger.device_connect_minutes) / prices.device_divisor
+        ledger.cloud_connect_minutes
+        + ledger.server_connect_minutes / prices.server_divisor
+        + ledger.device_connect_minutes / prices.device_divisor
     )
     return prices.connectivity_unit * units * 1e-6
 

@@ -541,6 +541,28 @@ class TestSweepCommand:
         experiments.sweep(cfg, "battery", 1, str(out), policies=["mc"], reservations=[True])
         assert len(list((out / "cells").iterdir())) == 6
 
+    @pytest.mark.parametrize("broken", ["", '{"trunc', "[]"], ids=["empty", "cut", "list"])
+    def test_resume_recomputes_a_broken_cell(self, tmp_path, monkeypatch, broken):
+        path = small_config(tmp_path, app_count=2, devices_per_cluster=2)
+        args = ["--axis", "battery", "--seeds", "1", "--policy", "mc", "--reservation", "on"]
+        out = tmp_path / "sweep"
+        assert main(["sweep", path, "--out", str(out)] + args) == 0
+        fresh = (out / "sweep-battery.csv").read_bytes()
+        cell = sorted((out / "cells").iterdir())[2]
+        cell.write_text(broken)
+        real_run_cell = experiments.run_cell
+        ran = []
+
+        def counted(scenario, prices, sla):
+            ran.append(scenario.label)
+            return real_run_cell(scenario, prices, sla)
+
+        monkeypatch.setattr(experiments, "run_cell", counted)
+        assert main(["sweep", path, "--out", str(out)] + args) == 0
+        assert ran == [cell.name.rsplit("-", 1)[0]]
+        assert (out / "sweep-battery.csv").read_bytes() == fresh
+        assert json.loads(cell.read_text()).keys() == set(CSV_COLUMNS)
+
     @pytest.mark.parametrize("axis,field,section", [("apps", "app_count", "workload"),
                                                     ("battery", "battery_range", "fleet")])
     def test_axis_a_section_overrides_is_refused(self, tmp_path, capsys, axis, field, section):

@@ -24,7 +24,7 @@ from fogsim.engine import (
     run,
 )
 from fogsim.fixtures import fd_table_task
-from fogsim.metrics import account, build_report
+from fogsim.metrics import MESSAGE_KB, account, build_report
 from fogsim.model import NetworkLink, PriceBook, ReservationState, SlaTerms, Task, fold_sum
 from fogsim.network import link_bandwidth, link_delay, processing_delay
 from fogsim.policies import (
@@ -293,8 +293,7 @@ class TestDeterminismAndConservation:
         base = small_scenario(app_count=8, seed=5)
         mc = run(dataclasses.replace(base, policy="mc"))
         ba = run(dataclasses.replace(base, policy="baseline"))
-        for field in mc.ledger.__dataclass_fields__:
-            assert sorted(getattr(mc.ledger, field)) == sorted(getattr(ba.ledger, field)), field
+        assert mc.ledger == ba.ledger
 
 
 class TestRecordAccounting:
@@ -830,6 +829,17 @@ class TestPerTaskLayout:
                 value = getattr(trt, f.name)
                 assert (value is trt.task if f.name == "task"
                         else isinstance(value, (bool, int, float, str, type(None)))), f.name
+
+    def test_ledger_tallies_usage_without_an_entry_per_message(self):
+        sim = Simulation(accept_scenario())
+        ledger = sim.run().ledger
+        for counts in (ledger.device_processing_kb, ledger.server_messages_kb):
+            assert counts.keys() == {MESSAGE_KB}
+        sizes = {trt.task.data_size for trt in sim.tasks.values()}
+        assert len(sizes) > 1 and len(ledger.device_messages_kb) <= len(sizes)
+        for minutes in (ledger.cloud_connect_minutes, ledger.server_connect_minutes,
+                        ledger.device_connect_minutes):
+            assert type(minutes) is float
 
     def test_tied_completions_come_out_by_task_id(self, monkeypatch):
         device = dict(tier="fog_device", cluster=0, cpu_capacity=4000.0, native_utilisation=0.3,

@@ -135,7 +135,7 @@ class TestCostMetrics:
         assert tc_five == pytest.approx(5 * tc_one)
 
     def test_defaults_to_ledger_cost(self):
-        ledger = UsageLedger(cloud_connect_minutes=[1e6])  # 0.08 dollars
+        ledger = UsageLedger(cloud_connect_minutes=1e6)  # 0.08 dollars
         trace = RunTrace(records=[record(delay=1.0, internal=0.0, proc=0.0)], ledger=ledger)
         report = build_report(trace, PriceBook(), SlaTerms())
         assert report.usage_cost == pytest.approx(0.08)
@@ -182,13 +182,13 @@ class TestAccount:
         assert rec.cloud_legs_time == 0.0
         assert rec.internal_messages == 3 + 1
         assert (rec.violated, rec.excess, rec.migrations) == (True, 2.0, 1)
-        assert ledger.device_connect_minutes == [pytest.approx(1200.0 / 1000.0 / 60.0)]
-        assert ledger.server_connect_minutes == [pytest.approx(1200.0 / 1000.0 / 60.0 / 2)]
-        assert ledger.device_messages_kb == [10.0, 10.0]
-        assert ledger.device_processing_kb == [5.0] * 3
-        assert ledger.server_messages_kb == [5.0] * 3
-        assert ledger.cloud_connect_minutes == ledger.cloud_messages_kb == []
-        assert ledger.cloud_processing_kb == ledger.server_processing_kb == []
+        assert ledger.device_connect_minutes == pytest.approx(1200.0 / 1000.0 / 60.0)
+        assert ledger.server_connect_minutes == pytest.approx(1200.0 / 1000.0 / 60.0 / 2)
+        assert ledger.device_messages_kb == {10.0: 2}
+        assert ledger.device_processing_kb == {5.0: 3}
+        assert ledger.server_messages_kb == {5.0: 3}
+        assert ledger.cloud_connect_minutes == 0.0 and ledger.cloud_messages_kb == {}
+        assert ledger.cloud_processing_kb == ledger.server_processing_kb == {}
 
     def test_cloud_bound(self):
         rec, ledger = self.accounted(cloud_bound=True, completion_time=6.5)
@@ -202,11 +202,11 @@ class TestAccount:
         assert rec.cloud_legs_time == pytest.approx(3 * cloud_fwd + 2 * cloud_leg + cloud_proc)
         assert rec.internal_messages == 3 + 1 + 1
         assert (rec.violated, rec.excess) == (False, 0.0)
-        assert ledger.device_messages_kb == [10.0, 10.0]
-        assert ledger.device_processing_kb == ledger.server_messages_kb == [5.0] * 3
-        assert ledger.cloud_connect_minutes == [pytest.approx(2 * 0.1 / 60.0)]
-        assert ledger.cloud_messages_kb == [10.0]
-        assert ledger.cloud_processing_kb == ledger.server_processing_kb == []
+        assert ledger.device_messages_kb == {10.0: 2}
+        assert ledger.device_processing_kb == ledger.server_messages_kb == {5.0: 3}
+        assert ledger.cloud_connect_minutes == pytest.approx(2 * 0.1 / 60.0)
+        assert ledger.cloud_messages_kb == {10.0: 1}
+        assert ledger.cloud_processing_kb == ledger.server_processing_kb == {}
 
 
 class TestSla:
