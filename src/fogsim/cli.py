@@ -12,8 +12,8 @@ Two subcommands:
     Run an experiment grid and write sweep-<axis>.csv with per-seed rows
     and per-cell means. Each cell is cached as it finishes; re-running
     with the same output directory only computes the cells that are
-    missing, unreadable, or whose scenario, prices, SLA terms or the
-    fogsim source changed.
+    missing, unreadable, not a whole row of that cell, or whose scenario,
+    prices, SLA terms or the fogsim source changed.
 
 The default output directory comes from ``FOGSIM_OUT`` (falling back to
 ``./fogsim-out``). ``fixtures/fd-table`` is accepted anywhere a config

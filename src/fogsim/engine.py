@@ -13,8 +13,10 @@ Physical shares never exceed free capacity, so utilisation plus
 allocation stays within the device budget at every event. The live
 fluctuation score feeds the *scoring* factor only; it lives with the rest
 of a node's live state in the engine's node record. A task's work done
-lives in its task record, and the work left, clamped at 0, is read from
-there. A run writes neither a ``FogNode`` nor a ``Task``.
+lives in its running task record, and the work left, clamped at 0, is read
+from there. When the task finishes, a finished record that keeps only its
+task, work done, migrations and cloud flag replaces the running one in
+``Simulation.tasks``. A run writes neither a ``FogNode`` nor a ``Task``.
 
 Rankings score candidates from the engine's own node state, every
 candidate in one pass. A multi-criteria fresh ranking keeps each home
@@ -265,6 +267,8 @@ def deadline_change_events(app: Application, variation_pct: float,
 
 @dataclass(slots=True)
 class _TaskRt:
+    """A task's record from its app's event until it finishes, when a ``_TaskDone`` replaces it."""
+
     task: Task
     cluster: int
     deadline_abs: float
@@ -278,7 +282,18 @@ class _TaskRt:
     migrations: int = 0
     migration_time_total: float = 0.0
     no_target: bool = False  # last migration attempt found nowhere better
-    done: bool = False
+    done = False  # a class constant, not a slot
+
+
+@dataclass(slots=True)
+class _TaskDone:
+    """What outlives a finished task: its work done, its migrations and its cloud copy."""
+
+    task: Task
+    progress: float
+    migrations: int
+    cloud_bound: bool
+    done = True
 
 
 @dataclass
@@ -347,7 +362,7 @@ class Simulation:
         self.nodes: dict[str, _NodeRt] = {}
         self.device_ids: list[str] = []
         self._devices: list[_NodeRt] = []  # the nodes of device_ids, in fleet order
-        self.tasks: dict[str, _TaskRt] = {}
+        self.tasks: dict[str, _TaskRt | _TaskDone] = {}
         self.trace = RunTrace(policy=scenario.policy, reservation=scenario.reservation,
                               seed=scenario.seed)
         self.remaining = 0
@@ -716,9 +731,9 @@ class Simulation:
     # -- completion ------------------------------------------------------------
 
     def _finish(self, trt: _TaskRt) -> None:
-        """Release a finished task's node, then hand its completion facts to ``account``."""
+        """Swap in the task's ``_TaskDone``, release its node, then hand its facts to ``account``."""
         task = trt.task
-        trt.done = True
+        self.tasks[task.id] = _TaskDone(task, trt.progress, trt.migrations, trt.cloud_bound)
         self.remaining -= 1
         node = self.nodes[trt.node_id]
         del node.running[task.id]
@@ -828,7 +843,7 @@ class Simulation:
                 caf = lo if caf < lo else caf
                 nrt.caf = hi if caf > hi else caf
 
-    def _on_deadline(self, trt: _TaskRt, factor: float) -> None:
+    def _on_deadline(self, trt: _TaskRt | _TaskDone, factor: float) -> None:
         if trt.done:
             return
         remaining = trt.deadline_abs - self.now

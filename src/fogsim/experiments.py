@@ -6,8 +6,9 @@ scenario-id order so the output never depends on scheduling. Each cell is
 cached atomically under ``<out>/cells`` as soon as it finishes, named by its
 scenario id plus a hash of its scenario, prices, SLA terms and the package
 source, so a re-run skips exactly the cells whose inputs and code are
-unchanged. A cached cell that is not a whole row (say, one cut short by a
-crash) is computed again.
+unchanged. A cached cell that is not a whole row of its cell (say, one cut
+short by a crash, another cell's row or a value that is not a finite
+number) is computed again.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 from pathlib import Path
 
@@ -29,6 +31,7 @@ CSV_COLUMNS = [
     "avg_delay_s", "total_delay_s", "max_delay_s", "min_delay_s",
     "avg_processing_s", "total_cost_usd", "sla_violation_pct", "penalty_usd",
 ]
+NUMERIC_COLUMNS = CSV_COLUMNS[5:]  # the values a row reports; the columns before name its cell
 
 AXES = ("apps", "deadline_variation", "free_resource", "battery", "fluctuation")
 # The scenario field an axis sets, and the config section whose entries replace it
@@ -87,8 +90,6 @@ def report_row(sid: str, axis_value: str, report: MetricsReport) -> dict:
 
 
 def _mean_row(rows: list[dict], axis_value: str, policy: str, reservation: str) -> dict:
-    numeric = ["avg_delay_s", "total_delay_s", "max_delay_s", "min_delay_s",
-               "avg_processing_s", "total_cost_usd", "sla_violation_pct", "penalty_usd"]
     out = {
         "scenario_id": f"mean-{axis_value}-{policy}-res{reservation}",
         "axis_value": axis_value,
@@ -96,7 +97,7 @@ def _mean_row(rows: list[dict], axis_value: str, policy: str, reservation: str) 
         "reservation": reservation,
         "seed": "mean",
     }
-    for col in numeric:
+    for col in NUMERIC_COLUMNS:
         values = [float(r[col]) for r in rows]
         out[col] = f"{fold_sum(values) / len(values):.6f}" if values else "0.000000"
     return out
@@ -117,13 +118,21 @@ def _cell_path(cells_dir: Path, sid: str, scenario: engine.Scenario, prices: Pri
     return cells_dir / f"{sid}-{hashlib.sha256(inputs.encode()).hexdigest()[:12]}.json"
 
 
-def _cached_row(path: Path) -> dict | None:
-    """The row cached at ``path``, or None when it is missing or not a whole row."""
+def _cached_row(path: Path, identity: dict) -> dict | None:
+    """The row cached at ``path``, or None when it is missing or not a whole row of this cell.
+
+    A whole row has exactly the CSV columns, the cell's ``identity`` values
+    and, in every numeric column, the text of a finite number.
+    """
     try:
         row = json.loads(path.read_text())
-    except (FileNotFoundError, ValueError):  # ValueError: not JSON, or not UTF-8
+        whole = (isinstance(row, dict) and sorted(row) == sorted(CSV_COLUMNS)
+                 and all(row[col] == value for col, value in identity.items())
+                 and all(isinstance(row[col], str) and math.isfinite(float(row[col]))
+                         for col in NUMERIC_COLUMNS))
+    except (FileNotFoundError, ValueError):  # ValueError: not JSON, not UTF-8 or not a number
         return None
-    return row if isinstance(row, dict) and sorted(row) == sorted(CSV_COLUMNS) else None
+    return row if whole else None
 
 
 def _cell_worker(args) -> tuple[Path, dict]:
@@ -186,7 +195,9 @@ def sweep(
                         reservation=reservation, label=sid, **overrides)
                     path = _cell_path(cells_dir, sid, scenario, cfg.prices, cfg.sla)
                     cells.append((path, value, policy, reservation))
-                    row = _cached_row(path)
+                    row = _cached_row(path, {
+                        "scenario_id": sid, "axis_value": value, "policy": policy,
+                        "reservation": "on" if reservation else "off", "seed": str(seed)})
                     if row is None:
                         jobs.append((path, sid, value, scenario, cfg.prices, cfg.sla))
                     else:

@@ -541,7 +541,11 @@ class TestSweepCommand:
         experiments.sweep(cfg, "battery", 1, str(out), policies=["mc"], reservations=[True])
         assert len(list((out / "cells").iterdir())) == 6
 
-    @pytest.mark.parametrize("broken", ["", '{"trunc', "[]"], ids=["empty", "cut", "list"])
+    @pytest.mark.parametrize("broken", [
+        "", '{"trunc', "[]",
+        # one value changed in a whole row
+        {"avg_delay_s": "x"}, {"avg_delay_s": "nan"}, {"scenario_id": "battery-BA9-mc-resoff-s7"},
+    ], ids=["empty", "cut", "list", "text", "nan", "foreign"])
     def test_resume_recomputes_a_broken_cell(self, tmp_path, monkeypatch, broken):
         path = small_config(tmp_path, app_count=2, devices_per_cluster=2)
         args = ["--axis", "battery", "--seeds", "1", "--policy", "mc", "--reservation", "on"]
@@ -549,6 +553,9 @@ class TestSweepCommand:
         assert main(["sweep", path, "--out", str(out)] + args) == 0
         fresh = (out / "sweep-battery.csv").read_bytes()
         cell = sorted((out / "cells").iterdir())[2]
+        whole = cell.read_bytes()
+        if isinstance(broken, dict):
+            broken = json.dumps(dict(json.loads(whole), **broken), sort_keys=True)
         cell.write_text(broken)
         real_run_cell = experiments.run_cell
         ran = []
@@ -562,6 +569,7 @@ class TestSweepCommand:
         assert ran == [cell.name.rsplit("-", 1)[0]]
         assert (out / "sweep-battery.csv").read_bytes() == fresh
         assert json.loads(cell.read_text()).keys() == set(CSV_COLUMNS)
+        assert cell.read_bytes() == whole
 
     @pytest.mark.parametrize("axis,field,section", [("apps", "app_count", "workload"),
                                                     ("battery", "battery_range", "fleet")])

@@ -15,6 +15,7 @@ from fogsim.engine import (
     Scenario,
     Simulation,
     _minutes,
+    _TaskDone,
     _TaskRt,
     deadline_change_events,
     fleet_specs,
@@ -102,6 +103,19 @@ def logged_arrivals(sim):
     return arrivals
 
 
+def fd4_with_history(deadline):
+    """The fixture fleet with reservation history and task t0 running on FD4."""
+    sim = Simulation(load_config("fixtures/fd-table").scenario)
+    for i, nid in enumerate(sim.device_ids):
+        sim.nodes[nid].reservation = ReservationState(
+            reserved_value=100.0 * i, last_app_request=600.0, total_apps_processed=2)
+    trt = _TaskRt(task=fd_table_task(), cluster=0, deadline_abs=deadline,
+                  cloud_bound=False)
+    sim.tasks["t0"] = trt
+    sim._on_arrive(trt, "FD4")
+    return sim, trt
+
+
 class TestFixtureRun:
     def test_single_task_runs_on_fd4(self):
         cfg = load_config("fixtures/fd-table")
@@ -123,20 +137,8 @@ class TestFixtureRun:
         assert [node_id for _, node_id in arrivals][:2] == ["FD4", "FD1"]
         assert trace.records[0].migrations >= 1
 
-    def _fd4_with_history(self, deadline):
-        """The fixture fleet with reservation history and task t0 running on FD4."""
-        sim = Simulation(load_config("fixtures/fd-table").scenario)
-        for i, nid in enumerate(sim.device_ids):
-            sim.nodes[nid].reservation = ReservationState(
-                reserved_value=100.0 * i, last_app_request=600.0, total_apps_processed=2)
-        trt = _TaskRt(task=fd_table_task(), cluster=0, deadline_abs=deadline,
-                      cloud_bound=False)
-        sim.tasks["t0"] = trt
-        sim._on_arrive(trt, "FD4")
-        return sim, trt
-
     def test_migration_applies_reservation(self):
-        sim, trt = self._fd4_with_history(deadline=0.5)  # FD4 cannot make it
+        sim, trt = fd4_with_history(deadline=0.5)  # FD4 cannot make it
         sim._attempt_migration(trt)
         cap = sim.sc.reservation_cap_fraction
         for i, nid in enumerate(sim.device_ids):
@@ -148,7 +150,7 @@ class TestFixtureRun:
                     (100.0 * i + 600.0) / 2, cap * nrt.node.cpu_capacity)
 
     def test_no_migration_search_keeps_reservations(self):
-        sim, trt = self._fd4_with_history(deadline=50.0)  # FD4 still fits
+        sim, trt = fd4_with_history(deadline=50.0)  # FD4 still fits
         sim._attempt_migration(trt)
         assert [sim.nodes[nid].reservation.reserved_value
                 for nid in sim.device_ids] == [100.0 * i for i in range(5)]
@@ -256,14 +258,10 @@ class TestDeadlineChangeProcess:
         assert kinds.count("deadline") == changes * tasks
 
     def test_tightening_triggers_migration_or_flag(self):
-        cfg = load_config("fixtures/fd-table")
-        sim = Simulation(cfg.scenario)
-        sim.run()
-        trt = sim.tasks["t0"]
+        sim, trt = fd4_with_history(deadline=50.0)  # t0 running on FD4, well within its deadline
         # replay the policy step the engine would take on a hard tighten
         sim.now = 0.9
         trt.deadline_abs = 1.0
-        trt.done = False
         trt.no_target = False
         before = trt.migrations
         sim._attempt_migration(trt)
@@ -815,7 +813,7 @@ class TestPerTaskLayout:
         sim = Simulation(small_scenario())
         trace = sim.run()
         trts = list(sim.tasks.values())
-        for name, objs in [("Task", [trt.task for trt in trts]), ("_TaskRt", trts),
+        for name, objs in [("Task", [trt.task for trt in trts]), ("_TaskDone", trts),
                            ("RequestRecord", trace.records)]:
             assert objs and not any(hasattr(obj, "__dict__") for obj in objs), name
         assert sim._apps == {}  # each app left the map at its event
@@ -829,6 +827,42 @@ class TestPerTaskLayout:
                 value = getattr(trt, f.name)
                 assert (value is trt.task if f.name == "task"
                         else isinstance(value, (bool, int, float, str, type(None)))), f.name
+
+    def test_a_run_leaves_only_finished_records(self):
+        sim = Simulation(small_scenario(deadline_variation_pct=40.0))
+        sim.run()
+        assert len(sim.tasks) == 60
+        for trt in sim.tasks.values():
+            assert type(trt) is _TaskDone and trt.done is True
+        assert ([f.name for f in dataclasses.fields(_TaskDone)]
+                == ["task", "progress", "migrations", "cloud_bound"])
+        assert "done" not in _TaskRt.__slots__ and _TaskRt.done is False
+
+    def test_finish_lets_go_of_the_running_record(self):
+        """At completion the finished record takes the running one's place; nothing keeps that."""
+        sim = Simulation(small_scenario(deadline_variation_pct=40.0))
+        finish = sim._finish
+        finished = []
+
+        def checked_finish(trt):
+            node, tid = sim.nodes[trt.node_id], trt.task.id
+            assert type(trt) is _TaskRt and sim.tasks[tid] is trt and node.running[tid] is trt
+            for f in dataclasses.fields(trt):  # the running record, too, holds only values
+                value = getattr(trt, f.name)
+                assert (value is trt.task if f.name == "task"
+                        else isinstance(value, (bool, int, float, str, type(None)))), f.name
+            finish(trt)
+            done = sim.tasks[tid]
+            assert type(done) is _TaskDone and done.task is trt.task
+            assert ((done.progress, done.migrations, done.cloud_bound)
+                    == (trt.progress, trt.migrations, trt.cloud_bound))
+            assert all(rec is not trt for rec in sim.tasks.values())
+            assert all(rec is not trt for nrt in sim.nodes.values() for rec in nrt.running.values())
+            finished.append(tid)
+
+        sim._finish = checked_finish
+        sim.run()
+        assert sorted(finished) == sorted(sim.tasks)
 
     def test_ledger_tallies_usage_without_an_entry_per_message(self):
         sim = Simulation(accept_scenario())
