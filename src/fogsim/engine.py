@@ -15,8 +15,10 @@ fluctuation score feeds the *scoring* factor only; it lives with the rest
 of a node's live state in the engine's node record. A task's work done
 lives in its running task record, and the work left, clamped at 0, is read
 from there. When the task finishes, a finished record that keeps only its
-task, work done, migrations and cloud flag replaces the running one in
-``Simulation.tasks``. A run writes neither a ``FogNode`` nor a ``Task``.
+work done, migrations and cloud flag replaces the running one in
+``Simulation.tasks``, and the ``Task`` goes with the running record. A run
+writes neither a ``FogNode`` nor a ``Task``. Deadline changes are drawn
+when the run starts and wait with their app until its event pushes them.
 
 Rankings score candidates from the engine's own node state, every
 candidate in one pass. A multi-criteria fresh ranking keeps each home
@@ -289,7 +291,6 @@ class _TaskRt:
 class _TaskDone:
     """What outlives a finished task: its work done, its migrations and its cloud copy."""
 
-    task: Task
     progress: float
     migrations: int
     cloud_bound: bool
@@ -733,7 +734,7 @@ class Simulation:
     def _finish(self, trt: _TaskRt) -> None:
         """Swap in the task's ``_TaskDone``, release its node, then hand its facts to ``account``."""
         task = trt.task
-        self.tasks[task.id] = _TaskDone(task, trt.progress, trt.migrations, trt.cloud_bound)
+        self.tasks[task.id] = _TaskDone(trt.progress, trt.migrations, trt.cloud_bound)
         self.remaining -= 1
         node = self.nodes[trt.node_id]
         del node.running[task.id]
@@ -746,21 +747,24 @@ class Simulation:
 
     # -- event handlers --------------------------------------------------------
 
-    def _on_app(self, app: Application) -> None:
+    def _on_app(self, app: Application, changes: list[tuple[float, str, float]]) -> None:
+        """Open the app's task records, push its deadline changes, then place or queue its tasks."""
         cloud_rng = _stream(self.sc.seed, f"cloudmix:{app.id}")
         present = self._home_clusters
         home = present[hash_cluster(app.user_id, len(present), self.sc.cluster_block)]
         for task in app.tasks:
-            trt = _TaskRt(
+            self.tasks[task.id] = _TaskRt(
                 task=task,
                 cluster=home,
                 deadline_abs=task.submit_time + task.deadline,
                 cloud_bound=cloud_rng.random() < self.sc.cloud_fraction,
                 last_update=self.now,
             )
-            self.tasks[task.id] = trt
+        for when, task_id, factor in changes:  # each falls strictly after this event
+            self._push(when, "deadline", task_id, (factor,))
+        for task in app.tasks:
             if task.submit_time <= self.now:
-                self._place_fresh(trt)
+                self._place_fresh(self.tasks[task.id])
             else:
                 self._push(task.submit_time, "place", task.id)
 
@@ -868,18 +872,15 @@ class Simulation:
 
     def run(self) -> RunTrace:
         sc = self.sc
-        # each app leaves this map at its event, so the run does not keep them all
-        self._apps = {a.id: a for a in generate_workload(sc)}
-        self.remaining = sum(len(a.tasks) for a in self._apps.values())
-        for app in self._apps.values():
-            submit = min((t.submit_time for t in app.tasks), default=0.0)
-            self._push(submit, "app", app.id)
+        # each app waits here with its deadline changes, all drawn now in app order,
+        # until its event pushes them: the heap holds only the arrived apps' changes
+        self._apps = {a.id: (a, []) for a in generate_workload(sc)}
+        self.remaining = sum(len(a.tasks) for a, _ in self._apps.values())
         deadline_rng = _stream(sc.seed, "deadline")
-        for app in self._apps.values():
+        for app, changes in self._apps.values():
+            self._push(min((t.submit_time for t in app.tasks), default=0.0), "app", app.id)
             for _ in range(sc.deadline_changes_per_task):
-                for when, task_id, factor in deadline_change_events(
-                        app, sc.deadline_variation_pct, deadline_rng):
-                    self._push(when, "deadline", task_id, (factor,))
+                changes += deadline_change_events(app, sc.deadline_variation_pct, deadline_rng)
         for when, node_id, available in sc.scripted_utilisation:
             self._push(when, "script", node_id, (available,))
         if self.remaining > 0:
@@ -903,14 +904,14 @@ class Simulation:
                 self._progress(trt)
                 self._finish(trt)
             elif kind == "app":
-                self._on_app(self._apps.pop(key))
+                self._on_app(*self._apps.pop(key))
             elif kind == "place":
                 self._place_fresh(self.tasks[key])
             elif kind == "arrive":
                 self._on_arrive(self.tasks[key], payload[0])
             elif kind == "fluct":
                 self._on_tick()
-            elif kind == "deadline":  # its app's event, never later, was pushed first
+            elif kind == "deadline":  # pushed at its app's event, which opened the task's record
                 self._on_deadline(self.tasks[key], payload[0])
             elif kind == "migrate":
                 self._on_arrive(self.tasks[key], payload[0])

@@ -116,6 +116,23 @@ def fd4_with_history(deadline):
     return sim, trt
 
 
+def received_tasks(monkeypatch):
+    """Each ``Task`` the runs to come receive, by id: a finished record keeps none.
+
+    Captured by wrapping the engine's ``generate_workload``, so these are the
+    objects the engine held while the tasks ran.
+    """
+    tasks = {}
+
+    def capturing(scenario):
+        apps = generate_workload(scenario)
+        tasks.update((task.id, task) for app in apps for task in app.tasks)
+        return apps
+
+    monkeypatch.setattr("fogsim.engine.generate_workload", capturing)
+    return tasks
+
+
 class TestFixtureRun:
     def test_single_task_runs_on_fd4(self):
         cfg = load_config("fixtures/fd-table")
@@ -295,14 +312,15 @@ class TestDeterminismAndConservation:
 
 
 class TestRecordAccounting:
-    def test_internal_messages_count_subtasks_migrations_and_cloud(self):
+    def test_internal_messages_count_subtasks_migrations_and_cloud(self, monkeypatch):
         scenario = accept_scenario()
+        received = received_tasks(monkeypatch)
         sim = Simulation(scenario)
         trace = sim.run()
-        tasks = sim.tasks.values()
-        subtasks = sum(math.ceil(t.task.length / scenario.subtask_length) for t in tasks)
-        migrations = sum(t.migrations for t in tasks)
-        cloud_bound = sum(t.cloud_bound for t in tasks)
+        assert received.keys() == sim.tasks.keys()
+        subtasks = sum(math.ceil(t.length / scenario.subtask_length) for t in received.values())
+        migrations = sum(t.migrations for t in sim.tasks.values())
+        cloud_bound = sum(t.cloud_bound for t in sim.tasks.values())
         assert migrations > 0 and cloud_bound > 0
         messages = sum(r.internal_messages for r in trace.records)
         assert messages == subtasks + migrations + cloud_bound
@@ -313,14 +331,16 @@ class TestRecordAccounting:
 class TestWorkConservation:
     @pytest.mark.parametrize("policy,reservation",
                              [("mc", True), ("baseline", True), ("mc", False)])
-    def test_integrated_progress_matches_length(self, policy, reservation):
+    def test_integrated_progress_matches_length(self, policy, reservation, monkeypatch):
         # the progress the engine integrates, task by task
+        received = received_tasks(monkeypatch)
         sim = Simulation(accept_scenario(policy=policy, reservation=reservation))
         sim.run()
-        assert len(sim.tasks) == 700
-        for trt in sim.tasks.values():
+        assert len(sim.tasks) == 700 and received.keys() == sim.tasks.keys()
+        for tid, trt in sim.tasks.items():
+            length = received[tid].length
             assert trt.done
-            assert abs(trt.progress - trt.task.length) <= 1e-9 * trt.task.length, trt.task.id
+            assert abs(trt.progress - length) <= 1e-9 * length, tid
 
 
 def _snapshot(sim, nrt, n_next, peer):
@@ -676,15 +696,51 @@ class TestRunWritesNoTask:
     @pytest.mark.parametrize("policy", ["mc", "baseline"])
     @pytest.mark.parametrize("scenario", [accept_scenario(), storm_scenario(), COLLISION],
                              ids=["accept", "storm", "collision"])
-    def test_tasks_equal_their_workload_entries(self, scenario, policy):
+    def test_tasks_equal_their_workload_entries(self, scenario, policy, monkeypatch):
         scenario = dataclasses.replace(scenario, policy=policy)
+        received = received_tasks(monkeypatch)
         sim = Simulation(scenario)
         sim.run()
         fresh = {t.id: t for app in generate_workload(scenario) for t in app.tasks}
-        assert {tid: trt.task for tid, trt in sim.tasks.items()} == fresh
+        assert received == fresh and received.keys() == sim.tasks.keys()
         # tasks did run and move, so they stayed put for a reason
         assert all(trt.done and trt.progress > 0 for trt in sim.tasks.values())
         assert any(trt.migrations for trt in sim.tasks.values())
+
+
+class TestLiveWindow:
+    """A run holds only what is live: changes wait for their app, a finished task's Task goes."""
+
+    @pytest.mark.parametrize("policy", ["mc", "baseline"])
+    @pytest.mark.parametrize("scenario", [accept_scenario(), storm_scenario(), COLLISION],
+                             ids=["accept", "storm", "collision"])
+    def test_deadline_pushes_name_open_tasks(self, scenario, policy):
+        sim = Simulation(dataclasses.replace(scenario, policy=policy))
+        push = sim._push
+        pushed = Counter()
+
+        def checked_push(time, kind, key="", payload=()):
+            if kind == "deadline":
+                assert key in sim.tasks and time > sim.now, (key, time, sim.now)
+                pushed[key] += 1
+            push(time, kind, key, payload)
+
+        sim._push = checked_push
+        sim.run()
+        # every task's changes were pushed, none twice
+        assert pushed == {tid: scenario.deadline_changes_per_task for tid in sim.tasks}
+
+    @pytest.mark.parametrize("policy", ["mc", "baseline"])
+    @pytest.mark.parametrize("scenario", [accept_scenario(), storm_scenario(), COLLISION],
+                             ids=["accept", "storm", "collision"])
+    def test_finished_records_hold_no_task(self, scenario, policy):
+        sim = Simulation(dataclasses.replace(scenario, policy=policy))
+        trace = sim.run()
+        assert len(sim.tasks) == len(trace.records) > 0
+        for tid, rec in sim.tasks.items():
+            assert type(rec) is _TaskDone, tid
+            assert not any(isinstance(getattr(rec, f.name), Task)
+                           for f in dataclasses.fields(rec)), tid
 
 
 def varied_lengths(scenario, lengths=(2000.0, 3000.0, 4500.0)):
@@ -809,24 +865,27 @@ class TestStalledPeriod:
 class TestPerTaskLayout:
     """Per-task objects are slotted, a run lets go of each app, and records sort by time, id."""
 
-    def test_per_task_objects_have_no_instance_dict(self):
+    def test_per_task_objects_have_no_instance_dict(self, monkeypatch):
+        received = received_tasks(monkeypatch)
         sim = Simulation(small_scenario())
         trace = sim.run()
-        trts = list(sim.tasks.values())
-        for name, objs in [("Task", [trt.task for trt in trts]), ("_TaskDone", trts),
-                           ("RequestRecord", trace.records)]:
+        for name, objs in [("Task", list(received.values())), ("RequestRecord", trace.records),
+                           ("_TaskDone", list(sim.tasks.values()))]:
             assert objs and not any(hasattr(obj, "__dict__") for obj in objs), name
         assert sim._apps == {}  # each app left the map at its event
 
     def test_task_record_holds_only_values_and_its_task(self):
-        """So a shallow copy of a running task's record shares nothing it could write."""
+        """So a shallow copy of a task's record shares nothing it could write.
+
+        A running record also holds its ``Task`` (see the next tests); a
+        finished one holds only values.
+        """
         sim = Simulation(small_scenario(deadline_variation_pct=40.0))
         sim.run()
         for trt in sim.tasks.values():
             for f in dataclasses.fields(trt):
                 value = getattr(trt, f.name)
-                assert (value is trt.task if f.name == "task"
-                        else isinstance(value, (bool, int, float, str, type(None)))), f.name
+                assert isinstance(value, (bool, int, float, str, type(None))), f.name
 
     def test_a_run_leaves_only_finished_records(self):
         sim = Simulation(small_scenario(deadline_variation_pct=40.0))
@@ -835,7 +894,7 @@ class TestPerTaskLayout:
         for trt in sim.tasks.values():
             assert type(trt) is _TaskDone and trt.done is True
         assert ([f.name for f in dataclasses.fields(_TaskDone)]
-                == ["task", "progress", "migrations", "cloud_bound"])
+                == ["progress", "migrations", "cloud_bound"])
         assert "done" not in _TaskRt.__slots__ and _TaskRt.done is False
 
     def test_finish_lets_go_of_the_running_record(self):
@@ -853,7 +912,7 @@ class TestPerTaskLayout:
                         else isinstance(value, (bool, int, float, str, type(None)))), f.name
             finish(trt)
             done = sim.tasks[tid]
-            assert type(done) is _TaskDone and done.task is trt.task
+            assert type(done) is _TaskDone
             assert ((done.progress, done.migrations, done.cloud_bound)
                     == (trt.progress, trt.migrations, trt.cloud_bound))
             assert all(rec is not trt for rec in sim.tasks.values())
@@ -864,12 +923,13 @@ class TestPerTaskLayout:
         sim.run()
         assert sorted(finished) == sorted(sim.tasks)
 
-    def test_ledger_tallies_usage_without_an_entry_per_message(self):
-        sim = Simulation(accept_scenario())
-        ledger = sim.run().ledger
+    def test_ledger_tallies_usage_without_an_entry_per_message(self, monkeypatch):
+        received = received_tasks(monkeypatch)
+        ledger = Simulation(accept_scenario()).run().ledger
+        assert len(received) == 700
         for counts in (ledger.device_processing_kb, ledger.server_messages_kb):
             assert counts.keys() == {MESSAGE_KB}
-        sizes = {trt.task.data_size for trt in sim.tasks.values()}
+        sizes = {task.data_size for task in received.values()}
         assert len(sizes) > 1 and len(ledger.device_messages_kb) <= len(sizes)
         for minutes in (ledger.cloud_connect_minutes, ledger.server_connect_minutes,
                         ledger.device_connect_minutes):
