@@ -14,11 +14,11 @@ allocation stays within the device budget at every event. The live
 fluctuation score feeds the *scoring* factor only; it lives with the rest
 of a node's live state in the engine's node record. A task's work done
 lives in its running task record, and the work left, clamped at 0, is read
-from there. When the task finishes, a finished record that keeps only its
-work done, migrations and cloud flag replaces the running one in
-``Simulation.tasks``, and the ``Task`` goes with the running record. A run
-writes neither a ``FogNode`` nor a ``Task``. Deadline changes are drawn
-when the run starts and wait with their app until its event pushes them.
+from there. When the task finishes, its ``RequestRecord``, which carries the
+work done, replaces the running record in ``Simulation.tasks``, and the
+``Task`` goes with the running one, so a finished task is held once. A run
+writes neither a ``FogNode`` nor a ``Task``. Deadline changes are drawn when
+the run starts and wait with their app until its event pushes them.
 
 Rankings score candidates from the engine's own node state, every
 candidate in one pass. A multi-criteria fresh ranking keeps each home
@@ -44,7 +44,7 @@ from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .metrics import RunTrace, account
+from .metrics import RequestRecord, RunTrace, account
 from .model import Application, FogNode, NetworkLink, ReservationState, Task, Tier, fold_sum
 from .network import link_bandwidth, link_delay, processing_delay
 from .policies import migration_bound_ok, migration_key, rank, reserve
@@ -269,7 +269,7 @@ def deadline_change_events(app: Application, variation_pct: float,
 
 @dataclass(slots=True)
 class _TaskRt:
-    """A task's record from its app's event until it finishes, when a ``_TaskDone`` replaces it."""
+    """A task's record from its app's event until its ``RequestRecord`` replaces it."""
 
     task: Task
     cluster: int
@@ -284,17 +284,6 @@ class _TaskRt:
     migrations: int = 0
     migration_time_total: float = 0.0
     no_target: bool = False  # last migration attempt found nowhere better
-    done = False  # a class constant, not a slot
-
-
-@dataclass(slots=True)
-class _TaskDone:
-    """What outlives a finished task: its work done, its migrations and its cloud copy."""
-
-    progress: float
-    migrations: int
-    cloud_bound: bool
-    done = True
 
 
 @dataclass
@@ -363,7 +352,8 @@ class Simulation:
         self.nodes: dict[str, _NodeRt] = {}
         self.device_ids: list[str] = []
         self._devices: list[_NodeRt] = []  # the nodes of device_ids, in fleet order
-        self.tasks: dict[str, _TaskRt | _TaskDone] = {}
+        self.tasks: dict[str, _TaskRt | RequestRecord] = {}
+        self._apps: dict[str, tuple] | None = None  # each app and its changes, from run() on
         self.trace = RunTrace(policy=scenario.policy, reservation=scenario.reservation,
                               seed=scenario.seed)
         self.remaining = 0
@@ -732,9 +722,8 @@ class Simulation:
     # -- completion ------------------------------------------------------------
 
     def _finish(self, trt: _TaskRt) -> None:
-        """Swap in the task's ``_TaskDone``, release its node, then hand its facts to ``account``."""
+        """Release the task's node, then swap in the record ``account`` makes of its facts."""
         task = trt.task
-        self.tasks[task.id] = _TaskDone(trt.progress, trt.migrations, trt.cloud_bound)
         self.remaining -= 1
         node = self.nodes[trt.node_id]
         del node.running[task.id]
@@ -742,8 +731,9 @@ class Simulation:
         node.window_count += 1
         node.window_last = task.length
         self._replan(node)
-        account(self.trace, self.sc, task, self.now, trt.deadline_abs, trt.uplink,
-                trt.active_time, trt.migrations, trt.migration_time_total, trt.cloud_bound)
+        self.tasks[task.id] = account(self.trace, self.sc, task, self.now, trt.deadline_abs,
+                                      trt.uplink, trt.active_time, trt.migrations,
+                                      trt.migration_time_total, trt.cloud_bound, trt.progress)
 
     # -- event handlers --------------------------------------------------------
 
@@ -847,8 +837,8 @@ class Simulation:
                 caf = lo if caf < lo else caf
                 nrt.caf = hi if caf > hi else caf
 
-    def _on_deadline(self, trt: _TaskRt | _TaskDone, factor: float) -> None:
-        if trt.done:
+    def _on_deadline(self, trt: _TaskRt | RequestRecord, factor: float) -> None:
+        if type(trt) is not _TaskRt:  # the task finished
             return
         remaining = trt.deadline_abs - self.now
         if remaining <= 0:
@@ -871,6 +861,8 @@ class Simulation:
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> RunTrace:
+        if self._apps is not None:  # a second run would append to this run's records and ledger
+            raise RuntimeError("this Simulation has already run; build a new one to run again")
         sc = self.sc
         # each app waits here with its deadline changes, all drawn now in app order,
         # until its event pushes them: the heap holds only the arrived apps' changes

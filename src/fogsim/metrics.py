@@ -2,9 +2,10 @@
 
 A trace is a list of :class:`RequestRecord`, one per finished request,
 plus the :class:`UsageLedger` of the run. :func:`account` is the only
-writer of both: the engine hands it each request's completion facts.
-Every other function is pure over a finished trace, and every report
-total is a sum over the records.
+writer of both: the engine hands it each request's completion facts and
+keeps the record it returns as the finished task's entry. Every other
+function is pure over a finished trace, and every report total is a sum
+over the records.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ class RequestRecord:
     excess: float = 0.0  # seconds past the deadline when violated
     migrations: int = 0
     internal_messages: int = 0  # subtask messages + migrations + cloud hand-off
+    progress: float = 0.0  # MI of work the run did for the request
 
     @property
     def full_completion(self) -> float:
@@ -59,12 +61,13 @@ class RunTrace:
 
 def account(trace: RunTrace, scenario: Scenario, task: Task, completion_time: float,
             deadline: float, uplink: float, active_time: float, migrations: int,
-            migration_time: float, cloud_bound: bool) -> None:
-    """Append one finished request's record and ledger usage to the trace.
+            migration_time: float, cloud_bound: bool, progress: float) -> RequestRecord:
+    """Append one finished request's record and ledger usage to the trace; return the record.
 
     ``deadline`` is absolute; ``uplink``, ``active_time`` and
     ``migration_time`` are the seconds the request spent in transfer, in
-    execution and in migration transfers.
+    execution and in migration transfers; ``progress`` is the MI of work
+    done for it.
     """
     sc = scenario
     n_sub = max(int(math.ceil(task.length / sc.subtask_length)), 1)
@@ -94,13 +97,15 @@ def account(trace: RunTrace, scenario: Scenario, task: Task, completion_time: fl
         ledger.cloud_messages_kb[data_kb] += 1
     else:
         delay += uplink  # the fog response mirrors the uplink
-    trace.records.append(RequestRecord(
+    record = RequestRecord(
         task_id=task.id, app_id=task.app_id, submit_time=task.submit_time,
         completion_time=completion_time, deadline=deadline, delay=delay,
         internal_delay=internal, processing_time=active_time + n_sub * frame + cloud_proc,
         cloud_legs_time=cloud_legs, violated=completion_time > deadline,
         excess=max(completion_time - deadline, 0.0), migrations=migrations,
-        internal_messages=n_sub + migrations + int(cloud_bound)))
+        internal_messages=n_sub + migrations + int(cloud_bound), progress=progress)
+    trace.records.append(record)
+    return record
 
 
 def delay_totals(records: list[RequestRecord]) -> tuple[float, float]:

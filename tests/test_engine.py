@@ -1,21 +1,23 @@
 import copy
 import dataclasses
+import gc
 import heapq
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fogsim import engine
 from fogsim.config import _check_fleet, load_config
 from fogsim.engine import (
     Scenario,
     Simulation,
     _minutes,
-    _TaskDone,
     _TaskRt,
     deadline_change_events,
     fleet_specs,
@@ -25,7 +27,7 @@ from fogsim.engine import (
     run,
 )
 from fogsim.fixtures import fd_table_task
-from fogsim.metrics import MESSAGE_KB, account, build_report
+from fogsim.metrics import MESSAGE_KB, RequestRecord, account, build_report
 from fogsim.model import NetworkLink, PriceBook, ReservationState, SlaTerms, Task, fold_sum
 from fogsim.network import link_bandwidth, link_delay, processing_delay
 from fogsim.policies import (
@@ -304,6 +306,16 @@ class TestDeterminismAndConservation:
         assert len(trace.records) == int(submitted / 3000.0)
         assert sim.max_load_ratio <= 1.0 + 1e-9
 
+    def test_a_second_run_is_refused(self):
+        sim = Simulation(Scenario(app_count=3))
+        trace = sim.run()
+        records, ledger = list(trace.records), copy.deepcopy(trace.ledger)
+        with pytest.raises(RuntimeError, match="build a new one"):
+            sim.run()
+        # the first run's outputs stand: one record per task, each request billed once
+        assert trace.records == records and len(records) == 30
+        assert trace.ledger == ledger
+
     def test_policies_share_workload_and_ledger(self):
         base = small_scenario(app_count=8, seed=5)
         mc = run(dataclasses.replace(base, policy="mc"))
@@ -320,7 +332,8 @@ class TestRecordAccounting:
         assert received.keys() == sim.tasks.keys()
         subtasks = sum(math.ceil(t.length / scenario.subtask_length) for t in received.values())
         migrations = sum(t.migrations for t in sim.tasks.values())
-        cloud_bound = sum(t.cloud_bound for t in sim.tasks.values())
+        # every cloud leg carries CLOUD_LATENCY, so a cloud copy's legs take time
+        cloud_bound = sum(t.cloud_legs_time > 0 for t in sim.tasks.values())
         assert migrations > 0 and cloud_bound > 0
         messages = sum(r.internal_messages for r in trace.records)
         assert messages == subtasks + migrations + cloud_bound
@@ -339,7 +352,7 @@ class TestWorkConservation:
         assert len(sim.tasks) == 700 and received.keys() == sim.tasks.keys()
         for tid, trt in sim.tasks.items():
             length = received[tid].length
-            assert trt.done
+            assert type(trt) is RequestRecord
             assert abs(trt.progress - length) <= 1e-9 * length, tid
 
 
@@ -704,7 +717,7 @@ class TestRunWritesNoTask:
         fresh = {t.id: t for app in generate_workload(scenario) for t in app.tasks}
         assert received == fresh and received.keys() == sim.tasks.keys()
         # tasks did run and move, so they stayed put for a reason
-        assert all(trt.done and trt.progress > 0 for trt in sim.tasks.values())
+        assert all(type(trt) is RequestRecord and trt.progress > 0 for trt in sim.tasks.values())
         assert any(trt.migrations for trt in sim.tasks.values())
 
 
@@ -737,8 +750,9 @@ class TestLiveWindow:
         sim = Simulation(dataclasses.replace(scenario, policy=policy))
         trace = sim.run()
         assert len(sim.tasks) == len(trace.records) > 0
+        by_id = {r.task_id: r for r in trace.records}
         for tid, rec in sim.tasks.items():
-            assert type(rec) is _TaskDone, tid
+            assert rec is by_id[tid], tid  # a finished task is held once
             assert not any(isinstance(getattr(rec, f.name), Task)
                            for f in dataclasses.fields(rec)), tid
 
@@ -870,7 +884,7 @@ class TestPerTaskLayout:
         sim = Simulation(small_scenario())
         trace = sim.run()
         for name, objs in [("Task", list(received.values())), ("RequestRecord", trace.records),
-                           ("_TaskDone", list(sim.tasks.values()))]:
+                           ("sim.tasks", list(sim.tasks.values()))]:
             assert objs and not any(hasattr(obj, "__dict__") for obj in objs), name
         assert sim._apps == {}  # each app left the map at its event
 
@@ -888,14 +902,14 @@ class TestPerTaskLayout:
                 assert isinstance(value, (bool, int, float, str, type(None))), f.name
 
     def test_a_run_leaves_only_finished_records(self):
+        """Each entry is its task's ``RequestRecord``, the very object in the trace."""
         sim = Simulation(small_scenario(deadline_variation_pct=40.0))
-        sim.run()
-        assert len(sim.tasks) == 60
-        for trt in sim.tasks.values():
-            assert type(trt) is _TaskDone and trt.done is True
-        assert ([f.name for f in dataclasses.fields(_TaskDone)]
-                == ["progress", "migrations", "cloud_bound"])
-        assert "done" not in _TaskRt.__slots__ and _TaskRt.done is False
+        trace = sim.run()
+        assert len(sim.tasks) == len(trace.records) == 60
+        for rec in trace.records:
+            assert sim.tasks[rec.task_id] is rec
+        assert "progress" in RequestRecord.__slots__
+        assert not hasattr(engine, "_TaskDone") and not hasattr(_TaskRt, "done")
 
     def test_finish_lets_go_of_the_running_record(self):
         """At completion the finished record takes the running one's place; nothing keeps that."""
@@ -912,8 +926,8 @@ class TestPerTaskLayout:
                         else isinstance(value, (bool, int, float, str, type(None)))), f.name
             finish(trt)
             done = sim.tasks[tid]
-            assert type(done) is _TaskDone
-            assert ((done.progress, done.migrations, done.cloud_bound)
+            assert done is sim.trace.records[-1] and done.task_id == tid
+            assert ((done.progress, done.migrations, done.cloud_legs_time > 0)
                     == (trt.progress, trt.migrations, trt.cloud_bound))
             assert all(rec is not trt for rec in sim.tasks.values())
             assert all(rec is not trt for nrt in sim.nodes.values() for rec in nrt.running.values())
@@ -951,7 +965,7 @@ class TestPerTaskLayout:
 
         def spy(trace, sc, done, *args):
             accounted.append(done.id)
-            account(trace, sc, done, *args)
+            return account(trace, sc, done, *args)
 
         monkeypatch.setattr("fogsim.engine.account", spy)
         records = Simulation(scenario).run().records
@@ -959,6 +973,30 @@ class TestPerTaskLayout:
         assert [r.task_id for r in records] == ["t0", "t1", "s0"]
         assert records[0].completion_time == records[1].completion_time
         assert records[1].completion_time < records[2].completion_time
+
+    def test_live_set_per_task_stays_within_budget(self):
+        """What a finished run holds per task, as tracemalloc counts it after ``gc.collect()``.
+
+        A generated 200-app run (2,000 tasks) reads 0.574-0.623 KB per task on
+        CPython 3.10-3.13 (0.584 on 3.11.7), so the budget leaves 12-22% headroom;
+        a finished entry that kept its ``Task`` again would add about 0.14 KB.
+        """
+        gc.collect()
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sim = Simulation(Scenario(app_count=200))
+            trace = sim.run()
+            gc.collect()
+            live = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert len(sim.tasks) == len(trace.records) == 2000
+        kb_per_task = live / len(trace.records) / 1024
+        assert kb_per_task <= 0.70, kb_per_task
 
 
 class TestOwnClusterCount:

@@ -165,11 +165,11 @@ class TestAccount:
         trace = RunTrace()
         task = Task(id="t0", app_id="a0", length=1200.0, data_size=81920.0, deadline=6.0,
                     submit_time=1.0)
-        account(trace, Scenario(), task, completion_time=completion_time, deadline=7.0,
-                uplink=0.4, active_time=3.0, migrations=1, migration_time=0.5,
-                cloud_bound=cloud_bound)
-        assert len(trace.records) == 1
-        return trace.records[0], trace.ledger
+        rec = account(trace, Scenario(), task, completion_time=completion_time, deadline=7.0,
+                      uplink=0.4, active_time=3.0, migrations=1, migration_time=0.5,
+                      cloud_bound=cloud_bound, progress=1200.0)
+        assert len(trace.records) == 1 and trace.records[0] is rec
+        return rec, trace.ledger
 
     def test_fog_served(self):
         rec, ledger = self.accounted(cloud_bound=False, completion_time=9.0)
@@ -182,6 +182,7 @@ class TestAccount:
         assert rec.cloud_legs_time == 0.0
         assert rec.internal_messages == 3 + 1
         assert (rec.violated, rec.excess, rec.migrations) == (True, 2.0, 1)
+        assert rec.progress == 1200.0
         assert ledger.device_connect_minutes == pytest.approx(1200.0 / 1000.0 / 60.0)
         assert ledger.server_connect_minutes == pytest.approx(1200.0 / 1000.0 / 60.0 / 2)
         assert ledger.device_messages_kb == {10.0: 2}

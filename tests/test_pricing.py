@@ -183,7 +183,8 @@ def test_minute_totals_fold_the_requests_in_accounting_order(requests):
     for i, (length, cloud_bound) in enumerate(requests):
         task = Task(id=f"t{i}", app_id="a0", length=length, data_size=81920.0, deadline=6.0)
         account(trace, scenario, task, completion_time=5.0, deadline=6.0, uplink=0.4,
-                active_time=3.0, migrations=0, migration_time=0.0, cloud_bound=cloud_bound)
+                active_time=3.0, migrations=0, migration_time=0.0, cloud_bound=cloud_bound,
+                progress=length)
     device = [length / 1000.0 / 60.0 for length, _ in requests]
     ledger = trace.ledger
     assert ledger.device_connect_minutes == fold_sum(device)
