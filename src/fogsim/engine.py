@@ -16,17 +16,18 @@ of a node's live state in the engine's node record. A task's work done
 lives in its running task record, and the work left, clamped at 0, is read
 from there. When the task finishes, its ``RequestRecord``, which carries the
 work done, replaces the running record in ``Simulation.tasks``, and the
-``Task`` goes with the running one, so a finished task is held once. A run
-writes neither a ``FogNode`` nor a ``Task``. Deadline changes are drawn when
-the run starts and wait with their app until its event pushes them.
+``Task`` goes with the running one, so a finished task is held once. A
+simulation runs once, writing neither a ``FogNode`` nor a ``Task``. Deadline
+changes are drawn when the run starts and ride in their app's ``app`` event.
 
 Rankings score candidates from the engine's own node state, every
 candidate in one pass. A multi-criteria fresh ranking keeps each home
-cluster's rows in order between placements of the same remaining work,
-with the inputs each row was scored from, and rescores only the devices
-whose inputs differ now; no writer of a row input knows of the kept
-order. A migration search takes
-its target as the minimum row by ``migration_key``, without sorting.
+cluster's rows for the same remaining work, with the inputs each row was
+scored from, rescores only the devices whose inputs differ now and
+re-ranks with ``rank``; no writer of a row input knows of the kept order.
+A baseline migration search stops early on the smallest round trip, fixed
+with the fleet; an mc one takes its target as the minimum row by
+``migration_key``, without sorting.
 Each node keeps at most one pending completion event, for its earliest
 finisher when that falls by the next tick, and one tick event per
 fluctuation interval steps every busy device in fleet order.
@@ -40,7 +41,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -353,7 +353,7 @@ class Simulation:
         self.device_ids: list[str] = []
         self._devices: list[_NodeRt] = []  # the nodes of device_ids, in fleet order
         self.tasks: dict[str, _TaskRt | RequestRecord] = {}
-        self._apps: dict[str, tuple] | None = None  # each app and its changes, from run() on
+        self._ran = False  # a second run would append to this run's records and ledger
         self.trace = RunTrace(policy=scenario.policy, reservation=scenario.reservation,
                               seed=scenario.seed)
         self.remaining = 0
@@ -367,11 +367,11 @@ class Simulation:
         self._home_clusters = sorted({nrt.cluster for nrt in self._devices})
         self._by_capacity = sorted(self._devices, key=lambda nrt: nrt.node.cpu_capacity,
                                    reverse=True)
+        self._min_rtt = min(nrt.rtt for nrt in self._devices)  # the fleet's smallest round-trip
         self._baseline_order: tuple[float, list[tuple]] | None = None  # (latest work, rows)
         # mc fresh rows by home cluster, for its latest remaining work only: the
         # work, the rows in order, each device's row and the inputs it was scored from
-        self._indexes: dict[int, tuple[float, list[tuple], list[tuple], list[tuple]]] = {}
-        self._min_rtt: float | None = None  # the smallest device round-trip, taken on first use
+        self._indexes: dict[int, list] = {}
         # the scenario constants of every device step, read once per run
         self._step_params = (scenario.utilisation_band, scenario.min_available,
                              scenario.history_window, *scenario.caf_range)
@@ -538,8 +538,9 @@ class Simulation:
         value. A row is a pure function of those, the work, the requester's
         cluster and fixed node fields, so a ranking for the kept work catches
         every device up, rescores only the devices whose inputs differ, and
-        moves their rows into place. Any other work value replaces the
-        cluster's order with an empty one, which every device's row enters.
+        re-ranks the rows with ``rank`` when any changed. Any other work value
+        replaces the cluster's order with one that keeps no inputs, so every
+        device is scored.
         """
         task = trt.task
         work = task.length  # a task that has not run has done no work
@@ -552,7 +553,7 @@ class Simulation:
         index = self._indexes.get(trt.cluster)
         if index is None or index[0] != work:  # nothing kept: every device's inputs differ
             n = len(self._devices)
-            index = self._indexes[trt.cluster] = (work, [], [None] * n, [None] * n)
+            index = self._indexes[trt.cluster] = [work, [], [None] * n, [None] * n]
         _, rows, held, inputs = index
         ticks, catch_up = self._ticks, self._catch_up
         changed = []
@@ -564,13 +565,10 @@ class Simulation:
             if key != inputs[nrt.index]:
                 inputs[nrt.index] = key
                 changed.append(nrt)
-        # node ids are unique, so inserting rows one by one gives rank's order
         for nrt, row in zip(changed, self._score_pass(work, task.data_size, trt.cluster, changed)):
-            i = nrt.index
-            if held[i] is not None:
-                del rows[bisect_left(rows, held[i])]
-            insort(rows, row)
-            held[i] = row
+            held[nrt.index] = row
+        if changed:
+            index[1] = rows = rank(held)
         return rows
 
     def _baseline_target(self, work: float, current: _NodeRt) -> _NodeRt:
@@ -581,8 +579,6 @@ class Simulation:
         round-trip exceeds the best cost, as no later device can beat it.
         Ties go to the lower id, as in ``rank``.
         """
-        if self._min_rtt is None:
-            self._min_rtt = min(nrt.rtt for nrt in self._devices)
         min_rtt = self._min_rtt
         best, best_id, target = math.inf, "", None
         for nrt in self._by_capacity:
@@ -861,18 +857,20 @@ class Simulation:
     # -- main loop ----------------------------------------------------------------
 
     def run(self) -> RunTrace:
-        if self._apps is not None:  # a second run would append to this run's records and ledger
+        if self._ran:
             raise RuntimeError("this Simulation has already run; build a new one to run again")
+        self._ran = True
         sc = self.sc
-        # each app waits here with its deadline changes, all drawn now in app order,
-        # until its event pushes them: the heap holds only the arrived apps' changes
-        self._apps = {a.id: (a, []) for a in generate_workload(sc)}
-        self.remaining = sum(len(a.tasks) for a, _ in self._apps.values())
+        # each app rides its event with its deadline changes, all drawn now in app
+        # order, until the event pushes them: the heap holds only the arrived apps' changes
         deadline_rng = _stream(sc.seed, "deadline")
-        for app, changes in self._apps.values():
-            self._push(min((t.submit_time for t in app.tasks), default=0.0), "app", app.id)
+        for app in generate_workload(sc):
+            self.remaining += len(app.tasks)
+            changes = []
             for _ in range(sc.deadline_changes_per_task):
                 changes += deadline_change_events(app, sc.deadline_variation_pct, deadline_rng)
+            self._push(min((t.submit_time for t in app.tasks), default=0.0), "app", app.id,
+                       (app, changes))
         for when, node_id, available in sc.scripted_utilisation:
             self._push(when, "script", node_id, (available,))
         if self.remaining > 0:
@@ -896,7 +894,7 @@ class Simulation:
                 self._progress(trt)
                 self._finish(trt)
             elif kind == "app":
-                self._on_app(*self._apps.pop(key))
+                self._on_app(*payload)
             elif kind == "place":
                 self._place_fresh(self.tasks[key])
             elif kind == "arrive":

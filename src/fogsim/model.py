@@ -12,6 +12,8 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import reduce
+from operator import add
 
 
 def fold_sum(values: Iterable[float]) -> float:
@@ -20,10 +22,7 @@ def fold_sum(values: Iterable[float]) -> float:
     From 3.12 ``sum`` compensates float rounding, so a total could move by an
     ulp with the interpreter. An empty sum is the integer 0, as with ``sum``.
     """
-    total = 0
-    for value in values:
-        total += value
-    return total
+    return reduce(add, values, 0)
 
 
 class Tier(str, Enum):

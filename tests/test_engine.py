@@ -503,6 +503,7 @@ class TestBaselineTarget:
         sim = Simulation(Scenario(explicit_fleet=fleet, app_count=0))
         for nrt, (_, rtt) in zip(sim._devices, devices):
             nrt.rtt = rtt
+        sim._min_rtt = min(rtt for _, rtt in devices)  # fixed with the fleet
         here = sim._devices[current % len(devices)]
         _, want = min((execution_seconds(work, nrt.node.cpu_capacity) + nrt.rtt, nrt.node.id)
                       for nrt in sim._devices if nrt is not here)
@@ -826,6 +827,31 @@ class TestBaselineMemo:
         assert checked["kept"] > 0 and checked["afresh"] > 0
 
 
+class TestKeptOrdersAreCaches:
+    """Dropping the kept fresh orders at every app event changes no record and no ledger."""
+
+    @pytest.mark.parametrize("reservation", [True, False], ids=["res-on", "res-off"])
+    @pytest.mark.parametrize("policy", ["mc", "baseline"])
+    def test_cleared_orders_give_the_same_run(self, policy, reservation):
+        scenario = storm_scenario(seed=7, app_count=60, policy=policy, reservation=reservation)
+        sim = Simulation(scenario)
+        on_app = sim._on_app
+        cleared = []
+
+        def clearing_on_app(app, changes):
+            cleared.append(bool(sim._indexes or sim._baseline_order))
+            sim._indexes.clear()
+            sim._baseline_order = None
+            on_app(app, changes)
+
+        sim._on_app = clearing_on_app
+        trace = sim.run()
+        assert any(cleared)  # some app event found a kept order to drop
+        want = run(scenario)
+        assert trace.records == want.records
+        assert trace.ledger == want.ledger
+
+
 class TestMovableTasks:
     """Tick rechecks try only the tasks a migration attempt could still move, by task id."""
 
@@ -886,7 +912,7 @@ class TestPerTaskLayout:
         for name, objs in [("Task", list(received.values())), ("RequestRecord", trace.records),
                            ("sim.tasks", list(sim.tasks.values()))]:
             assert objs and not any(hasattr(obj, "__dict__") for obj in objs), name
-        assert sim._apps == {}  # each app left the map at its event
+        assert sim._heap == []  # each app left the heap with its event
 
     def test_task_record_holds_only_values_and_its_task(self):
         """So a shallow copy of a task's record shares nothing it could write.
