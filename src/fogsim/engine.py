@@ -17,8 +17,16 @@ lives in its running task record, and the work left, clamped at 0, is read
 from there. When the task finishes, its ``RequestRecord``, which carries the
 work done, replaces the running record in ``Simulation.tasks``, and the
 ``Task`` goes with the running one, so a finished task is held once. A
-simulation runs once, writing neither a ``FogNode`` nor a ``Task``. Deadline
-changes are drawn when the run starts and ride in their app's ``app`` event.
+simulation runs once, writing neither a ``FogNode`` nor a ``Task``.
+
+The inputs that no decision reads are drawn apart from the run, in a
+``Draws``: the apps, their deadline changes, their tasks' cloud flags and
+each device's load path, its load and ``caf`` after every tick. Runs
+that share a ``Draws`` (the cells of one sweep seed, the cells of
+``fogsim run``) draw each input once; a run given none draws its own, and
+a finished run lets go of it. A device named in ``scripted_utilisation``
+keeps a path of its own run, as a script rewrites it. Deadline changes
+ride in their app's ``app`` event.
 
 Rankings score candidates from the engine's own node state, every
 candidate in one pass. A multi-criteria fresh ranking keeps each home
@@ -31,9 +39,9 @@ with the fleet; an mc one takes its target as the minimum row by
 Each node keeps at most one pending completion event, for its earliest
 finisher when that falls by the next tick, and one tick event per
 fluctuation interval steps every busy device in fleet order.
-An idle device's missed steps are applied when a decision next reads its
-load; each device draws from its own stream, so a late step is the step
-the tick would have drawn.
+An idle device jumps to its path's entry for the ticks started when a
+decision next reads its load; each device draws from its own stream, so a
+late step is the step the tick would have drawn.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -50,7 +59,8 @@ from .network import link_bandwidth, link_delay, processing_delay
 from .policies import migration_bound_ok, migration_key, rank, reserve
 from .scoring import (availability_score, battery_minutes, checked_capacity, completion_time,
                       execution_seconds, fluctuation_step, throughput_by_distance)
-from .scoring import cpu_fluctuation_rate  # noqa: F401 -- the rate _fluctuate caches, re-exported
+# re-exported: perfbench's smoke test reads it from this module
+from .scoring import cpu_fluctuation_rate  # noqa: F401
 
 TASK_STAGGER = 0.15  # seconds between the submissions of one application's tasks
 SPIKE_THRESHOLD = 0.10  # available fraction below which a native-load spike reopens migration
@@ -267,6 +277,117 @@ def deadline_change_events(app: Application, variation_pct: float,
     return events
 
 
+class _LoadPath:
+    """A device's load after each tick: ``available[k]`` and ``caf[k]`` after tick k.
+
+    Entry 0 is the device as built. ``extend`` draws the steps up to a tick
+    from the device's own ``fluct:<id>`` stream, so the path depends only on
+    the seed, the device's starting load and score, and the step constants.
+    Two defects are kept, as the recorded digests hold them: every step is
+    clamped at 0.98, so a fully free device loses 2% of its capacity at its
+    first tick, and a script that overwrites the last entry leaves the last
+    sample as it was, so the next step's jump is measured from the load
+    before the script.
+    """
+
+    __slots__ = ("available", "caf", "_rng", "_params", "_steps", "_last_sample")
+
+    def __init__(self, sc: Scenario, node_id: str, available: float, caf: float):
+        self.available = array("d", (available,))
+        self.caf = array("d", (caf,))
+        self._rng = _stream(sc.seed, f"fluct:{node_id}")
+        self._params = (sc.utilisation_band, sc.min_available, sc.history_window, *sc.caf_range)
+        self._steps: list[float] = []  # percent steps between the window's samples
+        self._last_sample: float | None = None  # the last available-CPU percentage
+
+    def extend(self, tick: int) -> None:
+        """Draw the steps up to and including ``tick``."""
+        band, floor, window, lo, hi = self._params
+        rng, steps, avail_path, caf_path = self._rng, self._steps, self.available, self.caf
+        available, caf, last = avail_path[-1], caf_path[-1], self._last_sample
+        for _ in range(tick + 1 - len(avail_path)):
+            available = next_fluctuation(available, band, rng, floor)
+            sample = available * 100.0
+            if last is not None:
+                steps.append(fluctuation_step(last, sample))
+                if len(steps) >= window:
+                    del steps[0]
+            last = sample
+            if steps:
+                # cpu_fluctuation_rate over the window's samples, summed in the same order
+                rate = fold_sum(steps) / len(steps)
+                if rate > 0:  # a flat history keeps the score
+                    caf = rate / 100.0  # min(max(caf, lo), hi), without builtin calls per step
+                    caf = lo if caf < lo else caf
+                    caf = hi if caf > hi else caf
+            avail_path.append(available)
+            caf_path.append(caf)
+        self._last_sample = last
+
+
+# The Scenario fields each decision-free draw reads. The workload leaves out
+# app_count: app i's draws do not depend on it, so a smaller workload is a prefix.
+_WORKLOAD_FIELDS = ("seed", "explicit_workload", "submit_interval", "tasks_per_app",
+                    "task_length", "data_bytes_range", "deadline_range")
+_DEADLINE_FIELDS = ("deadline_variation_pct", "deadline_changes_per_task")
+_PATH_FIELDS = ("seed", "utilisation_band", "min_available", "history_window", "caf_range")
+
+
+def _key(sc: Scenario, names: tuple[str, ...]) -> tuple[str, ...]:
+    return tuple(repr(getattr(sc, name)) for name in names)
+
+
+class Draws:
+    """The inputs of a run that no decision reads, drawn once for every run that shares them.
+
+    These are the apps, their deadline changes (the ``deadline`` stream, in
+    app order), their tasks' cloud flags (one ``cloudmix:<app>`` stream per
+    app) and each device's ``_LoadPath``. Each is kept under exactly the
+    ``Scenario`` fields it reads, never the policy, the reservation flag or
+    the run length, so runs that differ only in those, or in ``app_count``,
+    read the same values. Shared by the runs of one sweep seed and by the
+    cells of ``fogsim run``; it lives as long as its caller keeps it.
+    """
+
+    def __init__(self):
+        self._apps: dict[tuple, list[Application]] = {}
+        self._changes: dict[tuple, tuple[random.Random, list]] = {}  # stream, per-app changes
+        self._clouds: dict[tuple, list[tuple[bool, ...]]] = {}
+        self._paths: dict[tuple, _LoadPath] = {}
+
+    def arrivals(self, sc: Scenario) -> list[tuple[Application, list, tuple[bool, ...]]]:
+        """``(app, deadline changes, cloud flags of its tasks)`` for each app, in app order."""
+        key = _key(sc, _WORKLOAD_FIELDS)
+        apps = self._apps.get(key)
+        generated = sc.explicit_workload is None
+        if apps is None or generated and len(apps) < sc.app_count:
+            apps = self._apps[key] = generate_workload(sc)
+        if generated:
+            apps = apps[:sc.app_count]
+        changes_key = key + _key(sc, _DEADLINE_FIELDS)
+        if changes_key not in self._changes:
+            self._changes[changes_key] = (_stream(sc.seed, "deadline"), [])
+        stream, changes = self._changes[changes_key]
+        for app in apps[len(changes):]:
+            drawn = []
+            for _ in range(sc.deadline_changes_per_task):
+                drawn += deadline_change_events(app, sc.deadline_variation_pct, stream)
+            changes.append(drawn)
+        clouds = self._clouds.setdefault(key + (repr(sc.cloud_fraction),), [])
+        for app in apps[len(clouds):]:
+            cloud_rng = _stream(sc.seed, f"cloudmix:{app.id}")
+            clouds.append(tuple(cloud_rng.random() < sc.cloud_fraction for _ in app.tasks))
+        return list(zip(apps, changes, clouds))
+
+    def load_path(self, sc: Scenario, node_id: str, available: float, caf: float) -> _LoadPath:
+        """The shared load path of a device that starts at ``available`` and ``caf``."""
+        key = (node_id, available, caf) + _key(sc, _PATH_FIELDS)
+        path = self._paths.get(key)
+        if path is None:
+            path = self._paths[key] = _LoadPath(sc, node_id, available, caf)
+        return path
+
+
 @dataclass(slots=True)
 class _TaskRt:
     """A task's record from its app's event until its ``RequestRecord`` replaces it."""
@@ -305,12 +426,10 @@ class _NodeRt:
     version: int = 0  # bumped by every replan; only the latest ``done`` event is live
     window_count: int = 0
     window_last: float = 0.0
-    rng: random.Random | None = None  # the device's fluctuation stream
+    path: _LoadPath | None = None  # a device's load by tick, dropped when its run ends
     index: int = -1  # position in the fleet's device order; servers have none
     stepped: float = math.inf  # ticks applied to the load; a server's load never steps
     n_own: int = 0  # running tasks homed to the node's own cluster
-    last_sample: float | None = None  # the last available-CPU percentage, none before a step
-    steps: list[float] = field(default_factory=list)  # percent steps of the window's samples
     minutes: dict[int, float] = field(default_factory=dict)  # A_v by share count
 
 
@@ -338,14 +457,18 @@ def _share_rate(nrt: _NodeRt, weight: float) -> float:
 
 
 class Simulation:
-    """Single-threaded deterministic event loop over one scenario."""
+    """Single-threaded deterministic event loop over one scenario.
 
-    def __init__(self, scenario: Scenario):
+    ``draws`` are the decision-free inputs it reads; a run given none draws its own.
+    """
+
+    def __init__(self, scenario: Scenario, draws: Draws | None = None):
         if not scenario.min_available > 0:  # a device at 0 would run its shares at rate 0
             raise ValueError(f"min_available must be above 0, got {scenario.min_available}")
         if problem := stalled_period(scenario):
             raise ValueError(problem)
         self.sc = scenario
+        self._draws = Draws() if draws is None else draws  # let go of when the run ends
         self.now = 0.0
         self._seq = 0
         self._heap: list[tuple] = []  # (time, seq, kind, key, payload)
@@ -372,19 +495,18 @@ class Simulation:
         # mc fresh rows by home cluster, for its latest remaining work only: the
         # work, the rows in order, each device's row and the inputs it was scored from
         self._indexes: dict[int, list] = {}
-        # the scenario constants of every device step, read once per run
-        self._step_params = (scenario.utilisation_band, scenario.min_available,
-                             scenario.history_window, *scenario.caf_range)
 
     # -- fleet -----------------------------------------------------------
 
     def _build_fleet(self) -> None:
         sc = self.sc
+        scripted = {node_id for _, node_id, _ in sc.scripted_utilisation}
         for spec in fleet_specs(sc):
             self._register(node_from_spec(spec, sc), spec.get("cluster", 0),
-                           spec.get("bandwidth", sc.device_bandwidth))
+                           spec.get("bandwidth", sc.device_bandwidth), scripted)
 
-    def _register(self, node: FogNode, cluster: int, bandwidth: float) -> None:
+    def _register(self, node: FogNode, cluster: int, bandwidth: float,
+                  scripted: set[str]) -> None:
         sc = self.sc
         checked_capacity(node)  # rankings divide by it unchecked
         t_bd = throughput_by_distance(node)
@@ -409,7 +531,9 @@ class Simulation:
             rt.index, rt.stepped = len(self._devices), 0
             self.device_ids.append(node.id)
             self._devices.append(rt)
-            rt.rng = _stream(sc.seed, f"fluct:{node.id}")
+            # a script rewrites its device's path, so that path is the run's own
+            rt.path = (_LoadPath(sc, node.id, rt.available, rt.caf) if node.id in scripted
+                       else self._draws.load_path(sc, node.id, rt.available, rt.caf))
 
     # -- event plumbing ---------------------------------------------------
 
@@ -556,16 +680,18 @@ class Simulation:
             index = self._indexes[trt.cluster] = [work, [], [None] * n, [None] * n]
         _, rows, held, inputs = index
         ticks, catch_up = self._ticks, self._catch_up
+        hide, cluster = self.sc.reservation, trt.cluster
         changed = []
         for nrt in self._devices:
             if nrt.stepped < ticks:  # the inputs include the load steps
                 catch_up(nrt)
+            # the reserved value enters a row only where _score_pass hides it
             key = (nrt.available, nrt.caf, len(nrt.running) + nrt.pending,
-                   nrt.reservation.reserved_value)
+                   nrt.reservation.reserved_value if hide and nrt.cluster != cluster else 0.0)
             if key != inputs[nrt.index]:
                 inputs[nrt.index] = key
                 changed.append(nrt)
-        for nrt, row in zip(changed, self._score_pass(work, task.data_size, trt.cluster, changed)):
+        for nrt, row in zip(changed, self._score_pass(work, task.data_size, cluster, changed)):
             held[nrt.index] = row
         if changed:
             index[1] = rows = rank(held)
@@ -733,17 +859,17 @@ class Simulation:
 
     # -- event handlers --------------------------------------------------------
 
-    def _on_app(self, app: Application, changes: list[tuple[float, str, float]]) -> None:
+    def _on_app(self, app: Application, changes: list[tuple[float, str, float]],
+                clouds: tuple[bool, ...]) -> None:
         """Open the app's task records, push its deadline changes, then place or queue its tasks."""
-        cloud_rng = _stream(self.sc.seed, f"cloudmix:{app.id}")
         present = self._home_clusters
         home = present[hash_cluster(app.user_id, len(present), self.sc.cluster_block)]
-        for task in app.tasks:
+        for task, cloud_bound in zip(app.tasks, clouds):
             self.tasks[task.id] = _TaskRt(
                 task=task,
                 cluster=home,
                 deadline_abs=task.submit_time + task.deadline,
-                cloud_bound=cloud_rng.random() < self.sc.cloud_fraction,
+                cloud_bound=cloud_bound,
                 last_update=self.now,
             )
         for when, task_id, factor in changes:  # each falls strictly after this event
@@ -781,16 +907,20 @@ class Simulation:
             self._push(self._next_tick, "fluct")
 
     def _catch_up(self, nrt: _NodeRt) -> None:
-        """Apply the load steps of the ticks the node has missed, one ``_fluctuate`` each.
+        """Jump the node to its load path's load and ``caf`` after the ticks started so far.
 
         Called before every read of a node's load or ``caf``. While a
         tick runs, a device it has not reached yet misses only that tick's
         step, so every read sees the load an eager tick would have left.
         """
         target = self._ticks - (nrt.index > self._cursor)
-        while nrt.stepped < target:
-            nrt.stepped += 1
-            self._fluctuate(nrt)
+        if nrt.stepped < target:
+            path = nrt.path
+            if len(path.available) <= target:
+                path.extend(target)
+            nrt.stepped = target
+            nrt.available = path.available[target]
+            nrt.caf = path.caf[target]
 
     def _recheck(self, nrt: _NodeRt) -> None:
         """Replan a busy device on a tick, then try to move the tasks that now finish late."""
@@ -815,24 +945,6 @@ class Simulation:
             tasks.sort(key=lambda trt: trt.task.id)
         return tasks
 
-    def _fluctuate(self, nrt: _NodeRt) -> None:
-        """One tick's load step for a device: its available fraction, step window and ``caf``."""
-        band, floor, window, lo, hi = self._step_params
-        nrt.available = available = next_fluctuation(nrt.available, band, nrt.rng, floor)
-        steps, sample = nrt.steps, available * 100.0
-        if nrt.last_sample is not None:
-            steps.append(fluctuation_step(nrt.last_sample, sample))
-            if len(steps) >= window:
-                del steps[0]
-        nrt.last_sample = sample
-        if steps:
-            # cpu_fluctuation_rate over the window's samples, summed in the same order
-            rate = fold_sum(steps) / len(steps)
-            if rate > 0:  # a flat history keeps the configured score
-                caf = rate / 100.0  # min(max(caf, lo), hi), without builtin calls per device
-                caf = lo if caf < lo else caf
-                nrt.caf = hi if caf > hi else caf
-
     def _on_deadline(self, trt: _TaskRt | RequestRecord, factor: float) -> None:
         if type(trt) is not _TaskRt:  # the task finished
             return
@@ -849,6 +961,8 @@ class Simulation:
         nrt = self.nodes[node_id]
         self._catch_up(nrt)  # the steps before the script, so later ticks step from its value
         nrt.available = max(min(available, 0.98), 0.001)
+        if nrt.path is not None:  # a server has no load path
+            nrt.path.available[-1] = nrt.available  # later steps start from it
         self._replan(nrt)
         for trt in self._movable(nrt):
             if self._projected_completion(trt) > trt.deadline_abs:
@@ -861,16 +975,12 @@ class Simulation:
             raise RuntimeError("this Simulation has already run; build a new one to run again")
         self._ran = True
         sc = self.sc
-        # each app rides its event with its deadline changes, all drawn now in app
-        # order, until the event pushes them: the heap holds only the arrived apps' changes
-        deadline_rng = _stream(sc.seed, "deadline")
-        for app in generate_workload(sc):
+        # each app rides its event with its deadline changes and cloud flags until the
+        # event pushes the changes: the heap holds only the arrived apps' changes
+        for app, changes, clouds in self._draws.arrivals(sc):
             self.remaining += len(app.tasks)
-            changes = []
-            for _ in range(sc.deadline_changes_per_task):
-                changes += deadline_change_events(app, sc.deadline_variation_pct, deadline_rng)
             self._push(min((t.submit_time for t in app.tasks), default=0.0), "app", app.id,
-                       (app, changes))
+                       (app, changes, clouds))
         for when, node_id, available in sc.scripted_utilisation:
             self._push(when, "script", node_id, (available,))
         if self.remaining > 0:
@@ -911,6 +1021,10 @@ class Simulation:
                     self._push(self.now + sc.reservation_period, "rotate")
             elif kind == "script":
                 self._on_script(key, payload[0])
+        # a finished run keeps none of the draws, shared or its own
+        self._draws = None
+        for nrt in self._devices:
+            nrt.path = None
         # by (completion_time, task_id) through two stable passes: no key tuple per record
         records = self.trace.records
         records.sort(key=attrgetter("task_id"))

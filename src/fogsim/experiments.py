@@ -1,8 +1,10 @@
 """Experiment grids: axis definitions, per-cell runs, CSV/JSON emission.
 
 Each sweep cell is one (axis value, policy, reservation, seed) scenario.
-Cells are independent and may run in parallel; results are merged in
-scenario-id order so the output never depends on scheduling. Each cell is
+The cells of one seed form one job, run largest ``app_count`` first on one
+``engine.Draws``, so they draw their decision-free inputs once; jobs may run
+in parallel, and results are merged in scenario-id order so the output never
+depends on scheduling. Each cell is
 cached atomically under ``<out>/cells`` as soon as it finishes, named by its
 scenario id plus a hash of its scenario, prices, SLA terms and the package
 source, so a re-run skips exactly the cells whose inputs and code are
@@ -66,8 +68,9 @@ def scenario_id(axis: str, value: str, policy: str, reservation: bool, seed: int
     return f"{axis}-{value}-{policy}-res{'on' if reservation else 'off'}-s{seed}"
 
 
-def run_cell(scenario: engine.Scenario, prices: PriceBook, sla: SlaTerms) -> MetricsReport:
-    trace = engine.run(scenario)
+def run_cell(scenario: engine.Scenario, prices: PriceBook, sla: SlaTerms,
+             draws: engine.Draws | None = None) -> MetricsReport:
+    trace = engine.Simulation(scenario, draws).run()
     return metrics.build_report(trace, prices, sla)
 
 
@@ -135,25 +138,34 @@ def _cached_row(path: Path, identity: dict) -> dict | None:
     return row if whole else None
 
 
-def _cell_worker(args) -> tuple[Path, dict]:
-    path, sid, axis_value, scenario, prices, sla = args
-    report = run_cell(scenario, prices, sla)
-    return path, report_row(sid, axis_value, report)
+def _seed_cells(job: list):
+    """(path, row) of each cell of one seed's job, in job order, each as soon as it is done."""
+    draws = engine.Draws()
+    for path, sid, axis_value, scenario, prices, sla in job:
+        yield path, report_row(sid, axis_value, run_cell(scenario, prices, sla, draws))
+
+
+def _seed_worker(job: list) -> list[tuple[Path, dict]]:
+    return list(_seed_cells(job))
 
 
 def _finished_cells(jobs: list, workers: int):
-    """(path, row) of every job, in job order, each as soon as it is done.
+    """(path, row) of every cell of every job, in job order.
 
-    The pool never has more processes than jobs: a forked pool starts them all at once.
+    Without a pool each cell comes as soon as it is done; a pool hands back a
+    seed's cells when its job is done. The pool never has more processes than
+    jobs: a forked pool starts them all at once.
     """
     workers = min(workers, len(jobs))
     if workers <= 1:
-        yield from map(_cell_worker, jobs)
+        for job in jobs:
+            yield from _seed_cells(job)
         return
     from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays its import
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        yield from pool.map(_cell_worker, jobs)
+        for cells in pool.map(_seed_worker, jobs):
+            yield from cells
 
 
 def sweep(
@@ -182,7 +194,7 @@ def sweep(
     cells_dir = Path(out_dir) / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
+    by_seed: dict[int, list] = {}  # seed -> the cells of that seed to compute
     cells = []
     found: dict[Path, dict] = {}  # cell path -> row, cached or computed
     for value, overrides in axis_cells(axis):
@@ -199,9 +211,12 @@ def sweep(
                         "scenario_id": sid, "axis_value": value, "policy": policy,
                         "reservation": "on" if reservation else "off", "seed": str(seed)})
                     if row is None:
-                        jobs.append((path, sid, value, scenario, cfg.prices, cfg.sla))
+                        by_seed.setdefault(seed, []).append(
+                            (path, sid, value, scenario, cfg.prices, cfg.sla))
                     else:
                         found[path] = row
+    # largest app_count first, so a smaller cell reads a prefix of the workload drawn
+    jobs = [sorted(job, key=lambda cell: -cell[3].app_count) for job in by_seed.values()]
     for path, row in _finished_cells(jobs, workers):
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         tmp.write_text(json.dumps(row, sort_keys=True))
@@ -242,13 +257,14 @@ def run_scenario(cfg: RunConfig, out_dir: str) -> tuple[Path, Path]:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     reports = {}
+    draws = engine.Draws()  # the cells differ only in policy and reservation
     for policy in cfg.policy_set:
         for reservation in cfg.reservation_set:
             sid = scenario_id("run", str(cfg.scenario.app_count), policy,
                               reservation, cfg.scenario.seed)
             scenario = dataclasses.replace(cfg.scenario, policy=policy,
                                            reservation=reservation, label=sid)
-            report = run_cell(scenario, cfg.prices, cfg.sla)
+            report = run_cell(scenario, cfg.prices, cfg.sla, draws)
             rows.append(report_row(sid, str(cfg.scenario.app_count), report))
             reports[sid] = _report_json(report)
     rows.sort(key=lambda r: r["scenario_id"])

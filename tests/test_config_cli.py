@@ -511,9 +511,9 @@ class TestSweepCommand:
         real_run_cell = experiments.run_cell
         ran = []
 
-        def counted(scenario, prices, sla):
+        def counted(scenario, *args):
             ran.append(scenario.label)
-            return real_run_cell(scenario, prices, sla)
+            return real_run_cell(scenario, *args)
 
         monkeypatch.setattr(experiments, "run_cell", counted)
         monkeypatch.setattr(experiments, "_code_fingerprint", lambda: "other code")
@@ -527,11 +527,11 @@ class TestSweepCommand:
         real_run_cell = experiments.run_cell
         ran = []
 
-        def interrupted_after_two(scenario, prices, sla):
+        def interrupted_after_two(scenario, *args):
             if len(ran) == 2:
                 raise KeyboardInterrupt
             ran.append(scenario.label)
-            return real_run_cell(scenario, prices, sla)
+            return real_run_cell(scenario, *args)
 
         monkeypatch.setattr(experiments, "run_cell", interrupted_after_two)
         with pytest.raises(KeyboardInterrupt):
@@ -560,9 +560,9 @@ class TestSweepCommand:
         real_run_cell = experiments.run_cell
         ran = []
 
-        def counted(scenario, prices, sla):
+        def counted(scenario, *args):
             ran.append(scenario.label)
-            return real_run_cell(scenario, prices, sla)
+            return real_run_cell(scenario, *args)
 
         monkeypatch.setattr(experiments, "run_cell", counted)
         assert main(["sweep", path, "--out", str(out)] + args) == 0
@@ -754,7 +754,10 @@ def in_process_pool(sizes: list):
 
 
 class TestSweepPool:
-    """A parallel sweep never has more processes than cells to compute."""
+    """A parallel sweep never has more processes than seeds with cells to compute.
+
+    A seed's cells are one job, run on one ``Draws``.
+    """
 
     ARGS = ["--axis", "battery", "--seeds", "1", "--policy", "mc", "--reservation", "on"]
 
@@ -763,9 +766,10 @@ class TestSweepPool:
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", in_process_pool(sizes))
         out = tmp_path / "sweep"
         path = small_config(tmp_path, app_count=3, devices_per_cluster=2)
-        assert main(["sweep", path, "--out", str(out), "--workers", "64"] + self.ARGS) == 0
-        assert sizes == [6]
-        assert len(list((out / "cells").iterdir())) == 6
+        args = [*self.ARGS[:2], "--seeds", "3", *self.ARGS[4:]]
+        assert main(["sweep", path, "--out", str(out), "--workers", "64"] + args) == 0
+        assert sizes == [3]  # one process per seed, not one per cell
+        assert len(list((out / "cells").iterdir())) == 18
 
     @pytest.mark.parametrize("left", [0, 1])
     def test_one_cell_or_none_left_runs_without_a_pool(self, tmp_path, monkeypatch, left):
@@ -779,6 +783,38 @@ class TestSweepPool:
         assert main(["sweep", path, "--out", str(out), "--workers", "4"] + self.ARGS) == 0
         assert sizes == []
         assert len(list((out / "cells").iterdir())) == 6
+
+
+class TestSweepWorkers:
+    """A sweep's seed jobs write the same bytes whether they run in turn or in a pool."""
+
+    def test_pool_and_serial_sweeps_write_identical_files(self, tmp_path):
+        cfg = load_config(small_config(tmp_path, tasks_per_app=1, submit_interval=0.5,
+                                       devices_per_cluster=2))
+        outs = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers-{workers}"
+            experiments.sweep(cfg, "apps", 2, str(out), workers=workers,
+                              policies=["mc", "baseline"], reservations=[True])
+            outs.append({path.relative_to(out): path.read_bytes()
+                         for path in out.rglob("*") if path.is_file()})
+        assert len(outs[0]) == 1 + 2 * 8 * 2  # the CSV and every cell
+        assert outs[0] == outs[1]
+
+    def test_each_sweep_draws_each_seed_workload_once(self, tmp_path, monkeypatch):
+        cfg = load_config(small_config(tmp_path, tasks_per_app=1, submit_interval=0.5,
+                                       devices_per_cluster=2))
+        drawn = []
+
+        def counted(scenario):
+            drawn.append((scenario.seed, scenario.app_count))
+            return generate_workload(scenario)
+
+        monkeypatch.setattr("fogsim.engine.generate_workload", counted)
+        for out in ("a", "b"):  # no draw outlives its sweep
+            experiments.sweep(cfg, "apps", 2, str(tmp_path / out), policies=["mc"],
+                              reservations=[True, False])
+        assert drawn == [(1, 560), (2, 560)] * 2  # largest cell first; the rest read a prefix
 
 
 class TestSimTimeGuard:

@@ -586,37 +586,37 @@ def storm_scenario(**overrides):
 
 
 class TestCachedFluctuationSteps:
-    """The rate each tick takes from its cached steps; the whole-window rate is the oracle."""
+    """The rate each load-path step takes from its cached steps; the window's rate is the oracle."""
 
     @pytest.mark.parametrize("scenario", [
         accept_scenario(), accept_scenario(history_window=2),
         storm_scenario(), storm_scenario(history_window=2)],
         ids=["accept", "accept-window-2", "storm", "storm-window-2"])
-    def test_every_step_matches_the_window_rate(self, scenario):
+    def test_every_step_matches_the_window_rate(self, scenario, monkeypatch):
         sim = Simulation(scenario)
-        fluctuate = sim._fluctuate
+        extend = engine._LoadPath.extend
         lo, hi = scenario.caf_range
-        windows = {nid: [] for nid in sim.device_ids}  # each device's last samples
         checked = Counter()
 
-        def checked_fluctuate(nrt):
-            caf_before = nrt.caf
-            fluctuate(nrt)
-            history = windows[nrt.node.id]
-            history.append(nrt.available * 100.0)
-            del history[:-scenario.history_window]
-            assert nrt.steps == [fluctuation_step(prev, cur)
-                                 for prev, cur in zip(history, history[1:])]
-            if len(history) < 2:
-                assert nrt.caf == caf_before
-                return
-            rate = cpu_fluctuation_rate(history)
-            assert fold_sum(nrt.steps) / len(nrt.steps) == rate
-            want = min(max(rate / 100.0, lo), hi) if rate > 0 else caf_before
-            assert nrt.caf == want
-            checked["full" if len(history) == scenario.history_window else "filling"] += 1
+        def checked_extend(path, tick):
+            while len(path.available) <= tick:  # one step at a time
+                caf_before = path.caf[-1]
+                extend(path, len(path.available))
+                # the device's last samples: its loads after the latest ticks, none before the first
+                start = max(len(path.available) - scenario.history_window, 1)
+                history = [available * 100.0 for available in path.available[start:]]
+                assert path._steps == [fluctuation_step(prev, cur)
+                                       for prev, cur in zip(history, history[1:])]
+                if len(history) < 2:
+                    assert path.caf[-1] == caf_before
+                    continue
+                rate = cpu_fluctuation_rate(history)
+                assert fold_sum(path._steps) / len(path._steps) == rate
+                want = min(max(rate / 100.0, lo), hi) if rate > 0 else caf_before
+                assert path.caf[-1] == want
+                checked["full" if len(history) == scenario.history_window else "filling"] += 1
 
-        sim._fluctuate = checked_fluctuate
+        monkeypatch.setattr(engine._LoadPath, "extend", checked_extend)
         sim.run()
         assert checked["full"] > 0
         assert (checked["filling"] > 0) == (scenario.history_window > 2)
@@ -631,7 +631,9 @@ class EagerTicks(Simulation):
     def _on_tick(self):
         self._next_tick = self.now + self.sc.fluctuation_interval
         for nrt in self._devices:
-            self._fluctuate(nrt)
+            path = nrt.path
+            path.extend(len(path.available))  # one step
+            nrt.available, nrt.caf = path.available[-1], path.caf[-1]
             if nrt.running:
                 self._recheck(nrt)
         if self.remaining > 0:
@@ -646,18 +648,15 @@ COLLISION = Scenario(app_count=24, deadline_variation_pct=80.0, deadline_changes
                                            (31.0, "c0d00", 0.05), (40.0, "c1d12", 0.6)))
 
 
-def _recorded_steps(sim):
-    """Each device's load steps in the run to come: the load before, the load and score after."""
-    steps = {nid: [] for nid in sim.device_ids}
-    fluctuate = sim._fluctuate
+def _load_paths(sim):
+    """Each device's load path in the run to come; held here, as a finished run lets go of it."""
+    return {nid: sim.nodes[nid].path for nid in sim.device_ids}
 
-    def recording_fluctuate(nrt):
-        before = nrt.available
-        fluctuate(nrt)
-        steps[nrt.node.id].append((before, nrt.available, nrt.caf))
 
-    sim._fluctuate = recording_fluctuate
-    return steps
+def _steps(paths):
+    """Each device's load steps: the load before, the load and score after."""
+    return {nid: list(zip(path.available, path.available[1:], path.caf[1:]))
+            for nid, path in paths.items()}
 
 
 class TestLazySteps:
@@ -669,15 +668,15 @@ class TestLazySteps:
     def test_runs_equal_the_eager_tick(self, scenario, policy):
         scenario = dataclasses.replace(scenario, policy=policy)
         lazy_sim, eager_sim = Simulation(scenario), EagerTicks(scenario)
-        lazy_steps, eager_steps = _recorded_steps(lazy_sim), _recorded_steps(eager_sim)
+        lazy_paths, eager_paths = _load_paths(lazy_sim), _load_paths(eager_sim)
         lazy, eager = lazy_sim.run(), eager_sim.run()
         assert lazy.records and lazy.records == eager.records
         assert lazy.ledger == eager.ledger
         # an idle device's load is as of its last read; caught up, it took the eager steps
         for nrt in lazy_sim._devices:
             assert nrt.stepped <= lazy_sim._ticks
-            lazy_sim._catch_up(nrt)
-        assert lazy_steps == eager_steps
+            lazy_paths[nrt.node.id].extend(lazy_sim._ticks)
+        assert _steps(lazy_paths) == _steps(eager_paths)
 
     def test_baseline_storm_skips_steps(self):
         sim = Simulation(storm_scenario(policy="baseline"))
@@ -838,11 +837,11 @@ class TestKeptOrdersAreCaches:
         on_app = sim._on_app
         cleared = []
 
-        def clearing_on_app(app, changes):
+        def clearing_on_app(app, changes, clouds):
             cleared.append(bool(sim._indexes or sim._baseline_order))
             sim._indexes.clear()
             sim._baseline_order = None
-            on_app(app, changes)
+            on_app(app, changes, clouds)
 
         sim._on_app = clearing_on_app
         trace = sim.run()
@@ -850,6 +849,96 @@ class TestKeptOrdersAreCaches:
         want = run(scenario)
         assert trace.records == want.records
         assert trace.ledger == want.ledger
+
+
+class TestFreshKeyReservedValue:
+    """A kept mc row is rescored for a reservation change only where the ranking reads it."""
+
+    @pytest.mark.parametrize("reservation", [True, False], ids=["res-on", "res-off"])
+    def test_refresh_rescores_only_a_hidden_reservation(self, reservation):
+        sim = Simulation(small_scenario(reservation=reservation))
+        task = Task(id="t", app_id="a", length=3000.0, data_size=8000.0, deadline=10.0)
+        trt = _TaskRt(task=task, cluster=0, deadline_abs=10.0, cloud_bound=False)
+        sim._ranking(trt)  # keeps cluster 0's rows for this work
+        score_pass = sim._score_pass
+        rescored = []
+
+        def counted_score_pass(work, data, cluster, nodes, *args):
+            rescored.extend(nrt.node.id for nrt in nodes)
+            return score_pass(work, data, cluster, nodes, *args)
+
+        sim._score_pass = counted_score_pass
+        own = next(nrt for nrt in sim._devices if nrt.cluster == 0)
+        peer = next(nrt for nrt in sim._devices if nrt.cluster == 1)
+        for nrt in (own, peer):
+            nrt.reservation.reserved_value = 0.3 * nrt.node.cpu_capacity
+            rows = sim._ranking(trt)
+            want = rank(score_pass(task.length, task.data_size, 0, sim._devices))
+            assert [(c_t, nid) for c_t, nid, _ in rows] == [(c_t, nid) for c_t, nid, _ in want]
+        # only a peer's reservation, and only with reservation on, enters a row of cluster 0
+        assert rescored == ([peer.node.id] if reservation else [])
+
+
+# The sweep axes' sharing check runs small scenarios; the apps axis fixes 70-560 apps,
+# so there each app has one task, with arrivals dense enough to load the devices.
+AXIS_BASE = {"apps": dict(tasks_per_app=1, submit_interval=0.5, deadline_variation_pct=40.0)}
+SHARED_VARIANTS = (("mc", True), ("baseline", True), ("mc", False), ("baseline", False))
+
+
+class TestSharedDraws:
+    """A run on a ``Draws`` shared with other runs equals a run that draws its own."""
+
+    @pytest.mark.parametrize("axis", ["apps", "deadline_variation", "free_resource", "battery",
+                                      "fluctuation"])
+    def test_every_axis_cell_equals_a_private_run(self, axis):
+        from fogsim.experiments import axis_cells
+
+        for seed in (1, 2):
+            draws = engine.Draws()  # one per seed, as a sweep's seed job
+            base = AXIS_BASE.get(axis, dict(app_count=12, deadline_variation_pct=40.0))
+            scenarios = [small_scenario(seed=seed, **{**base, **overrides})
+                         for _, overrides in axis_cells(axis)]
+            scenarios.sort(key=lambda sc: -sc.app_count)  # the sweep's order
+            for sc in scenarios:
+                for policy, reservation in SHARED_VARIANTS:
+                    sc = dataclasses.replace(sc, policy=policy, reservation=reservation)
+                    shared, private = Simulation(sc, draws).run(), Simulation(sc).run()
+                    assert shared.records and shared.records == private.records, sc
+                    assert shared.ledger == private.ledger, sc
+
+    def test_scripted_runs_equal_private_runs(self):
+        draws = engine.Draws()
+        for policy, reservation in SHARED_VARIANTS:
+            sc = dataclasses.replace(COLLISION, policy=policy, reservation=reservation)
+            shared, private = Simulation(sc, draws).run(), Simulation(sc).run()
+            assert shared.records and shared.records == private.records, sc
+            assert shared.ledger == private.ledger, sc
+
+    def test_a_larger_workload_after_a_smaller_one(self, monkeypatch):
+        drawn = []
+
+        def counted(scenario):
+            drawn.append(scenario.app_count)
+            return generate_workload(scenario)
+
+        monkeypatch.setattr("fogsim.engine.generate_workload", counted)
+        draws = engine.Draws()
+        shared_draws = []
+        for app_count in (4, 9, 6):
+            sc = small_scenario(app_count=app_count)
+            before = len(drawn)
+            shared = Simulation(sc, draws).run()
+            shared_draws.append(drawn[before:])
+            private = Simulation(sc).run()
+            assert len(shared.records) == 10 * app_count
+            assert shared.records == private.records and shared.ledger == private.ledger
+        # the shared draws grow for the larger workload and serve the smaller one a prefix
+        assert shared_draws == [[4], [9], []]
+
+    def test_a_finished_run_lets_go_of_its_draws(self):
+        sim = Simulation(small_scenario(), engine.Draws())
+        sim.run()
+        assert sim._draws is None and all(nrt.path is None for nrt in sim._devices)
 
 
 class TestMovableTasks:
