@@ -13,20 +13,21 @@ Physical shares never exceed free capacity, so utilisation plus
 allocation stays within the device budget at every event. The live
 fluctuation score feeds the *scoring* factor only; it lives with the rest
 of a node's live state in the engine's node record. A task's work done
-lives in its running task record, and the work left, clamped at 0, is read
-from there. When the task finishes, its ``RequestRecord``, which carries the
-work done, replaces the running record in ``Simulation.tasks``, and the
-``Task`` goes with the running one, so a finished task is held once. A
-simulation runs once, writing neither a ``FogNode`` nor a ``Task``.
+lives in its running task record, with the task's own fields, and the work
+left, clamped at 0, is read from there. When the task finishes, its
+``RequestRecord``, which carries the work done, replaces the running record
+in ``Simulation.tasks``, so a finished task is held once. A simulation runs
+once, writes no ``FogNode`` and builds no ``Task``.
 
 The inputs that no decision reads are drawn apart from the run, in a
 ``Draws``: the apps, their deadline changes, their tasks' cloud flags and
-each device's load path, its load and ``caf`` after every tick. Runs
+each device's load path, its load and ``caf`` after every tick. The apps
+and changes are packed into arrays of numbers as they are drawn. Runs
 that share a ``Draws`` (the cells of one sweep seed, the cells of
-``fogsim run``) draw each input once; a run given none draws its own, and
-a finished run lets go of it. A device named in ``scripted_utilisation``
-keeps a path of its own run, as a script rewrites it. Deadline changes
-ride in their app's ``app`` event.
+``fogsim run``) draw each input once; a run given none draws its own, lets
+go of its apps once their events are pushed and of the rest when it ends.
+A device named in ``scripted_utilisation`` keeps a path of its own run, as
+a script rewrites it. Deadline changes ride in their app's ``app`` event.
 
 Rankings score candidates from the engine's own node state, every
 candidate in one pass. A multi-criteria fresh ranking keeps each home
@@ -337,6 +338,27 @@ def _key(sc: Scenario, names: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(repr(getattr(sc, name)) for name in names)
 
 
+def _pack(app: Application) -> tuple[str, str, tuple[str, ...], array]:
+    """An app as ``(id, user id, task ids, numbers)``: each task's four numbers in one array.
+
+    A task's numbers are its ``(length, data_size, deadline, submit_time)``.
+    """
+    numbers = array("d")
+    for task in app.tasks:
+        numbers.extend((task.length, task.data_size, task.deadline, task.submit_time))
+    return app.id, app.user_id, tuple(task.id for task in app.tasks), numbers
+
+
+def _unpack(packed: tuple[str, str, tuple[str, ...], array]) -> Application:
+    """The app ``_pack`` packed, rebuilt for a draw that reads its tasks."""
+    app_id, user_id, task_ids, numbers = packed
+    it = iter(numbers)
+    return Application(id=app_id, user_id=user_id, tasks=[
+        Task(id=task_id, app_id=app_id, length=length, data_size=data_size, deadline=deadline,
+             submit_time=submit_time)
+        for task_id, length, data_size, deadline, submit_time in zip(task_ids, it, it, it, it)])
+
+
 class Draws:
     """The inputs of a run that no decision reads, drawn once for every run that shares them.
 
@@ -347,37 +369,56 @@ class Draws:
     the run length, so runs that differ only in those, or in ``app_count``,
     read the same values. Shared by the runs of one sweep seed and by the
     cells of ``fogsim run``; it lives as long as its caller keeps it.
+
+    An app is kept packed as numbers (see ``_pack``); its deadline changes
+    as one array of ``(time, factor)`` pairs, round by round and in task
+    order within a round, and its cloud flags as ``bytes``.
     """
 
     def __init__(self):
-        self._apps: dict[tuple, list[Application]] = {}
-        self._changes: dict[tuple, tuple[random.Random, list]] = {}  # stream, per-app changes
-        self._clouds: dict[tuple, list[tuple[bool, ...]]] = {}
+        self._apps: dict[tuple, list[tuple]] = {}  # packed apps, in app order
+        self._changes: dict[tuple, tuple[random.Random, list[array]]] = {}  # stream, per app
+        self._clouds: dict[tuple, list[bytes]] = {}
         self._paths: dict[tuple, _LoadPath] = {}
 
-    def arrivals(self, sc: Scenario) -> list[tuple[Application, list, tuple[bool, ...]]]:
-        """``(app, deadline changes, cloud flags of its tasks)`` for each app, in app order."""
+    def arrivals(self, sc: Scenario) -> list[tuple[tuple, array, bytes]]:
+        """``(packed app, deadline changes, cloud flags of its tasks)`` for each app, in app order.
+
+        The apps are ``generate_workload``'s, the changes
+        ``deadline_change_events``', packed.
+        """
         key = _key(sc, _WORKLOAD_FIELDS)
-        apps = self._apps.get(key)
+        packed = self._apps.get(key)
         generated = sc.explicit_workload is None
-        if apps is None or generated and len(apps) < sc.app_count:
-            apps = self._apps[key] = generate_workload(sc)
+        apps = None  # the unpacked apps, while they are at hand
+        if packed is None or generated and len(packed) < sc.app_count:
+            apps = generate_workload(sc)
+            packed = self._apps[key] = [_pack(app) for app in apps]
         if generated:
-            apps = apps[:sc.app_count]
+            packed = packed[:sc.app_count]
         changes_key = key + _key(sc, _DEADLINE_FIELDS)
         if changes_key not in self._changes:
             self._changes[changes_key] = (_stream(sc.seed, "deadline"), [])
         stream, changes = self._changes[changes_key]
-        for app in apps[len(changes):]:
-            drawn = []
+        for i in range(len(changes), len(packed)):
+            app = _unpack(packed[i]) if apps is None else apps[i]
+            drawn = array("d")
             for _ in range(sc.deadline_changes_per_task):
-                drawn += deadline_change_events(app, sc.deadline_variation_pct, stream)
+                for when, _task_id, factor in deadline_change_events(
+                        app, sc.deadline_variation_pct, stream):
+                    drawn.extend((when, factor))
             changes.append(drawn)
         clouds = self._clouds.setdefault(key + (repr(sc.cloud_fraction),), [])
-        for app in apps[len(clouds):]:
-            cloud_rng = _stream(sc.seed, f"cloudmix:{app.id}")
-            clouds.append(tuple(cloud_rng.random() < sc.cloud_fraction for _ in app.tasks))
-        return list(zip(apps, changes, clouds))
+        for app_id, _user_id, task_ids, _numbers in packed[len(clouds):]:
+            cloud_rng = _stream(sc.seed, f"cloudmix:{app_id}")
+            clouds.append(bytes(cloud_rng.random() < sc.cloud_fraction for _ in task_ids))
+        return list(zip(packed, changes, clouds))
+
+    def let_go_of_arrivals(self) -> None:
+        """Drop every app, change and cloud flag kept; the load paths stay."""
+        self._apps.clear()
+        self._changes.clear()
+        self._clouds.clear()
 
     def load_path(self, sc: Scenario, node_id: str, available: float, caf: float) -> _LoadPath:
         """The shared load path of a device that starts at ``available`` and ``caf``."""
@@ -390,9 +431,17 @@ class Draws:
 
 @dataclass(slots=True)
 class _TaskRt:
-    """A task's record from its app's event until its ``RequestRecord`` replaces it."""
+    """A task's record from its app's event until its ``RequestRecord`` replaces it.
 
-    task: Task
+    It carries the task's own fields that the run reads: ``id``, ``app_id``,
+    ``length`` (MI), ``data_size`` (bits) and ``submit_time``.
+    """
+
+    id: str
+    app_id: str
+    length: float
+    data_size: float
+    submit_time: float
     cluster: int
     deadline_abs: float
     cloud_bound: bool
@@ -444,7 +493,7 @@ def _minutes(nrt: _NodeRt, shares: int) -> float:
 
 def _work_left(trt: _TaskRt) -> float:
     """The task's work not yet done, from the progress integrated so far, clamped at 0."""
-    return max(trt.task.length - trt.progress, 0.0)
+    return max(trt.length - trt.progress, 0.0)
 
 
 def _share_rate(nrt: _NodeRt, weight: float) -> float:
@@ -468,6 +517,7 @@ class Simulation:
         if problem := stalled_period(scenario):
             raise ValueError(problem)
         self.sc = scenario
+        self._private = draws is None
         self._draws = Draws() if draws is None else draws  # let go of when the run ends
         self.now = 0.0
         self._seq = 0
@@ -594,7 +644,7 @@ class Simulation:
                 trt.active_time += dt
             trt.last_update = now
             rate = base_rate * peer_weight if trt.cluster != cluster else base_rate
-            remaining = trt.task.length - trt.progress
+            remaining = trt.length - trt.progress
             if trt.no_target and old_rate > 0 and remaining > 0:
                 was_on_time = now + remaining / old_rate <= trt.deadline_abs
                 if was_on_time and now + remaining / rate > trt.deadline_abs:
@@ -605,7 +655,7 @@ class Simulation:
                 first, first_time = trt, finish
         # an event at the tick's time may still pop first, by push order
         if first_time <= self._next_tick:
-            self._push(first_time, "done", nrt.node.id, (nrt.version, first.task.id))
+            self._push(first_time, "done", nrt.node.id, (nrt.version, first.id))
 
     def _projected_completion(self, trt: _TaskRt) -> float:
         if trt.node_id is None or trt.rate <= 0:
@@ -666,8 +716,7 @@ class Simulation:
         replaces the cluster's order with one that keeps no inputs, so every
         device is scored.
         """
-        task = trt.task
-        work = task.length  # a task that has not run has done no work
+        work = trt.length  # a task that has not run has done no work
         if self.sc.policy == "baseline":
             if self._baseline_order is None or self._baseline_order[0] != work:
                 self._baseline_order = (work, rank([
@@ -691,7 +740,7 @@ class Simulation:
             if key != inputs[nrt.index]:
                 inputs[nrt.index] = key
                 changed.append(nrt)
-        for nrt, row in zip(changed, self._score_pass(work, task.data_size, cluster, changed)):
+        for nrt, row in zip(changed, self._score_pass(work, trt.data_size, cluster, changed)):
             held[nrt.index] = row
         if changed:
             index[1] = rows = rank(held)
@@ -724,7 +773,7 @@ class Simulation:
         The row is the minimum by ``migration_key``, found without sorting.
         ``None`` when the current node still meets the deadline.
         """
-        data = trt.task.data_size
+        data = trt.data_size
         # the current node over the shares it runs, none of them held back from its task
         if self._score_pass(work, data, current.cluster, [current], extra=0)[0][0] < budget:
             return None
@@ -745,7 +794,7 @@ class Simulation:
         rate = _share_rate(nrt, len(nrt.running) + nrt.pending + 1)
         if rate <= 0:
             return False
-        remaining = trt.task.length - trt.progress
+        remaining = trt.length - trt.progress
         if transfer + remaining / rate > budget * self.sc.admission_optimism:
             return False
         if peer and self.sc.reservation:
@@ -762,7 +811,7 @@ class Simulation:
         rows = self._ranking(trt)
         chosen = None
         for _, _, nrt in rows:
-            transfer = self._uplink_time(nrt, trt.task.data_size)
+            transfer = self._uplink_time(nrt, trt.data_size)
             if self._admits(nrt, trt, peer=nrt.cluster != trt.cluster, transfer=transfer):
                 chosen = nrt
                 break
@@ -771,10 +820,10 @@ class Simulation:
             own = [nrt for nrt in order if nrt.cluster == trt.cluster]
             chosen = min(own or order,
                          key=lambda nrt: (len(nrt.running) + nrt.pending, nrt.node.id))
-            transfer = self._uplink_time(chosen, trt.task.data_size)
+            transfer = self._uplink_time(chosen, trt.data_size)
         trt.uplink = transfer
         chosen.pending += 1
-        self._push(self.now + transfer, "arrive", trt.task.id, (chosen.node.id,))
+        self._push(self.now + transfer, "arrive", trt.id, (chosen.node.id,))
 
     def _attempt_migration(self, trt: _TaskRt) -> None:
         if trt.migrations >= self.sc.max_migrations_per_task:
@@ -803,7 +852,7 @@ class Simulation:
             target = self.nodes[first[0]]
         self._catch_up(target)
         # moving must actually beat staying, transfer included
-        move_time = trt.task.data_size / target.move_bw
+        move_time = trt.data_size / target.move_bw
         prospective = _share_rate(target, len(target.running) + target.pending + 1)
         move_total = move_time + work / max(prospective, 1e-9)
         stay = self._projected_completion(trt) - self.now
@@ -811,14 +860,14 @@ class Simulation:
             trt.no_target = True
             return
         target.pending += 1
-        del current.running[trt.task.id]
+        del current.running[trt.id]
         current.n_own -= trt.cluster == current.cluster
         trt.node_id = None
         trt.rate = 0.0
         trt.migrations += 1
         trt.migration_time_total += move_time
         self._replan(current)
-        self._push(self.now + move_time, "migrate", trt.task.id, (target.node.id,))
+        self._push(self.now + move_time, "migrate", trt.id, (target.node.id,))
 
     # -- reservation ----------------------------------------------------------
 
@@ -845,47 +894,52 @@ class Simulation:
 
     def _finish(self, trt: _TaskRt) -> None:
         """Release the task's node, then swap in the record ``account`` makes of its facts."""
-        task = trt.task
         self.remaining -= 1
         node = self.nodes[trt.node_id]
-        del node.running[task.id]
+        del node.running[trt.id]
         node.n_own -= trt.cluster == node.cluster
         node.window_count += 1
-        node.window_last = task.length
+        node.window_last = trt.length
         self._replan(node)
-        self.tasks[task.id] = account(self.trace, self.sc, task, self.now, trt.deadline_abs,
-                                      trt.uplink, trt.active_time, trt.migrations,
-                                      trt.migration_time_total, trt.cloud_bound, trt.progress)
+        self.tasks[trt.id] = account(self.trace, self.sc, trt, self.now, trt.deadline_abs,
+                                     trt.uplink, trt.active_time, trt.migrations,
+                                     trt.migration_time_total, trt.cloud_bound, trt.progress)
 
     # -- event handlers --------------------------------------------------------
 
-    def _on_app(self, app: Application, changes: list[tuple[float, str, float]],
-                clouds: tuple[bool, ...]) -> None:
-        """Open the app's task records, push its deadline changes, then place or queue its tasks."""
+    def _on_app(self, app: tuple[str, str, tuple[str, ...], array], changes: array,
+                clouds: bytes) -> None:
+        """Open the app's task records, push its deadline changes, then place or queue its tasks.
+
+        The app, its changes and its cloud flags come packed, as ``Draws`` keeps them.
+        """
+        app_id, user_id, task_ids, numbers = app
         present = self._home_clusters
-        home = present[hash_cluster(app.user_id, len(present), self.sc.cluster_block)]
-        for task, cloud_bound in zip(app.tasks, clouds):
-            self.tasks[task.id] = _TaskRt(
-                task=task,
-                cluster=home,
-                deadline_abs=task.submit_time + task.deadline,
-                cloud_bound=cloud_bound,
-                last_update=self.now,
-            )
-        for when, task_id, factor in changes:  # each falls strictly after this event
-            self._push(when, "deadline", task_id, (factor,))
-        for task in app.tasks:
-            if task.submit_time <= self.now:
-                self._place_fresh(self.tasks[task.id])
+        home = present[hash_cluster(user_id, len(present), self.sc.cluster_block)]
+        now, tasks = self.now, self.tasks
+        it = iter(numbers)
+        for task_id, length, data_size, deadline, submit_time, cloud in zip(
+                task_ids, it, it, it, it, clouds):
+            tasks[task_id] = _TaskRt(
+                id=task_id, app_id=app_id, length=length, data_size=data_size,
+                submit_time=submit_time, cluster=home, deadline_abs=submit_time + deadline,
+                cloud_bound=bool(cloud), last_update=now)
+        it, n = iter(changes), len(task_ids)
+        for k, (when, factor) in enumerate(zip(it, it)):  # each falls strictly after this event
+            self._push(when, "deadline", task_ids[k % n], (factor,))
+        for task_id in task_ids:
+            trt = tasks[task_id]
+            if trt.submit_time <= now:
+                self._place_fresh(trt)
             else:
-                self._push(task.submit_time, "place", task.id)
+                self._push(trt.submit_time, "place", task_id)
 
     def _on_arrive(self, trt: _TaskRt, node_id: str) -> None:
         nrt = self.nodes[node_id]
         nrt.pending -= 1  # the share moves from pending to running: rankings see no change
         trt.node_id = node_id
         trt.last_update = self.now
-        nrt.running[trt.task.id] = trt
+        nrt.running[trt.id] = trt
         nrt.n_own += trt.cluster == nrt.cluster
         self._replan(nrt)
 
@@ -942,7 +996,7 @@ class Simulation:
         tasks = [trt for trt in nrt.running.values()
                  if trt.migrations < limit and trt.deadline_abs > now]
         if len(tasks) > 1:
-            tasks.sort(key=lambda trt: trt.task.id)
+            tasks.sort(key=lambda trt: trt.id)
         return tasks
 
     def _on_deadline(self, trt: _TaskRt | RequestRecord, factor: float) -> None:
@@ -970,17 +1024,25 @@ class Simulation:
 
     # -- main loop ----------------------------------------------------------------
 
+    def _push_apps(self) -> None:
+        """Push each app's event, at its first submission, with its changes and cloud flags.
+
+        The heap holds only the arrived apps' changes, and a run's own draws
+        let go of the apps, so each lives only in its event.
+        """
+        for arrival in self._draws.arrivals(self.sc):
+            app_id, _user_id, task_ids, numbers = arrival[0]
+            self.remaining += len(task_ids)
+            self._push(min(numbers[3::4], default=0.0), "app", app_id, arrival)
+        if self._private:
+            self._draws.let_go_of_arrivals()
+
     def run(self) -> RunTrace:
         if self._ran:
             raise RuntimeError("this Simulation has already run; build a new one to run again")
         self._ran = True
         sc = self.sc
-        # each app rides its event with its deadline changes and cloud flags until the
-        # event pushes the changes: the heap holds only the arrived apps' changes
-        for app, changes, clouds in self._draws.arrivals(sc):
-            self.remaining += len(app.tasks)
-            self._push(min((t.submit_time for t in app.tasks), default=0.0), "app", app.id,
-                       (app, changes, clouds))
+        self._push_apps()
         for when, node_id, available in sc.scripted_utilisation:
             self._push(when, "script", node_id, (available,))
         if self.remaining > 0:

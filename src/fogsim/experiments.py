@@ -2,15 +2,16 @@
 
 Each sweep cell is one (axis value, policy, reservation, seed) scenario.
 The cells of one seed form one job, run largest ``app_count`` first on one
-``engine.Draws``, so they draw their decision-free inputs once; jobs may run
-in parallel, and results are merged in scenario-id order so the output never
-depends on scheduling. Each cell is
-cached atomically under ``<out>/cells`` as soon as it finishes, named by its
-scenario id plus a hash of its scenario, prices, SLA terms and the package
-source, so a re-run skips exactly the cells whose inputs and code are
-unchanged. A cached cell that is not a whole row of its cell (say, one cut
-short by a crash, another cell's row or a value that is not a finite
-number) is computed again.
+``engine.Draws``, so they draw their decision-free inputs once; with fewer
+seeds than workers, each (seed, policy, reservation) is a job of its own.
+Jobs may run in parallel, and results are merged in scenario-id order so
+the output never depends on scheduling. Each cell is cached atomically
+under ``<out>/cells`` as soon as it finishes, named by its scenario id plus
+a hash of its scenario, prices, SLA terms and the package source, so a
+re-run skips exactly the cells whose inputs and code are unchanged. A
+cached cell that is not a whole row of its cell (say, one cut short by a
+crash, another cell's row or a value that is not a finite number) is
+computed again.
 """
 
 from __future__ import annotations
@@ -138,33 +139,33 @@ def _cached_row(path: Path, identity: dict) -> dict | None:
     return row if whole else None
 
 
-def _seed_cells(job: list):
-    """(path, row) of each cell of one seed's job, in job order, each as soon as it is done."""
+def _job_cells(job: list):
+    """(path, row) of each cell of one job, in job order, each as soon as it is done."""
     draws = engine.Draws()
     for path, sid, axis_value, scenario, prices, sla in job:
         yield path, report_row(sid, axis_value, run_cell(scenario, prices, sla, draws))
 
 
-def _seed_worker(job: list) -> list[tuple[Path, dict]]:
-    return list(_seed_cells(job))
+def _job_worker(job: list) -> list[tuple[Path, dict]]:
+    return list(_job_cells(job))
 
 
 def _finished_cells(jobs: list, workers: int):
     """(path, row) of every cell of every job, in job order.
 
     Without a pool each cell comes as soon as it is done; a pool hands back a
-    seed's cells when its job is done. The pool never has more processes than
+    job's cells when the job is done. The pool never has more processes than
     jobs: a forked pool starts them all at once.
     """
     workers = min(workers, len(jobs))
     if workers <= 1:
         for job in jobs:
-            yield from _seed_cells(job)
+            yield from _job_cells(job)
         return
     from concurrent.futures import ProcessPoolExecutor  # only a parallel sweep pays its import
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        for cells in pool.map(_seed_worker, jobs):
+        for cells in pool.map(_job_worker, jobs):
             yield from cells
 
 
@@ -194,7 +195,9 @@ def sweep(
     cells_dir = Path(out_dir) / "cells"
     cells_dir.mkdir(parents=True, exist_ok=True)
 
-    by_seed: dict[int, list] = {}  # seed -> the cells of that seed to compute
+    # a job per seed, or per (seed, policy, reservation) when the seeds are fewer than the workers
+    split = seeds < workers
+    by_job: dict[tuple, list] = {}  # job -> its cells to compute
     cells = []
     found: dict[Path, dict] = {}  # cell path -> row, cached or computed
     for value, overrides in axis_cells(axis):
@@ -211,12 +214,13 @@ def sweep(
                         "scenario_id": sid, "axis_value": value, "policy": policy,
                         "reservation": "on" if reservation else "off", "seed": str(seed)})
                     if row is None:
-                        by_seed.setdefault(seed, []).append(
+                        job = (seed, policy, reservation) if split else (seed,)
+                        by_job.setdefault(job, []).append(
                             (path, sid, value, scenario, cfg.prices, cfg.sla))
                     else:
                         found[path] = row
     # largest app_count first, so a smaller cell reads a prefix of the workload drawn
-    jobs = [sorted(job, key=lambda cell: -cell[3].app_count) for job in by_seed.values()]
+    jobs = [sorted(job, key=lambda cell: -cell[3].app_count) for job in by_job.values()]
     for path, row in _finished_cells(jobs, workers):
         tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
         tmp.write_text(json.dumps(row, sort_keys=True))

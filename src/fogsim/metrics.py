@@ -19,7 +19,7 @@ from .network import processing_delay
 from .pricing import total_app_cost
 
 if TYPE_CHECKING:
-    from .engine import Scenario
+    from .engine import Scenario, _TaskRt
 
 MESSAGE_KB = 5.0  # size of one internal message
 CLOUD_LATENCY = 0.1  # seconds one way
@@ -59,11 +59,13 @@ class RunTrace:
     seed: int = 0
 
 
-def account(trace: RunTrace, scenario: Scenario, task: Task, completion_time: float,
+def account(trace: RunTrace, scenario: Scenario, task: Task | _TaskRt, completion_time: float,
             deadline: float, uplink: float, active_time: float, migrations: int,
             migration_time: float, cloud_bound: bool, progress: float) -> RequestRecord:
     """Append one finished request's record and ledger usage to the trace; return the record.
 
+    Of ``task`` it reads only ``id``, ``app_id``, ``length``, ``data_size``
+    and ``submit_time``, so the engine passes its task record.
     ``deadline`` is absolute; ``uplink``, ``active_time`` and
     ``migration_time`` are the seconds the request spent in transfer, in
     execution and in migration transfers; ``progress`` is the MI of work

@@ -801,6 +801,27 @@ class TestSweepWorkers:
         assert len(outs[0]) == 1 + 2 * 8 * 2  # the CSV and every cell
         assert outs[0] == outs[1]
 
+    def test_one_seed_runs_a_job_per_variant(self, tmp_path, monkeypatch):
+        cfg = load_config(small_config(tmp_path, tasks_per_app=1, submit_interval=0.5,
+                                       devices_per_cluster=2))
+        sizes, pool = [], concurrent.futures.ProcessPoolExecutor
+
+        def recorded_pool(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recorded_pool)
+        outs = []
+        for workers in (1, 2):
+            out = tmp_path / f"workers-{workers}"
+            experiments.sweep(cfg, "apps", 1, str(out), workers=workers,
+                              policies=["mc", "baseline"], reservations=[True])
+            outs.append({path.relative_to(out): path.read_bytes()
+                         for path in out.rglob("*") if path.is_file()})
+        assert sizes == [2]  # the one seed's two variants, a process each
+        assert len(outs[0]) == 1 + 2 * 8  # the CSV and every cell
+        assert outs[0] == outs[1]
+
     def test_each_sweep_draws_each_seed_workload_once(self, tmp_path, monkeypatch):
         cfg = load_config(small_config(tmp_path, tasks_per_app=1, submit_interval=0.5,
                                        devices_per_cluster=2))

@@ -1,3 +1,4 @@
+import array
 import copy
 import dataclasses
 import gc
@@ -105,24 +106,35 @@ def logged_arrivals(sim):
     return arrivals
 
 
+def task_record(task, **fields):
+    """The engine's running record of ``task``: its own fields, then ``fields``."""
+    return _TaskRt(id=task.id, app_id=task.app_id, length=task.length, data_size=task.data_size,
+                   submit_time=task.submit_time, **fields)
+
+
+def record_task(trt):
+    """The ``Task`` whose fields a running record carries, for the ``FogNode`` policies."""
+    return Task(id=trt.id, app_id=trt.app_id, length=trt.length, data_size=trt.data_size,
+                deadline=trt.deadline_abs - trt.submit_time, submit_time=trt.submit_time)
+
+
 def fd4_with_history(deadline):
     """The fixture fleet with reservation history and task t0 running on FD4."""
     sim = Simulation(load_config("fixtures/fd-table").scenario)
     for i, nid in enumerate(sim.device_ids):
         sim.nodes[nid].reservation = ReservationState(
             reserved_value=100.0 * i, last_app_request=600.0, total_apps_processed=2)
-    trt = _TaskRt(task=fd_table_task(), cluster=0, deadline_abs=deadline,
-                  cloud_bound=False)
+    trt = task_record(fd_table_task(), cluster=0, deadline_abs=deadline, cloud_bound=False)
     sim.tasks["t0"] = trt
     sim._on_arrive(trt, "FD4")
     return sim, trt
 
 
 def received_tasks(monkeypatch):
-    """Each ``Task`` the runs to come receive, by id: a finished record keeps none.
+    """Each ``Task`` the workload draws of the runs to come return, by id.
 
-    Captured by wrapping the engine's ``generate_workload``, so these are the
-    objects the engine held while the tasks ran.
+    Captured by wrapping the engine's ``generate_workload``; a run holds no
+    ``Task``, only the numbers its draws pack from these.
     """
     tasks = {}
 
@@ -401,7 +413,8 @@ class TestRankingFromEngineState:
 
         def done_so_far(trt, work):
             """The task as the ``FogNode`` policies take it: its work done so far as ``t_j``."""
-            task = dataclasses.replace(trt.task, completed_work=min(trt.progress, trt.task.length))
+            task = dataclasses.replace(record_task(trt),
+                                       completed_work=min(trt.progress, trt.length))
             assert task.remaining_work == work
             return task
 
@@ -413,9 +426,9 @@ class TestRankingFromEngineState:
             rows = ranking(trt)
             snaps = snapshots(trt, sim._devices)
             if policy == "baseline":
-                want = baseline_allocate(trt.task, snaps, links=links)
+                want = baseline_allocate(record_task(trt), snaps, links=links)
             else:
-                want = mc_allocate(trt.task, snaps)
+                want = mc_allocate(record_task(trt), snaps)
             assert [row[1] for row in rows] == [n.id for n in want]
             assert all(nrt is sim.nodes[nid] for _, nid, nrt in rows)
             checked["fresh"] += 1
@@ -439,13 +452,14 @@ class TestRankingFromEngineState:
             decision = handle_deadline_change(
                 done_so_far(trt, work), snaps, budget,
                 current=_snapshot(sim, current, len(current.running) + current.pending, False),
-                migration_times={n.id: migration_time(trt.task, links[n.id]) for n in snaps})
+                migration_times={n.id: migration_time(record_task(trt), links[n.id])
+                                 for n in snaps})
             if first is None:
                 assert decision == MigrationDecision(None, (), (), False)
                 checked["stay"] += 1
                 return first
             # the engine takes the first row unsorted; sort the same rows for the full order
-            ordered = migration_order(sim._score_pass(work, trt.task.data_size, trt.cluster,
+            ordered = migration_order(sim._score_pass(work, trt.data_size, trt.cluster,
                                                       others, budget=budget), budget)
             assert first == ordered[0]
             target = first[0] if migration_bound_ok(first, budget) else None
@@ -704,7 +718,7 @@ class TestRunWritesNoFogNode:
 
 
 class TestRunWritesNoTask:
-    """A run keeps each task's work done in its task record and leaves its ``Task`` as generated."""
+    """A run's records carry their generated tasks' fields, and the ``Task``s stay as drawn."""
 
     @pytest.mark.parametrize("policy", ["mc", "baseline"])
     @pytest.mark.parametrize("scenario", [accept_scenario(), storm_scenario(), COLLISION],
@@ -715,7 +729,11 @@ class TestRunWritesNoTask:
         sim = Simulation(scenario)
         sim.run()
         fresh = {t.id: t for app in generate_workload(scenario) for t in app.tasks}
-        assert received == fresh and received.keys() == sim.tasks.keys()
+        assert received == fresh and fresh.keys() == sim.tasks.keys()
+        for tid, rec in sim.tasks.items():
+            task = fresh[tid]
+            assert (rec.task_id, rec.app_id, rec.submit_time) == (
+                task.id, task.app_id, task.submit_time), tid
         # tasks did run and move, so they stayed put for a reason
         assert all(type(trt) is RequestRecord and trt.progress > 0 for trt in sim.tasks.values())
         assert any(trt.migrations for trt in sim.tasks.values())
@@ -785,9 +803,9 @@ class TestFreshIndex:
 
         def checked_ranking(trt):
             kept = sim._indexes.get(trt.cluster)
-            checked["kept" if kept and kept[0] == trt.task.length else "afresh"] += 1
+            checked["kept" if kept and kept[0] == trt.length else "afresh"] += 1
             rows = ranking(trt)
-            want = rank(sim._score_pass(trt.task.length, trt.task.data_size, trt.cluster,
+            want = rank(sim._score_pass(trt.length, trt.data_size, trt.cluster,
                                         sim._devices))
             assert [(c_t, nid) for c_t, nid, _ in rows] == [(c_t, nid) for c_t, nid, _ in want]
             assert all(nrt is sim.nodes[nid] for _, nid, nrt in rows)
@@ -809,7 +827,7 @@ class TestBaselineMemo:
         checked = Counter()
 
         def checked_ranking(trt):
-            work = trt.task.length
+            work = trt.length
             kept = sim._baseline_order
             checked["kept" if kept and kept[0] == work else "afresh"] += 1
             rows = ranking(trt)
@@ -858,7 +876,7 @@ class TestFreshKeyReservedValue:
     def test_refresh_rescores_only_a_hidden_reservation(self, reservation):
         sim = Simulation(small_scenario(reservation=reservation))
         task = Task(id="t", app_id="a", length=3000.0, data_size=8000.0, deadline=10.0)
-        trt = _TaskRt(task=task, cluster=0, deadline_abs=10.0, cloud_bound=False)
+        trt = task_record(task, cluster=0, deadline_abs=10.0, cloud_bound=False)
         sim._ranking(trt)  # keeps cluster 0's rows for this work
         score_pass = sim._score_pass
         rescored = []
@@ -941,6 +959,109 @@ class TestSharedDraws:
         assert sim._draws is None and all(nrt.path is None for nrt in sim._devices)
 
 
+def drawn_directly(sc):
+    """Each app of ``sc`` as the draws give it, unpacked: id, user id, tasks, changes, flags.
+
+    The tasks are ``(id, length, data_size, deadline, submit_time)`` rows and the
+    changes ``deadline_change_events``' triples, round by round.
+    """
+    apps = generate_workload(sc)
+    if sc.explicit_workload is None:
+        apps = apps[:sc.app_count]
+    stream = random.Random(f"{sc.seed}:deadline")
+    drawn = []
+    for app in apps:
+        changes = []
+        for _ in range(sc.deadline_changes_per_task):
+            changes += deadline_change_events(app, sc.deadline_variation_pct, stream)
+        cloud_rng = random.Random(f"{sc.seed}:cloudmix:{app.id}")
+        tasks = [(t.id, t.length, t.data_size, t.deadline, t.submit_time) for t in app.tasks]
+        drawn.append((app.id, app.user_id, tasks, changes,
+                      [cloud_rng.random() < sc.cloud_fraction for _ in app.tasks]))
+    return drawn
+
+
+def unpacked(arrivals):
+    """``Draws.arrivals`` in the form of ``drawn_directly``; change k is task k mod n's."""
+    out = []
+    for (app_id, user_id, task_ids, numbers), changes, clouds in arrivals:
+        assert type(task_ids) is tuple and type(numbers) is type(changes) is array.array
+        assert type(clouds) is bytes and numbers.typecode == changes.typecode == "d"
+        n = len(task_ids)
+        out.append((app_id, user_id,
+                    [(tid, *numbers[4 * j:4 * j + 4]) for j, tid in enumerate(task_ids)],
+                    [(changes[2 * k], task_ids[k % n], changes[2 * k + 1])
+                     for k in range(len(changes) // 2)],
+                    [bool(flag) for flag in clouds]))
+    return out
+
+
+class TestPackedDraws:
+    """``Draws`` keeps apps as numbers that unpack to exactly the draw functions' values."""
+
+    EXPLICIT = [{"id": "a0", "user_id": "u0", "tasks": [
+                    {"id": "t0", "length": 3000, "data_size": 8000, "deadline": 7},
+                    {"id": "t1", "length": 1250.5, "data_size": 0.0, "deadline": 9.5,
+                     "submit_time": 0.3}]},
+                {"id": "a1", "tasks": [{"id": "t2", "length": 10, "data_size": 1, "deadline": 1,
+                                        "submit_time": 2}]}]
+
+    @pytest.mark.parametrize("scenario", [
+        small_scenario(deadline_variation_pct=40.0, deadline_changes_per_task=2),
+        small_scenario(deadline_variation_pct=0.0),
+        varied_lengths(storm_scenario()),
+        small_scenario(explicit_workload=EXPLICIT, app_count=2, cloud_fraction=0.5)],
+        ids=["generated", "no-changes", "explicit", "explicit-ints"])
+    def test_arrivals_unpack_to_the_draw_functions(self, scenario):
+        assert unpacked(engine.Draws().arrivals(scenario)) == drawn_directly(scenario)
+
+    def test_a_smaller_app_count_reads_a_prefix(self, monkeypatch):
+        draws, drawn = engine.Draws(), Counter()
+        monkeypatch.setattr("fogsim.engine.generate_workload",
+                            lambda sc: drawn.update([sc.app_count]) or generate_workload(sc))
+        for app_count in (9, 4, 9):
+            sc = small_scenario(app_count=app_count, deadline_variation_pct=40.0)
+            assert unpacked(draws.arrivals(sc)) == drawn_directly(sc)
+        assert drawn == {9: 1}  # drawn once; the smaller and the repeated count read it
+
+    def test_two_deadline_keys_on_one_workload(self, monkeypatch):
+        draws, drawn = engine.Draws(), []
+        monkeypatch.setattr("fogsim.engine.generate_workload",
+                            lambda sc: drawn.append(sc) or generate_workload(sc))
+        scenarios = [small_scenario(deadline_variation_pct=pct, deadline_changes_per_task=k)
+                     for pct, k in ((40.0, 1), (70.0, 3), (40.0, 1))]
+        got = [unpacked(draws.arrivals(sc)) for sc in scenarios]
+        assert len(drawn) == 1  # the second key's changes are drawn from the packed apps
+        assert got == [drawn_directly(sc) for sc in scenarios]
+        assert got[0] != got[1]
+
+    def test_a_private_run_keeps_no_arrivals_once_pushed(self):
+        sc = small_scenario(deadline_variation_pct=40.0)
+        for draws in (None, engine.Draws()):
+            sim = Simulation(sc, draws)
+            on_app, held = sim._on_app, []
+
+            def holding_on_app(app, changes, clouds):
+                kept = sim._draws
+                held.append((len(kept._apps), len(kept._changes), len(kept._clouds),
+                             len(kept._paths)))
+                on_app(app, changes, clouds)
+
+            sim._on_app = holding_on_app
+            sim.run()
+            devices = len(sim.device_ids)
+            # a private run's draws keep only the load paths; shared ones keep everything
+            assert held == [(0, 0, 0, devices) if draws is None else (1, 1, 1, devices)] * 6
+        assert len(draws._apps[next(iter(draws._apps))]) == sc.app_count
+
+    def test_records_share_the_packed_task_ids(self):
+        draws = engine.Draws()
+        sc = small_scenario()
+        trace = Simulation(sc, draws).run()
+        ids = {tid: tid for (_, _, task_ids, _), _, _ in draws.arrivals(sc) for tid in task_ids}
+        assert all(rec.task_id is ids[rec.task_id] for rec in trace.records)
+
+
 class TestMovableTasks:
     """Tick rechecks try only the tasks a migration attempt could still move, by task id."""
 
@@ -951,10 +1072,10 @@ class TestMovableTasks:
         task = dict(app_id="a", length=100.0, data_size=0.0, deadline=1.0)
         for tid, deadline_abs, migrations in [("t3", 9.0, 0), ("t1", 9.0, 0), ("t2", 9.0, 1),
                                               ("t0", 5.0, 0), ("t4", 4.0, 0)]:
-            nrt.running[tid] = _TaskRt(task=Task(id=tid, **task), cluster=0,
-                                       deadline_abs=deadline_abs, cloud_bound=False,
-                                       migrations=migrations)
-        assert [trt.task.id for trt in sim._movable(nrt)] == ["t1", "t3"]
+            nrt.running[tid] = task_record(Task(id=tid, **task), cluster=0,
+                                           deadline_abs=deadline_abs, cloud_bound=False,
+                                           migrations=migrations)
+        assert [trt.id for trt in sim._movable(nrt)] == ["t1", "t3"]
 
 
 class TestMinAvailable:
@@ -1033,12 +1154,11 @@ class TestPerTaskLayout:
         finished = []
 
         def checked_finish(trt):
-            node, tid = sim.nodes[trt.node_id], trt.task.id
+            node, tid = sim.nodes[trt.node_id], trt.id
             assert type(trt) is _TaskRt and sim.tasks[tid] is trt and node.running[tid] is trt
             for f in dataclasses.fields(trt):  # the running record, too, holds only values
                 value = getattr(trt, f.name)
-                assert (value is trt.task if f.name == "task"
-                        else isinstance(value, (bool, int, float, str, type(None)))), f.name
+                assert isinstance(value, (bool, int, float, str, type(None))), f.name
             finish(trt)
             done = sim.tasks[tid]
             assert done is sim.trace.records[-1] and done.task_id == tid
@@ -1164,8 +1284,8 @@ class TestCompletionEvents:
             replan(nrt)
             if not nrt.running:
                 return
-            first = min(sim.now if t.task.length - t.progress <= 1e-9
-                        else sim.now + (t.task.length - t.progress) / t.rate
+            first = min(sim.now if t.length - t.progress <= 1e-9
+                        else sim.now + (t.length - t.progress) / t.rate
                         for t in nrt.running.values())
             plans[nid] = (nrt.version, first)
             if counts["done"] == pushed:
@@ -1294,8 +1414,8 @@ class TestDeadlineCrossingReopen:
         deadlines = {"crosses": 4.0, "on-time": 10.0, "already-late": 2.0}
         for tid, deadline in deadlines.items():
             task = Task(id=tid, app_id="a", length=1000.0, data_size=0.0, deadline=deadline)
-            trt = sim.tasks[tid] = _TaskRt(task=task, cluster=0, deadline_abs=deadline,
-                                           cloud_bound=False)
+            trt = sim.tasks[tid] = task_record(task, cluster=0, deadline_abs=deadline,
+                                               cloud_bound=False)
             sim._on_arrive(trt, "d0")
         for trt in sim.tasks.values():
             assert trt.rate == pytest.approx(1000.0 / 3)
@@ -1312,7 +1432,7 @@ class TestDeadlineCrossingReopen:
         sim.now = when
         sim._on_script(node_id, available)
         for trt in sim.tasks.values():
-            assert sim.now + (trt.task.length - trt.progress) / trt.rate == pytest.approx(5.5)
+            assert sim.now + (trt.length - trt.progress) / trt.rate == pytest.approx(5.5)
         assert after_drop == {"crosses": False, "on-time": True, "already-late": True}
 
 

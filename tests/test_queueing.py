@@ -155,7 +155,7 @@ class TestWorkConservationUnderReservation:
                     when, service = arrivals[i]
                     work, last, i = max(work - (when - last), 0.0) + service, when, i + 1
                 lindley[:] = i, work, last
-                left = sum(trt.task.length - trt.progress - trt.rate * (now - trt.last_update)
+                left = sum(trt.length - trt.progress - trt.rate * (now - trt.last_update)
                            for trt in d0.running.values())
                 # the abs term is 1e-9 of a mean service time, for an emptied device
                 assert left / RATE == pytest.approx(max(work - (now - last), 0.0),
