@@ -20,13 +20,13 @@ in ``Simulation.tasks``, so a finished task is held once. A simulation runs
 once, writes no ``FogNode`` and builds no ``Task``.
 
 The inputs that no decision reads are drawn apart from the run, in a
-``Draws``: the apps, their deadline changes, their tasks' cloud flags and
-each device's load path, its load and ``caf`` after every tick. The apps
-and changes are packed into arrays of numbers as they are drawn. Runs
-that share a ``Draws`` (the cells of one sweep seed, the cells of
-``fogsim run``) draw each input once; a run given none draws its own, lets
-go of its apps once their events are pushed and of the rest when it ends.
-A device named in ``scripted_utilisation`` keeps a path of its own run, as
+``Draws``: the apps and their deadline changes, packed as numbers, their
+tasks' cloud flags and each device's load path (load and ``caf`` by tick).
+Each draw reads a spec of exactly the ``Scenario`` fields it needs, which
+is its key. Runs that share a ``Draws`` (a sweep seed's cells, ``fogsim
+run``'s) draw each input once; a run given none draws its own, lets go of
+its apps once their events are pushed and of the rest when it ends. A
+device named in ``scripted_utilisation`` keeps a path of its own run, as
 a script rewrites it. Deadline changes ride in their app's ``app`` event.
 
 Rankings score candidates from the engine's own node state, every
@@ -53,6 +53,7 @@ import random
 from array import array
 from dataclasses import dataclass, field
 from operator import attrgetter
+from typing import NamedTuple
 
 from .metrics import RequestRecord, RunTrace, account
 from .model import Application, FogNode, NetworkLink, ReservationState, Task, Tier, fold_sum
@@ -162,7 +163,54 @@ def task_from_spec(spec: dict, app_id: str) -> Task:
                 submit_time=spec.get("submit_time", 0.0))
 
 
-def generate_workload(scenario: Scenario) -> list[Application]:
+class WorkloadSpec(NamedTuple):
+    """The ``Scenario`` fields ``generate_workload`` reads.
+
+    ``Draws`` keys a workload without ``app_count``: app i's draws do not
+    depend on it, so a smaller workload is a prefix of a larger one.
+    """
+
+    seed: int
+    app_count: int
+    explicit_workload: list[dict] | None
+    submit_interval: float
+    tasks_per_app: int
+    task_length: float
+    data_bytes_range: tuple[int, int]
+    deadline_range: tuple[float, float]
+
+
+class ChangeSpec(NamedTuple):
+    """The ``Scenario`` fields an app's deadline changes read: their stream and process."""
+
+    seed: int
+    deadline_variation_pct: float
+    deadline_changes_per_task: int
+
+
+class CloudSpec(NamedTuple):
+    """The ``Scenario`` fields a task's cloud flag reads."""
+
+    seed: int
+    cloud_fraction: float
+
+
+class PathSpec(NamedTuple):
+    """The ``Scenario`` fields a device's load path reads."""
+
+    seed: int
+    utilisation_band: tuple[float, float]
+    min_available: float
+    history_window: int
+    caf_range: tuple[float, float]
+
+
+def spec_of(kind: type, sc: Scenario):
+    """The ``kind`` spec of ``sc``: the scenario's values of the fields ``kind`` names."""
+    return kind._make([getattr(sc, name) for name in kind._fields])
+
+
+def generate_workload(scenario: Scenario | WorkloadSpec) -> list[Application]:
     """Seeded application list; same scenario, same workload, always."""
     if scenario.explicit_workload is not None:
         return [Application(id=spec["id"],
@@ -264,18 +312,20 @@ def next_fluctuation(available: float, band: tuple[float, float], rng: random.Ra
     return floor if value < floor else 0.98 if value > 0.98 else value
 
 
-def deadline_change_events(app: Application, variation_pct: float,
-                           rng: random.Random) -> list[tuple[float, str, float]]:
-    """(time, task_id, factor) triples; one change per task, none at 0 percent."""
-    if variation_pct <= 0:
-        return []
-    events = []
-    for task in app.tasks:
-        offset = rng.uniform(0.2, 0.6) * task.deadline
-        swing = rng.uniform(0.0, variation_pct / 100.0)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        events.append((task.submit_time + offset, task.id, 1.0 + sign * swing))
-    return events
+def deadline_change_events(numbers: array, spec: Scenario | ChangeSpec,
+                           rng: random.Random) -> array:
+    """``(time, factor)`` pairs for the tasks ``_pack`` put in ``numbers``; none at 0 percent."""
+    changes = array("d")
+    if spec.deadline_variation_pct <= 0:
+        return changes
+    tasks = list(zip(numbers[2::4], numbers[3::4]))  # (deadline, submit_time)
+    for _ in range(spec.deadline_changes_per_task):  # a round changes every task, in order
+        for deadline, submit_time in tasks:
+            offset = rng.uniform(0.2, 0.6) * deadline
+            swing = rng.uniform(0.0, spec.deadline_variation_pct / 100.0)
+            sign = 1.0 if rng.random() < 0.5 else -1.0
+            changes.extend((submit_time + offset, 1.0 + sign * swing))
+    return changes
 
 
 class _LoadPath:
@@ -283,7 +333,7 @@ class _LoadPath:
 
     Entry 0 is the device as built. ``extend`` draws the steps up to a tick
     from the device's own ``fluct:<id>`` stream, so the path depends only on
-    the seed, the device's starting load and score, and the step constants.
+    its ``PathSpec`` and the device's id, starting load and score.
     Two defects are kept, as the recorded digests hold them: every step is
     clamped at 0.98, so a fully free device loses 2% of its capacity at its
     first tick, and a script that overwrites the last entry leaves the last
@@ -293,11 +343,12 @@ class _LoadPath:
 
     __slots__ = ("available", "caf", "_rng", "_params", "_steps", "_last_sample")
 
-    def __init__(self, sc: Scenario, node_id: str, available: float, caf: float):
+    def __init__(self, spec: Scenario | PathSpec, node_id: str, available: float, caf: float):
         self.available = array("d", (available,))
         self.caf = array("d", (caf,))
-        self._rng = _stream(sc.seed, f"fluct:{node_id}")
-        self._params = (sc.utilisation_band, sc.min_available, sc.history_window, *sc.caf_range)
+        self._rng = _stream(spec.seed, f"fluct:{node_id}")
+        self._params = (spec.utilisation_band, spec.min_available, spec.history_window,
+                        *spec.caf_range)
         self._steps: list[float] = []  # percent steps between the window's samples
         self._last_sample: float | None = None  # the last available-CPU percentage
 
@@ -326,18 +377,6 @@ class _LoadPath:
         self._last_sample = last
 
 
-# The Scenario fields each decision-free draw reads. The workload leaves out
-# app_count: app i's draws do not depend on it, so a smaller workload is a prefix.
-_WORKLOAD_FIELDS = ("seed", "explicit_workload", "submit_interval", "tasks_per_app",
-                    "task_length", "data_bytes_range", "deadline_range")
-_DEADLINE_FIELDS = ("deadline_variation_pct", "deadline_changes_per_task")
-_PATH_FIELDS = ("seed", "utilisation_band", "min_available", "history_window", "caf_range")
-
-
-def _key(sc: Scenario, names: tuple[str, ...]) -> tuple[str, ...]:
-    return tuple(repr(getattr(sc, name)) for name in names)
-
-
 def _pack(app: Application) -> tuple[str, str, tuple[str, ...], array]:
     """An app as ``(id, user id, task ids, numbers)``: each task's four numbers in one array.
 
@@ -349,26 +388,15 @@ def _pack(app: Application) -> tuple[str, str, tuple[str, ...], array]:
     return app.id, app.user_id, tuple(task.id for task in app.tasks), numbers
 
 
-def _unpack(packed: tuple[str, str, tuple[str, ...], array]) -> Application:
-    """The app ``_pack`` packed, rebuilt for a draw that reads its tasks."""
-    app_id, user_id, task_ids, numbers = packed
-    it = iter(numbers)
-    return Application(id=app_id, user_id=user_id, tasks=[
-        Task(id=task_id, app_id=app_id, length=length, data_size=data_size, deadline=deadline,
-             submit_time=submit_time)
-        for task_id, length, data_size, deadline, submit_time in zip(task_ids, it, it, it, it)])
-
-
 class Draws:
     """The inputs of a run that no decision reads, drawn once for every run that shares them.
 
     These are the apps, their deadline changes (the ``deadline`` stream, in
     app order), their tasks' cloud flags (one ``cloudmix:<app>`` stream per
-    app) and each device's ``_LoadPath``. Each is kept under exactly the
-    ``Scenario`` fields it reads, never the policy, the reservation flag or
-    the run length, so runs that differ only in those, or in ``app_count``,
-    read the same values. Shared by the runs of one sweep seed and by the
-    cells of ``fogsim run``; it lives as long as its caller keeps it.
+    app) and each device's ``_LoadPath``. Each is drawn from, and kept under
+    the ``repr`` of, a spec of exactly the ``Scenario`` fields it reads; the
+    workload's key leaves out ``app_count``. Shared by the runs of one sweep
+    seed and by the cells of ``fogsim run``; it lives as long as its caller keeps it.
 
     An app is kept packed as numbers (see ``_pack``); its deadline changes
     as one array of ``(time, factor)`` pairs, round by round and in task
@@ -376,7 +404,7 @@ class Draws:
     """
 
     def __init__(self):
-        self._apps: dict[tuple, list[tuple]] = {}  # packed apps, in app order
+        self._apps: dict[str, list[tuple]] = {}  # packed apps, in app order
         self._changes: dict[tuple, tuple[random.Random, list[array]]] = {}  # stream, per app
         self._clouds: dict[tuple, list[bytes]] = {}
         self._paths: dict[tuple, _LoadPath] = {}
@@ -384,34 +412,29 @@ class Draws:
     def arrivals(self, sc: Scenario) -> list[tuple[tuple, array, bytes]]:
         """``(packed app, deadline changes, cloud flags of its tasks)`` for each app, in app order.
 
-        The apps are ``generate_workload``'s, the changes
-        ``deadline_change_events``', packed.
+        The apps are ``generate_workload``'s, packed, and the changes
+        ``deadline_change_events``'.
         """
-        key = _key(sc, _WORKLOAD_FIELDS)
+        spec = spec_of(WorkloadSpec, sc)
+        key = repr(spec._replace(app_count=None))
         packed = self._apps.get(key)
-        generated = sc.explicit_workload is None
-        apps = None  # the unpacked apps, while they are at hand
-        if packed is None or generated and len(packed) < sc.app_count:
-            apps = generate_workload(sc)
-            packed = self._apps[key] = [_pack(app) for app in apps]
+        generated = spec.explicit_workload is None
+        if packed is None or generated and len(packed) < spec.app_count:
+            packed = self._apps[key] = [_pack(app) for app in generate_workload(spec)]
         if generated:
-            packed = packed[:sc.app_count]
-        changes_key = key + _key(sc, _DEADLINE_FIELDS)
+            packed = packed[:spec.app_count]
+        change = spec_of(ChangeSpec, sc)
+        changes_key = (key, repr(change))
         if changes_key not in self._changes:
-            self._changes[changes_key] = (_stream(sc.seed, "deadline"), [])
+            self._changes[changes_key] = (_stream(change.seed, "deadline"), [])
         stream, changes = self._changes[changes_key]
-        for i in range(len(changes), len(packed)):
-            app = _unpack(packed[i]) if apps is None else apps[i]
-            drawn = array("d")
-            for _ in range(sc.deadline_changes_per_task):
-                for when, _task_id, factor in deadline_change_events(
-                        app, sc.deadline_variation_pct, stream):
-                    drawn.extend((when, factor))
-            changes.append(drawn)
-        clouds = self._clouds.setdefault(key + (repr(sc.cloud_fraction),), [])
+        for _app_id, _user_id, _task_ids, numbers in packed[len(changes):]:
+            changes.append(deadline_change_events(numbers, change, stream))
+        cloud = spec_of(CloudSpec, sc)
+        clouds = self._clouds.setdefault((key, repr(cloud)), [])
         for app_id, _user_id, task_ids, _numbers in packed[len(clouds):]:
-            cloud_rng = _stream(sc.seed, f"cloudmix:{app_id}")
-            clouds.append(bytes(cloud_rng.random() < sc.cloud_fraction for _ in task_ids))
+            cloud_rng = _stream(cloud.seed, f"cloudmix:{app_id}")
+            clouds.append(bytes(cloud_rng.random() < cloud.cloud_fraction for _ in task_ids))
         return list(zip(packed, changes, clouds))
 
     def let_go_of_arrivals(self) -> None:
@@ -420,12 +443,12 @@ class Draws:
         self._changes.clear()
         self._clouds.clear()
 
-    def load_path(self, sc: Scenario, node_id: str, available: float, caf: float) -> _LoadPath:
+    def load_path(self, spec: PathSpec, node_id: str, available: float, caf: float) -> _LoadPath:
         """The shared load path of a device that starts at ``available`` and ``caf``."""
-        key = (node_id, available, caf) + _key(sc, _PATH_FIELDS)
+        key = (node_id, available, caf, repr(spec))
         path = self._paths.get(key)
         if path is None:
-            path = self._paths[key] = _LoadPath(sc, node_id, available, caf)
+            path = self._paths[key] = _LoadPath(spec, node_id, available, caf)
         return path
 
 
@@ -551,12 +574,13 @@ class Simulation:
     def _build_fleet(self) -> None:
         sc = self.sc
         scripted = {node_id for _, node_id, _ in sc.scripted_utilisation}
+        path_spec = spec_of(PathSpec, sc)
         for spec in fleet_specs(sc):
             self._register(node_from_spec(spec, sc), spec.get("cluster", 0),
-                           spec.get("bandwidth", sc.device_bandwidth), scripted)
+                           spec.get("bandwidth", sc.device_bandwidth), scripted, path_spec)
 
     def _register(self, node: FogNode, cluster: int, bandwidth: float,
-                  scripted: set[str]) -> None:
+                  scripted: set[str], path_spec: PathSpec) -> None:
         sc = self.sc
         checked_capacity(node)  # rankings divide by it unchecked
         t_bd = throughput_by_distance(node)
@@ -582,8 +606,8 @@ class Simulation:
             self.device_ids.append(node.id)
             self._devices.append(rt)
             # a script rewrites its device's path, so that path is the run's own
-            rt.path = (_LoadPath(sc, node.id, rt.available, rt.caf) if node.id in scripted
-                       else self._draws.load_path(sc, node.id, rt.available, rt.caf))
+            rt.path = (_LoadPath(path_spec, node.id, rt.available, rt.caf) if node.id in scripted
+                       else self._draws.load_path(path_spec, node.id, rt.available, rt.caf))
 
     # -- event plumbing ---------------------------------------------------
 

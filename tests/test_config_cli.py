@@ -754,9 +754,11 @@ def in_process_pool(sizes: list):
 
 
 class TestSweepPool:
-    """A parallel sweep never has more processes than seeds with cells to compute.
+    """A parallel sweep never has more processes than jobs with cells to compute.
 
-    A seed's cells are one job, run on one ``Draws``.
+    A job is a seed's cells, run on one ``Draws``; with fewer seeds than
+    workers, each (seed, policy, reservation) is a job of its own. These
+    sweeps have one variant, so each seed is one job.
     """
 
     ARGS = ["--axis", "battery", "--seeds", "1", "--policy", "mc", "--reservation", "on"]

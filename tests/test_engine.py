@@ -263,14 +263,17 @@ class TestFluctuationProcess:
 class TestDeadlineChangeProcess:
     def test_zero_variation_no_events(self):
         apps = generate_workload(small_scenario())
-        assert deadline_change_events(apps[0], 0.0, random.Random(1)) == []
+        spec = small_scenario(deadline_variation_pct=0.0)
+        changes = deadline_change_events(engine._pack(apps[0])[3], spec, random.Random(1))
+        assert changes == array.array("d")
 
     def test_reproducible_sequence(self):
         apps = generate_workload(small_scenario())
-        a = deadline_change_events(apps[0], 80.0, random.Random("d"))
-        b = deadline_change_events(apps[0], 80.0, random.Random("d"))
+        spec = small_scenario(deadline_variation_pct=80.0, deadline_changes_per_task=1)
+        a = deadline_change_events(engine._pack(apps[0])[3], spec, random.Random("d"))
+        b = deadline_change_events(engine._pack(apps[0])[3], spec, random.Random("d"))
         assert a == b
-        assert len(a) == len(apps[0].tasks)
+        assert len(a) == 2 * len(apps[0].tasks)  # a (time, factor) pair per task
 
     @pytest.mark.parametrize("changes", [0, 1, 3])
     def test_changes_per_task_sets_the_deadline_events(self, changes):
@@ -963,7 +966,8 @@ def drawn_directly(sc):
     """Each app of ``sc`` as the draws give it, unpacked: id, user id, tasks, changes, flags.
 
     The tasks are ``(id, length, data_size, deadline, submit_time)`` rows and the
-    changes ``deadline_change_events``' triples, round by round.
+    changes ``deadline_change_events``' pairs as ``(time, task id, factor)``
+    triples, round by round; each draw reads the full scenario.
     """
     apps = generate_workload(sc)
     if sc.explicit_workload is None:
@@ -971,9 +975,9 @@ def drawn_directly(sc):
     stream = random.Random(f"{sc.seed}:deadline")
     drawn = []
     for app in apps:
-        changes = []
-        for _ in range(sc.deadline_changes_per_task):
-            changes += deadline_change_events(app, sc.deadline_variation_pct, stream)
+        pairs = iter(deadline_change_events(engine._pack(app)[3], sc, stream))
+        changes = [(when, app.tasks[k % len(app.tasks)].id, factor)
+                   for k, (when, factor) in enumerate(zip(pairs, pairs))]
         cloud_rng = random.Random(f"{sc.seed}:cloudmix:{app.id}")
         tasks = [(t.id, t.length, t.data_size, t.deadline, t.submit_time) for t in app.tasks]
         drawn.append((app.id, app.user_id, tasks, changes,
@@ -1060,6 +1064,106 @@ class TestPackedDraws:
         trace = Simulation(sc, draws).run()
         ids = {tid: tid for (_, _, task_ids, _), _, _ in draws.arrivals(sc) for tid in task_ids}
         assert all(rec.task_id is ids[rec.task_id] for rec in trace.records)
+
+
+# The spec gate's scenario: a few small apps with two rounds of deadline changes.
+GATE_BASE = Scenario(app_count=3, tasks_per_app=2, deadline_changes_per_task=2)
+# One valid value per Scenario field, other than its default and GATE_BASE's.
+ALTERNATES = {
+    "seed": 7, "app_count": 5, "policy": "baseline", "reservation": False, "label": "other",
+    "clusters": 3, "devices_per_cluster": 4, "servers_per_cluster": 2,
+    "device_mips": (1000.0, 3000.0), "server_mips": 8000.0, "device_bandwidth": 50000.0,
+    "server_bandwidth": 2e6, "distance_range": (1.0, 10.0), "max_supported_distance": 60.0,
+    "battery_range": (10.0, 50.0), "caf_range": (0.6, 1.1), "discharge_range": (0.2, 0.3),
+    "initial_utilisation": (0.1, 0.3), "tasks_per_app": 3, "task_length": 1500.0,
+    "subtask_length": 250.0, "data_bytes_range": (1024, 2048), "deadline_range": (2.0, 6.0),
+    "submit_interval": 1.0, "cluster_block": 2, "utilisation_band": (0.05, 0.2),
+    "fluctuation_interval": 0.5, "deadline_variation_pct": 60.0, "deadline_changes_per_task": 3,
+    "reservation_period": 30.0, "reservation_cap_fraction": 0.2, "admission_optimism": 1.5,
+    "max_migrations_per_task": 1, "frame_bits": 8000.0, "cloud_bandwidth": 2e6,
+    "cloud_processing_rate": 5e5, "cloud_fraction": 0.5, "min_available": 0.05,
+    "history_window": 4, "explicit_fleet": [{"id": "x0", "cpu_capacity": 2000.0}],
+    "explicit_workload": TestPackedDraws.EXPLICIT, "scripted_utilisation": ((1.0, "c0d00", 0.5),),
+    "max_sim_time": 500.0,
+}
+# The pair fields, for a base that holds them as lists, as a Scenario built in code may
+PAIRS = ("device_mips", "distance_range", "battery_range", "caf_range", "discharge_range",
+         "initial_utilisation", "data_bytes_range", "deadline_range", "utilisation_band")
+LISTED_BASE = dataclasses.replace(GATE_BASE, **{name: list(getattr(GATE_BASE, name))
+                                                for name in PAIRS})
+# The devices whose load paths the gate draws, as (id, available, caf): a loaded one, the
+# same id at another load or score, which is another path, and a fully free one
+GATE_DEVICES = (("g0", 0.7, 0.9), ("g0", 0.4, 0.9), ("g0", 0.7, 1.1), ("g1", 1.0, 1.2))
+GATE_TICKS = 30
+# Each draw the gate compares, with the specs its values are a function of
+DRAW_SPECS = {"workload": (engine.WorkloadSpec,),
+              "changes": (engine.WorkloadSpec, engine.ChangeSpec),
+              "clouds": (engine.WorkloadSpec, engine.CloudSpec),
+              "paths": (engine.PathSpec,)}
+
+
+def gate_values(arrivals, paths):
+    """The draws of ``drawn_directly``'s form and ``GATE_DEVICES``' paths, split by draw."""
+    for path in paths:
+        path.extend(GATE_TICKS)
+    return {"workload": [app[:3] for app in arrivals], "changes": [app[3] for app in arrivals],
+            "clouds": [app[4] for app in arrivals],
+            "paths": [(list(path.available), list(path.caf)) for path in paths]}
+
+
+def shared_values(sc, draws):
+    spec = engine.spec_of(engine.PathSpec, sc)
+    return gate_values(unpacked(draws.arrivals(sc)),
+                       [draws.load_path(spec, *device) for device in GATE_DEVICES])
+
+
+def direct_values(sc):
+    """The same draws, each from the full scenario."""
+    return gate_values(drawn_directly(sc), [engine._LoadPath(sc, *device)
+                                            for device in GATE_DEVICES])
+
+
+def check_perturbation(base, names):
+    """Draws of ``base`` and of ``base`` with ``names`` changed, sharing one ``Draws``.
+
+    Each equals the same draw from the full scenario, and a draw whose specs
+    are unchanged gives equal values; drawn in either order, so the larger
+    workload comes first once.
+    """
+    perturbed = dataclasses.replace(base, **{name: ALTERNATES[name] for name in names})
+    for first, second in ((base, perturbed), (perturbed, base)):
+        draws = engine.Draws()
+        drawn = [shared_values(first, draws), shared_values(second, draws)]
+        assert drawn == [direct_values(first), direct_values(second)], names
+        for draw, specs in DRAW_SPECS.items():
+            if all(engine.spec_of(kind, first) == engine.spec_of(kind, second) for kind in specs):
+                assert drawn[0][draw] == drawn[1][draw], (names, draw)
+
+
+class TestDrawSpecs:
+    """Each decision-free draw reads only its specs, and a shared ``Draws`` keys it by them."""
+
+    def test_every_field_has_an_alternate(self):
+        assert set(ALTERNATES) == {f.name for f in dataclasses.fields(Scenario)}
+        for name, value in ALTERNATES.items():
+            assert value != getattr(Scenario(), name) and value != getattr(GATE_BASE, name), name
+
+    @pytest.mark.parametrize("base", [GATE_BASE, LISTED_BASE], ids=["tuples", "lists"])
+    def test_each_field_alone(self, base):
+        for name in ALTERNATES:
+            check_perturbation(base, [name])
+
+    @settings(max_examples=30, deadline=None)
+    @given(names=st.sets(st.sampled_from(sorted(ALTERNATES)), min_size=2, max_size=5),
+           listed=st.booleans())
+    def test_fields_together(self, names, listed):
+        check_perturbation(LISTED_BASE if listed else GATE_BASE, sorted(names))
+
+    def test_a_draw_given_the_wrong_spec_fails_at_once(self):
+        with pytest.raises(AttributeError, match="utilisation_band"):
+            engine._LoadPath(engine.spec_of(engine.CloudSpec, GATE_BASE), "g0", 1.0, 1.0)
+        with pytest.raises(AttributeError, match="explicit_workload"):
+            generate_workload(engine.spec_of(engine.PathSpec, GATE_BASE))
 
 
 class TestMovableTasks:

@@ -10,6 +10,8 @@ mends a defect removes its marker.
 """
 
 import dataclasses
+import random
+import statistics
 
 import pytest
 
@@ -104,3 +106,38 @@ def test_the_uplink_shares_the_link_as_available_bandwidth_does():
     link = NetworkLink(endpoint_bandwidths=(bw, bw), capacity=bw, medium_throughput=nrt.t_bd,
                        sharing_users=3)
     assert sim._uplink_time(nrt, 40960.0) == 40960.0 / available_bandwidth(link) + nrt.rtt / 2.0
+
+
+LINK_BW, LINK_LOAD, MEAN_BITS = 1e5, 0.6, 40000.0  # bits/s, link load, bits: E[S] = 0.4 s
+
+
+def link_scenario(seed: int) -> Scenario:
+    """4,000 one-task apps, Poisson submissions and exponential sizes, at link load 0.6.
+
+    One device at distance 0; its CPU is fast enough that only the link matters.
+    """
+    rng = random.Random(f"mm1-link:{seed}")
+    now, workload = 0.0, []
+    for i in range(4000):
+        now += rng.expovariate(LINK_LOAD * LINK_BW / MEAN_BITS)
+        workload.append({"id": f"a{i:04d}", "user_id": "u0", "tasks": [
+            {"id": f"t{i:04d}", "length": 1.0, "data_size": rng.expovariate(1.0 / MEAN_BITS),
+             "deadline": 1e5, "submit_time": now}]})
+    device = {"id": "d0", "cpu_capacity": 1e4, "distance": 0.0, "bandwidth": LINK_BW}
+    return Scenario(seed=seed, app_count=4000, clusters=1, reservation=False,
+                    utilisation_band=(0.0, 0.0), cloud_fraction=0.0, deadline_variation_pct=0.0,
+                    explicit_fleet=[device], explicit_workload=workload)
+
+
+@defect("CHANGES.md FOUND: a fresh transfer counts in its node's pending transfers until its "
+        "arrive event, half a round trip after its bits are sent, so the link's transfers "
+        "run slower than M/M/1-PS")
+def test_fresh_transfers_share_the_link_as_mm1_ps():
+    # a record's delay is its uplink twice, and its uplink the transfer plus half a round trip
+    means = []
+    for seed in (1, 2):
+        sim = Simulation(link_scenario(seed))
+        rtt = sim.nodes["d0"].rtt
+        means.append(statistics.fmean(r.delay / 2.0 - rtt / 2.0 for r in sim.run().records))
+    service = MEAN_BITS / LINK_BW
+    assert statistics.fmean(means) == pytest.approx(service / (1.0 - LINK_LOAD), rel=0.1), means
