@@ -21,13 +21,16 @@ once, writes no ``FogNode`` and builds no ``Task``.
 
 The inputs that no decision reads are drawn apart from the run, in a
 ``Draws``: the apps and their deadline changes, packed as numbers, their
-tasks' cloud flags and each device's load path (load and ``caf`` by tick).
-Each draw reads a spec of exactly the ``Scenario`` fields it needs, which
-is its key. Runs that share a ``Draws`` (a sweep seed's cells, ``fogsim
-run``'s) draw each input once; a run given none draws its own, lets go of
-its apps once their events are pushed and of the rest when it ends. A
-device named in ``scripted_utilisation`` keeps a path of its own run, as
-a script rewrites it. Deadline changes ride in their app's ``app`` event.
+tasks' cloud flags and each device's load path: its loads by tick, drawn
+a block of ``LOAD_BLOCK`` ticks at a time, and the ``caf`` scores derived
+from them only when the multi-criteria policy reads one; the baseline
+reads none. Each draw reads a spec of exactly the ``Scenario`` fields it
+needs, which is its key. Runs that share a ``Draws`` (a sweep seed's
+cells, ``fogsim run``'s) draw each input once; a run given none draws its
+own, lets go of its apps once their events are pushed and of the rest
+when it ends. A device named in ``scripted_utilisation`` keeps a path of
+its own run, drawn a tick at a time, as a script rewrites its current
+entry. Deadline changes ride in their app's ``app`` event.
 
 Rankings score candidates from the engine's own node state, every
 candidate in one pass. A multi-criteria fresh ranking keeps each home
@@ -67,6 +70,7 @@ from .scoring import cpu_fluctuation_rate  # noqa: F401
 TASK_STAGGER = 0.15  # seconds between the submissions of one application's tasks
 SPIKE_THRESHOLD = 0.10  # available fraction below which a native-load spike reopens migration
 MIN_REMAINING_DEADLINE = 0.25  # seconds; floor on the remaining deadline after a tightening
+LOAD_BLOCK = 32  # ticks of load a shared path draws at a time; no decision reads them ahead
 
 
 @dataclass
@@ -331,9 +335,14 @@ def deadline_change_events(numbers: array, spec: Scenario | ChangeSpec,
 class _LoadPath:
     """A device's load after each tick: ``available[k]`` and ``caf[k]`` after tick k.
 
-    Entry 0 is the device as built. ``extend`` draws the steps up to a tick
-    from the device's own ``fluct:<id>`` stream, so the path depends only on
-    its ``PathSpec`` and the device's id, starting load and score.
+    Entry 0 is the device as built. ``extend`` draws the loads from the
+    device's own ``fluct:<id>`` stream a block of ``LOAD_BLOCK`` ticks at a
+    time, or one tick at a time for a scripted device (``block`` 1), whose
+    script overwrites the current tick's entry. ``caf_at`` derives the scores
+    from the drawn loads only when a reader asks for one: the mean percent
+    step over the window's samples, clamped to ``caf_range``, with a flat
+    window keeping the score before it. So the path depends only on its
+    ``PathSpec`` and the device's id, starting load and score.
     Two defects are kept, as the recorded digests hold them: every step is
     clamped at 0.98, so a fully free device loses 2% of its capacity at its
     first tick, and a script that overwrites the last entry leaves the last
@@ -341,40 +350,51 @@ class _LoadPath:
     before the script.
     """
 
-    __slots__ = ("available", "caf", "_rng", "_params", "_steps", "_last_sample")
+    __slots__ = ("available", "caf", "_rng", "_params", "_block", "_steps", "_last_sample")
 
-    def __init__(self, spec: Scenario | PathSpec, node_id: str, available: float, caf: float):
+    def __init__(self, spec: Scenario | PathSpec, node_id: str, available: float, caf: float,
+                 block: int = LOAD_BLOCK):
         self.available = array("d", (available,))
         self.caf = array("d", (caf,))
         self._rng = _stream(spec.seed, f"fluct:{node_id}")
         self._params = (spec.utilisation_band, spec.min_available, spec.history_window,
                         *spec.caf_range)
+        self._block = block
         self._steps: list[float] = []  # percent steps between the window's samples
-        self._last_sample: float | None = None  # the last available-CPU percentage
+        self._last_sample: float | None = None  # the last available-CPU percentage scored
 
     def extend(self, tick: int) -> None:
-        """Draw the steps up to and including ``tick``."""
-        band, floor, window, lo, hi = self._params
-        rng, steps, avail_path, caf_path = self._rng, self._steps, self.available, self.caf
-        available, caf, last = avail_path[-1], caf_path[-1], self._last_sample
-        for _ in range(tick + 1 - len(avail_path)):
+        """Draw the loads through the end of ``tick``'s block; no score is derived."""
+        band, floor = self._params[:2]
+        rng, path, block = self._rng, self.available, self._block
+        available, append = path[-1], path.append
+        for _ in range(tick - tick % block + block - len(path)):
             available = next_fluctuation(available, band, rng, floor)
-            sample = available * 100.0
-            if last is not None:
-                steps.append(fluctuation_step(last, sample))
-                if len(steps) >= window:
-                    del steps[0]
-            last = sample
-            if steps:
-                # cpu_fluctuation_rate over the window's samples, summed in the same order
-                rate = fold_sum(steps) / len(steps)
-                if rate > 0:  # a flat history keeps the score
-                    caf = rate / 100.0  # min(max(caf, lo), hi), without builtin calls per step
-                    caf = lo if caf < lo else caf
-                    caf = hi if caf > hi else caf
-            avail_path.append(available)
-            caf_path.append(caf)
-        self._last_sample = last
+            append(available)
+
+    def caf_at(self, tick: int) -> float:
+        """``caf`` after ``tick``, deriving the scores through the drawn end first if need be."""
+        caf_path = self.caf
+        if len(caf_path) <= tick:
+            window, lo, hi = self._params[2:]
+            steps, last, caf = self._steps, self._last_sample, caf_path[-1]
+            for available in self.available[len(caf_path):]:
+                sample = available * 100.0
+                if last is not None:
+                    steps.append(fluctuation_step(last, sample))
+                    if len(steps) >= window:
+                        del steps[0]
+                last = sample
+                if steps:
+                    # cpu_fluctuation_rate over the window's samples, summed in the same order
+                    rate = fold_sum(steps) / len(steps)
+                    if rate > 0:  # a flat history keeps the score
+                        caf = rate / 100.0  # min(max(caf, lo), hi), without builtin calls per step
+                        caf = lo if caf < lo else caf
+                        caf = hi if caf > hi else caf
+                caf_path.append(caf)
+            self._last_sample = last
+        return caf_path[tick]
 
 
 def _pack(app: Application) -> tuple[str, str, tuple[str, ...], array]:
@@ -557,6 +577,7 @@ class Simulation:
         self._next_tick = math.inf  # time of the pending fluctuation tick
         self._ticks = 0  # fluctuation ticks started so far
         self._cursor = math.inf  # index of the device the running tick has reached
+        self._reads_caf = scenario.policy != "baseline"  # only mc's rankings score by caf
         self._build_fleet()
         if not self._devices:  # tasks run on fog devices only
             raise ValueError("the fleet has no fog device to place tasks on")
@@ -605,8 +626,10 @@ class Simulation:
             rt.index, rt.stepped = len(self._devices), 0
             self.device_ids.append(node.id)
             self._devices.append(rt)
-            # a script rewrites its device's path, so that path is the run's own
-            rt.path = (_LoadPath(path_spec, node.id, rt.available, rt.caf) if node.id in scripted
+            # a script rewrites its device's path at the current tick, so that path is
+            # the run's own, drawn a tick at a time
+            rt.path = (_LoadPath(path_spec, node.id, rt.available, rt.caf, block=1)
+                       if node.id in scripted
                        else self._draws.load_path(path_spec, node.id, rt.available, rt.caf))
 
     # -- event plumbing ---------------------------------------------------
@@ -985,11 +1008,12 @@ class Simulation:
             self._push(self._next_tick, "fluct")
 
     def _catch_up(self, nrt: _NodeRt) -> None:
-        """Jump the node to its load path's load and ``caf`` after the ticks started so far.
+        """Jump the node to its load path's load, and under mc its ``caf``, after the ticks started.
 
         Called before every read of a node's load or ``caf``. While a
         tick runs, a device it has not reached yet misses only that tick's
-        step, so every read sees the load an eager tick would have left.
+        step, so every read sees the load an eager tick would have left. The
+        baseline reads no ``caf``, so its paths derive none.
         """
         target = self._ticks - (nrt.index > self._cursor)
         if nrt.stepped < target:
@@ -998,7 +1022,8 @@ class Simulation:
                 path.extend(target)
             nrt.stepped = target
             nrt.available = path.available[target]
-            nrt.caf = path.caf[target]
+            if self._reads_caf:
+                nrt.caf = path.caf_at(target)
 
     def _recheck(self, nrt: _NodeRt) -> None:
         """Replan a busy device on a tick, then try to move the tasks that now finish late."""
@@ -1039,8 +1064,11 @@ class Simulation:
         nrt = self.nodes[node_id]
         self._catch_up(nrt)  # the steps before the script, so later ticks step from its value
         nrt.available = max(min(available, 0.98), 0.001)
-        if nrt.path is not None:  # a server has no load path
-            nrt.path.available[-1] = nrt.available  # later steps start from it
+        path = nrt.path
+        if path is not None:  # a server has no load path
+            # score this tick from the load before the script, as the kept defect has it
+            path.caf_at(len(path.available) - 1)
+            path.available[-1] = nrt.available  # later steps start from it
         self._replan(nrt)
         for trt in self._movable(nrt):
             if self._projected_completion(trt) > trt.deadline_abs:
@@ -1123,13 +1151,20 @@ def hash_cluster(user_id: str, clusters: int, block: int = 1) -> int:
 
     Users with numeric ids are grouped in blocks of ``block`` consecutive
     ids per cluster, so each cluster's demand arrives in waves rather than
-    as a uniform trickle.
+    as a uniform trickle. The id's decimal digits, in any script, are its
+    number, read a chunk at a time modulo ``block * clusters``, so an id of
+    any length maps.
     """
     if clusters <= 1:
         return 0
-    tail = "".join(ch for ch in user_id if ch.isdigit())
-    ordinal = int(tail) if tail else sum(ord(ch) for ch in user_id)
-    return (ordinal // max(block, 1)) % clusters
+    block = max(block, 1)
+    modulus = block * clusters
+    tail = "".join(ch for ch in user_id if ch.isdecimal())
+    ordinal = 0 if tail else sum(ord(ch) for ch in user_id)
+    for start in range(0, len(tail), 18):  # chunks well inside int()'s digit limit
+        chunk = tail[start:start + 18]
+        ordinal = (ordinal * 10 ** len(chunk) + int(chunk)) % modulus
+    return ordinal % modulus // block
 
 
 def run(scenario: Scenario) -> RunTrace:

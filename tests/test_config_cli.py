@@ -315,6 +315,17 @@ class TestRunCommand:
         report = json.loads((out / "run.json").read_text())
         assert len(report) == 2
 
+    def test_any_string_user_id_runs(self, tmp_path):
+        # a digit that int() refuses, and more digits than int() reads from a string
+        apps = [dict(one_task_app("a0", "t0"), user_id="user²"),
+                dict(one_task_app("a1", "t1"), user_id="user" + "7" * 5000)]
+        path = write_config(tmp_path, {"scenario": {"clusters": 2, "devices_per_cluster": 2},
+                                       "workload": apps})
+        out = tmp_path / "out"
+        assert main(["run", path, "--out", str(out)]) == 0
+        assert len((out / "run.csv").read_text().strip().splitlines()) == 2
+        assert len(json.loads((out / "run.json").read_text())) == 1
+
     def test_app_count_disagreeing_with_workload_exit_code(self, tmp_path, capsys):
         path = write_config(tmp_path, {"scenario": {"app_count": 5, "clusters": 1},
                                        "workload": [one_task_app()]})

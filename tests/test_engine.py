@@ -552,6 +552,24 @@ class TestClusterAssignment:
     def test_non_numeric_ids_still_stable(self):
         assert hash_cluster("alpha", 3) == hash_cluster("alpha", 3)
 
+    def test_arabic_indic_digits_are_the_number(self):
+        homes = [hash_cluster("user" + "".join(chr(0x660 + int(d)) for d in f"{i:04d}"), 2,
+                              block=8) for i in range(32)]
+        assert homes == [hash_cluster(f"user{i:04d}", 2, block=8) for i in range(32)]
+        assert homes[:8] == [0] * 8 and homes[8:16] == [1] * 8
+
+    def test_a_digit_that_is_not_decimal_is_not_part_of_the_number(self):
+        # "²".isdigit() holds, but int() refuses it; the id has no decimal digit
+        assert hash_cluster("user²", 2, block=8) == sum(map(ord, "user²")) // 8 % 2
+        assert hash_cluster("user1²3", 3) == hash_cluster("user13", 3) == 13 % 3
+
+    @pytest.mark.parametrize("digits", [4301, 5000, 20000])
+    def test_an_id_past_the_int_digit_limit_maps_exactly(self, digits):
+        number = (10 ** digits - 1) // 9 * 7  # the digit 7, ``digits`` times
+        for clusters, block in ((2, 8), (3, 1), (5, 7)):
+            assert hash_cluster("user" + "7" * digits, clusters, block) == (
+                number // block % clusters)
+
 
 class TestInvariantSweep:
     def test_thousand_generated_runs_conserve_work_and_capacity(self):
@@ -603,38 +621,41 @@ def storm_scenario(**overrides):
 
 
 class TestCachedFluctuationSteps:
-    """The rate each load-path step takes from its cached steps; the window's rate is the oracle."""
+    """The score each load-path entry takes from its cached steps; the window's rate is the oracle."""
 
     @pytest.mark.parametrize("scenario", [
         accept_scenario(), accept_scenario(history_window=2),
         storm_scenario(), storm_scenario(history_window=2)],
         ids=["accept", "accept-window-2", "storm", "storm-window-2"])
-    def test_every_step_matches_the_window_rate(self, scenario, monkeypatch):
+    def test_every_step_matches_the_window_rate(self, scenario):
         sim = Simulation(scenario)
-        extend = engine._LoadPath.extend
+        paths = _load_paths(sim)
+        sim.run()
+        spec = engine.spec_of(engine.PathSpec, scenario)
         lo, hi = scenario.caf_range
         checked = Counter()
-
-        def checked_extend(path, tick):
-            while len(path.available) <= tick:  # one step at a time
-                caf_before = path.caf[-1]
-                extend(path, len(path.available))
+        for nid, path in paths.items():
+            path.caf_at(len(path.available) - 1)  # the scores the run did not read
+            # the same loads handed over one entry at a time, so each entry's window shows
+            probe = engine._LoadPath(spec, nid, path.available[0], path.caf[0])
+            for k in range(1, len(path.available)):
+                probe.available.append(path.available[k])
+                caf_before = probe.caf[-1]
+                probe.caf_at(k)
+                assert path.caf[k] == probe.caf[k]
                 # the device's last samples: its loads after the latest ticks, none before the first
-                start = max(len(path.available) - scenario.history_window, 1)
-                history = [available * 100.0 for available in path.available[start:]]
-                assert path._steps == [fluctuation_step(prev, cur)
-                                       for prev, cur in zip(history, history[1:])]
+                start = max(k + 1 - scenario.history_window, 1)
+                history = [available * 100.0 for available in path.available[start:k + 1]]
+                assert probe._steps == [fluctuation_step(prev, cur)
+                                        for prev, cur in zip(history, history[1:])]
                 if len(history) < 2:
-                    assert path.caf[-1] == caf_before
+                    assert path.caf[k] == caf_before
                     continue
                 rate = cpu_fluctuation_rate(history)
-                assert fold_sum(path._steps) / len(path._steps) == rate
+                assert fold_sum(probe._steps) / len(probe._steps) == rate
                 want = min(max(rate / 100.0, lo), hi) if rate > 0 else caf_before
-                assert path.caf[-1] == want
+                assert path.caf[k] == want
                 checked["full" if len(history) == scenario.history_window else "filling"] += 1
-
-        monkeypatch.setattr(engine._LoadPath, "extend", checked_extend)
-        sim.run()
         assert checked["full"] > 0
         assert (checked["filling"] > 0) == (scenario.history_window > 2)
 
@@ -647,10 +668,12 @@ class EagerTicks(Simulation):
 
     def _on_tick(self):
         self._next_tick = self.now + self.sc.fluctuation_interval
+        self._ticks += 1
+        tick = self._ticks
         for nrt in self._devices:
             path = nrt.path
-            path.extend(len(path.available))  # one step
-            nrt.available, nrt.caf = path.available[-1], path.caf[-1]
+            path.extend(tick)  # this tick's step, and the rest of its block
+            nrt.available, nrt.caf = path.available[tick], path.caf_at(tick)
             if nrt.running:
                 self._recheck(nrt)
         if self.remaining > 0:
@@ -670,9 +693,13 @@ def _load_paths(sim):
     return {nid: sim.nodes[nid].path for nid in sim.device_ids}
 
 
-def _steps(paths):
-    """Each device's load steps: the load before, the load and score after."""
-    return {nid: list(zip(path.available, path.available[1:], path.caf[1:]))
+def _steps(paths, ticks):
+    """Each device's load steps through ``ticks``: the load before, the load and score after."""
+    for path in paths.values():
+        path.extend(ticks)
+        path.caf_at(ticks)
+    return {nid: list(zip(path.available[:ticks], path.available[1:ticks + 1],
+                          path.caf[1:ticks + 1]))
             for nid, path in paths.items()}
 
 
@@ -690,16 +717,119 @@ class TestLazySteps:
         assert lazy.records and lazy.records == eager.records
         assert lazy.ledger == eager.ledger
         # an idle device's load is as of its last read; caught up, it took the eager steps
+        assert lazy_sim._ticks == eager_sim._ticks > 0
         for nrt in lazy_sim._devices:
             assert nrt.stepped <= lazy_sim._ticks
-            lazy_paths[nrt.node.id].extend(lazy_sim._ticks)
-        assert _steps(lazy_paths) == _steps(eager_paths)
+        assert _steps(lazy_paths, lazy_sim._ticks) == _steps(eager_paths, eager_sim._ticks)
 
     def test_baseline_storm_skips_steps(self):
         sim = Simulation(storm_scenario(policy="baseline"))
         sim.run()
         stepped = sum(nrt.stepped for nrt in sim._devices)
         assert 0 < stepped < sim._ticks * len(sim._devices)
+
+
+def stepped_path(spec, node_id, available, caf, ticks):
+    """A device's ``(available, caf)`` through ``ticks``, each tick's load and score in one step.
+
+    The load process as one loop, apart from ``_LoadPath``: a step moves the load
+    from the device's own stream, and the score is the mean percent step over
+    the window's samples (none before the first tick), clamped, or the score
+    before it when the window is flat.
+    """
+    rng = random.Random(f"{spec.seed}:fluct:{node_id}")
+    loads, scores, samples = [available], [caf], []
+    lo, hi = spec.caf_range
+    for _ in range(ticks):
+        available = next_fluctuation(available, spec.utilisation_band, rng, spec.min_available)
+        samples = (samples + [available * 100.0])[-spec.history_window:]
+        if len(samples) >= 2:
+            rate = cpu_fluctuation_rate(samples)
+            if rate > 0:
+                caf = min(max(rate / 100.0, lo), hi)
+        loads.append(available)
+        scores.append(caf)
+    return loads, scores
+
+
+# Ticks at which the block path test reads: inside a block, at and past its end, far ahead
+READ_TICKS = (1, 3, 31, 32, 33, 40, 97, 64, 130)
+
+
+class TestBlockDrawnPaths:
+    """A shared path drawn a block at a time gives, entry for entry, a path stepped tick by tick."""
+
+    @pytest.mark.parametrize("scenario", [
+        storm_scenario(), storm_scenario(history_window=2), accept_scenario(history_window=16),
+        small_scenario(utilisation_band=(0.0, 0.0)),
+        small_scenario(history_window=2, explicit_fleet=[
+            {"id": "d0", "cpu_capacity": 1000.0},
+            {"id": "d1", "cpu_capacity": 2000.0, "native_utilisation": 0.9, "caf_score": 0.7},
+            {"id": "s0", "tier": "fog_server", "cpu_capacity": 8000.0}]),
+        small_scenario(utilisation_band=(0.0, 0.0), explicit_fleet=[
+            {"id": "d0", "cpu_capacity": 1000.0},
+            {"id": "d1", "cpu_capacity": 2000.0, "native_utilisation": 0.5}])],
+        ids=["storm", "storm-window-2", "accept-window-16", "flat-band", "explicit-window-2",
+             "explicit-flat-band"])
+    def test_block_path_equals_the_stepped_path(self, scenario):
+        spec = engine.spec_of(engine.PathSpec, scenario)
+        sim = Simulation(scenario, engine.Draws())
+        assert sim._devices
+        for nrt in sim._devices:
+            path, nid = nrt.path, nrt.node.id
+            start = (nrt.available, nrt.caf)
+            single = engine._LoadPath(spec, nid, *start, block=1)
+            for tick in READ_TICKS:
+                if len(path.available) <= tick:
+                    path.extend(tick)
+                assert len(path.available) % engine.LOAD_BLOCK == 0  # whole blocks only
+                single.extend(tick)
+                assert path.caf_at(tick) == single.caf_at(tick)
+                assert path.available[tick] == single.available[tick]
+            assert len(single.available) == max(READ_TICKS) + 1  # a tick at a time
+            ticks = max(READ_TICKS)
+            want = stepped_path(spec, nid, *start, ticks)
+            assert (list(path.available[:ticks + 1]), list(path.caf[:ticks + 1])) == want
+            assert (list(single.available), list(single.caf)) == want
+        if scenario.utilisation_band == (0.0, 0.0):  # flat windows carry the score
+            assert all(set(nrt.path.caf) == {nrt.caf} for nrt in sim._devices)
+
+    @pytest.mark.parametrize("scenario", [accept_scenario(), storm_scenario(), COLLISION],
+                             ids=["accept", "storm", "collision"])
+    def test_a_baseline_run_derives_no_score(self, scenario):
+        sim = Simulation(dataclasses.replace(scenario, policy="baseline"))
+        paths = _load_paths(sim)
+        sim.run()
+        scripted = {nid for _, nid, _ in scenario.scripted_utilisation}
+        assert any(len(path.available) > 1 for path in paths.values())
+        assert all(len(path.caf) == 1 for nid, path in paths.items() if nid not in scripted)
+
+    @pytest.mark.parametrize("scenario", [accept_scenario(), storm_scenario(), COLLISION],
+                             ids=["accept", "storm", "collision"])
+    def test_mc_after_a_baseline_run_on_one_draws(self, scenario):
+        draws = engine.Draws()
+        Simulation(dataclasses.replace(scenario, policy="baseline"), draws).run()
+        assert draws._paths and all(len(path.caf) == 1 for path in draws._paths.values())
+        mc = dataclasses.replace(scenario, policy="mc")
+        shared, private = Simulation(mc, draws).run(), Simulation(mc).run()
+        assert shared.records and shared.records == private.records
+        assert shared.ledger == private.ledger
+
+    @pytest.mark.parametrize("policy", ["mc", "baseline"])
+    def test_a_scripted_path_is_drawn_to_the_current_tick(self, policy):
+        sim = Simulation(dataclasses.replace(COLLISION, policy=policy))
+        on_script, fired = sim._on_script, []
+
+        def checked_on_script(node_id, available):
+            on_script(node_id, available)
+            path, tick = sim.nodes[node_id].path, sim._ticks
+            assert len(path.available) == len(path.caf) == tick + 1, (node_id, tick)
+            assert path.available[tick] == sim.nodes[node_id].available
+            fired.append(node_id)
+
+        sim._on_script = checked_on_script
+        sim.run()
+        assert fired == [nid for _, nid, _ in COLLISION.scripted_utilisation]
 
 
 class TestRunWritesNoFogNode:
@@ -711,12 +841,15 @@ class TestRunWritesNoFogNode:
     def test_nodes_equal_their_fleet_entries(self, scenario, policy):
         sim = Simulation(dataclasses.replace(scenario, policy=policy))
         built = {nid: copy.deepcopy(nrt.node) for nid, nrt in sim.nodes.items()}
-        start = {nid: (nrt.caf, nrt.reservation.reserved_value) for nid, nrt in sim.nodes.items()}
+        start = {nid: (nrt.available, nrt.caf, nrt.reservation.reserved_value)
+                 for nid, nrt in sim.nodes.items()}
         sim.run()
         assert {nid: nrt.node for nid, nrt in sim.nodes.items()} == built
-        # the live state did move, so the nodes stayed put for a reason
-        assert any(nrt.caf != start[nid][0] for nid, nrt in sim.nodes.items())
-        assert any(nrt.reservation.reserved_value != start[nid][1]
+        # the live state did move, so the nodes stayed put for a reason; only mc reads caf
+        assert any(nrt.available != start[nid][0] for nid, nrt in sim.nodes.items())
+        if policy == "mc":
+            assert any(nrt.caf != start[nid][1] for nid, nrt in sim.nodes.items())
+        assert any(nrt.reservation.reserved_value != start[nid][2]
                    for nid, nrt in sim.nodes.items())
 
 
@@ -1106,6 +1239,7 @@ def gate_values(arrivals, paths):
     """The draws of ``drawn_directly``'s form and ``GATE_DEVICES``' paths, split by draw."""
     for path in paths:
         path.extend(GATE_TICKS)
+        path.caf_at(GATE_TICKS)
     return {"workload": [app[:3] for app in arrivals], "changes": [app[3] for app in arrivals],
             "clouds": [app[4] for app in arrivals],
             "paths": [(list(path.available), list(path.caf)) for path in paths]}
